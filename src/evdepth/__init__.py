@@ -53,7 +53,6 @@ from .pipeline import (
     TrainingStep,
     build_manifest,
     export_stacks,
-    export_tencode_set,
     load_manifest,
     save_manifest,
     training_step,

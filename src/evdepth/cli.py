@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
 from .errors import DomainError, EvDepthError, ParameterError
-from .events import EventSlice, read_events, slice_sbn, slice_sbt, write_events
+from .events import EventSlice, SliceMode, SliceSpec, read_events, slice_events, write_events
 from .fusion import (
     load_model_params,
     make_model_params,
@@ -52,9 +52,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class _UsageError(Exception):
+    """A flag combination the parser cannot reject on its own; exit code 1."""
 
 
 def _emit_json(payload) -> None:
@@ -92,20 +91,28 @@ def cmd_simulate(args) -> int:
 # slice / encode
 
 
-def _make_slice(stream, args) -> EventSlice:
+def _slice_spec(args, mode: str | None = None) -> SliceSpec:
+    """The slice spec of --dt-us/--count in ``mode``, or with no mode in the one
+    the given flag implies. An SBT window falls back to its default."""
+    if mode is None:
+        if args.dt_us is not None and args.count is not None:
+            raise _UsageError("--dt-us and --count are mutually exclusive")
+        mode = "sbt" if args.count is None else "sbn"
+    if mode == "sbn":
+        if args.count is None:
+            raise _UsageError("--mode sbn needs --count")
+        return SliceSpec(SliceMode.SBN, count=args.count)
     if args.count is not None:
-        return slice_sbn(stream, args.td_us, args.count)
-    window = args.dt_us if args.dt_us is not None else ENCODER_DEFAULTS.window_us
-    return slice_sbt(stream, args.td_us, window)
+        raise _UsageError("--count needs --mode sbn")
+    window = ENCODER_DEFAULTS.window_us if args.dt_us is None else args.dt_us
+    return SliceSpec(SliceMode.SBT, window_us=window)
 
 
 def cmd_slice(args) -> int:
-    if args.dt_us is not None and args.count is not None:
-        return _usage_error("--dt-us and --count are mutually exclusive")
     if args.dt_us is None and args.count is None:
-        return _usage_error("slice needs --dt-us (SBT) or --count (SBN)")
-    stream = read_events(args.events)
-    sl = _make_slice(stream, args)
+        raise _UsageError("slice needs --dt-us (SBT) or --count (SBN)")
+    spec = _slice_spec(args)
+    sl = slice_events(read_events(args.events), args.td_us, spec)
     write_events(sl.to_stream(), args.out, fmt=args.format)
     if args.json:
         _emit_json(
@@ -122,10 +129,8 @@ def cmd_slice(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    if args.dt_us is not None and args.count is not None:
-        return _usage_error("--dt-us and --count are mutually exclusive")
-    stream = read_events(args.events)
-    sl = _make_slice(stream, args)
+    spec = _slice_spec(args)
+    sl = slice_events(read_events(args.events), args.td_us, spec)
     if len(sl) == 0:
         print(f"warning: empty slice at t_d={args.td_us} us, writing all-zero stack", file=sys.stderr)
     stack = encode(sl, StackLayout(args.layout), bins=args.bins)
@@ -135,7 +140,7 @@ def cmd_encode(args) -> int:
     elif out.suffix.lower() == ".pfm":
         written = save_stack_pfm(stack, out)
     else:
-        return _usage_error(f"output must end in .pfm or .ppm, got {out.name!r}")
+        raise _UsageError(f"output must end in .pfm or .ppm, got {out.name!r}")
     if args.json:
         _emit_json(
             {
@@ -246,15 +251,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_dataset_build(args) -> int:
-    if args.mode == "sbn" and args.count is None:
-        return _usage_error("--mode sbn needs --count")
+    spec = _slice_spec(args, args.mode)
+    if args.bins is not None and args.layout != StackLayout.VOXEL.value:
+        raise _UsageError("--bins needs --layout voxel")
     manifest = build_manifest(
         args.events,
         args.frames,
         args.proxy,
-        window_us=args.dt_us,
-        mode=args.mode,
-        count=args.count,
+        window_us=spec.window_us,
+        mode=spec.mode.value,
+        count=spec.count,
         layout=args.layout,
         bins=args.bins,
         gt_dir=args.gt,
@@ -284,7 +290,7 @@ def cmd_dataset_export(args) -> int:
     if args.json:
         _emit_json({"files": [str(p) for p in written]})
     else:
-        print(f"exported {len(written)} {manifest.encoder.layout} stacks -> {args.out}")
+        print(f"exported {len(written)} {manifest.encoder.layout.value} stacks -> {args.out}")
     return EXIT_OK
 
 
@@ -315,7 +321,6 @@ def cmd_fusion_run(args) -> int:
         arrays,
         lambda a: toy_extractor(a, seed=args.seed, scales=params.scales, channels=params.channels),
         params,
-        unroll=args.unroll,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +332,7 @@ def cmd_fusion_run(args) -> int:
     if args.json:
         _emit_json({"steps": len(written), "seed": args.seed, "files": [str(p) for p in written]})
     else:
-        print(f"ran {len(written)} steps (seed {args.seed}, unroll {args.unroll}) -> {out_dir}")
+        print(f"ran {len(written)} steps (seed {args.seed}) -> {out_dir}")
     return EXIT_OK
 
 
@@ -350,9 +355,9 @@ def cmd_bench(args) -> int:
     layouts = _LAYOUTS if args.layouts == "all" else tuple(args.layouts.split(","))
     for layout in layouts:
         if layout not in _LAYOUTS:
-            return _usage_error(f"unknown layout {layout!r}; choose from {', '.join(_LAYOUTS)}")
+            raise _UsageError(f"unknown layout {layout!r}; choose from {', '.join(_LAYOUTS)}")
     if args.repetitions < 1:
-        return _usage_error("--repetitions must be >= 1")
+        raise _UsageError("--repetitions must be >= 1")
     stream = read_events(args.events)
     sl = _full_stream_slice(stream)
     results = {}
@@ -503,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--stacks", required=True, help="directory of PFM stacks")
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=FUSION_DEFAULTS.seed)
-    r.add_argument("--unroll", type=int, default=FUSION_DEFAULTS.unroll)
     r.add_argument("--params", default=None, help="load parameters (.bin archive)")
     r.add_argument("--params-out", default=None, help="save parameters (.bin archive)")
     r.add_argument("--json", action="store_true")
@@ -534,6 +538,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except EvDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,8 +1,9 @@
 """Default hyperparameters and runtime knobs.
 
-The numeric defaults (50 ms slicing window, 5 voxel bins, loss weight 0.25,
-20-step unroll) are the values every CLI subcommand and pipeline falls back
-to when the caller does not override them.
+This is the one home of the numeric defaults (50 ms SBT window, 5 voxel
+bins, loss weight 0.25 over 4 scales, fusion scales/channels and seed,
+1e-3 evaluation clamp): every CLI subcommand and library function that
+falls back to a default reads it from here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 US_PER_MS = 1_000
-US_PER_S = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class LossConfig:
 class FusionConfig:
     scales: tuple[int, ...] = (4, 8, 16)
     channels: tuple[int, ...] = (16, 32, 64)
-    unroll: int = 20
     seed: int = 0
 
 
@@ -38,7 +37,6 @@ ENCODER_DEFAULTS = EncoderConfig()
 LOSS_DEFAULTS = LossConfig()
 FUSION_DEFAULTS = FusionConfig()
 
-DEFAULT_SEED = 0
 DEFAULT_CLAMP_MIN = 1e-3
 
 THREADS_ENV_VAR = "EVDEPTH_THREADS"

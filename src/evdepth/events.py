@@ -57,30 +57,30 @@ class SliceMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """How to cut a slice ending at reference time ``t_ref_us``.
+    """How to cut a slice ending at a reference time.
 
     Exactly one of ``window_us`` (SBT) / ``count`` (SBN) is active,
-    selected by ``mode``; the active value must be positive.
+    selected by ``mode``; the active value must be a positive integer.
     """
 
     mode: SliceMode
-    t_ref_us: int
     window_us: int | None = None
     count: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t_ref_us < 0:
-            raise ParameterError(f"reference time must be >= 0, got {self.t_ref_us}")
         if self.mode is SliceMode.SBT:
             if self.window_us is None or self.count is not None:
                 raise ParameterError("SBT spec takes window_us and no count")
-            if self.window_us <= 0:
-                raise ParameterError(f"window must be > 0, got {self.window_us}")
+            _check_positive_int("window", self.window_us)
         else:
             if self.count is None or self.window_us is not None:
                 raise ParameterError("SBN spec takes count and no window_us")
-            if self.count <= 0:
-                raise ParameterError(f"count must be > 0, got {self.count}")
+            _check_positive_int("count", self.count)
+
+
+def _check_positive_int(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or value <= 0:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _validate_arrays(width, height, xs, ys, ps, ts):
@@ -252,10 +252,11 @@ def slice_sbn(stream: EventStream, t_d: int, count: int) -> EventSlice:
     )
 
 
-def slice_events(stream: EventStream, spec: SliceSpec) -> EventSlice:
+def slice_events(stream: EventStream, t_d: int, spec: SliceSpec) -> EventSlice:
+    """The slice ``spec`` describes, ending at reference time ``t_d``."""
     if spec.mode is SliceMode.SBT:
-        return slice_sbt(stream, spec.t_ref_us, spec.window_us)
-    return slice_sbn(stream, spec.t_ref_us, spec.count)
+        return slice_sbt(stream, t_d, spec.window_us)
+    return slice_sbn(stream, t_d, spec.count)
 
 
 # ---------------------------------------------------------------------------

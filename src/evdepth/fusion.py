@@ -6,9 +6,9 @@ scale folds the new features into per-scale hidden/cell state; the enhanced
 maps are fused coarse-to-fine (bilinear x2 upsample, 1x1 projection, add) and
 a linear head produces a depth map at the finest stride.
 
-There is no training here. Truncation boundaries (``unroll``) are plain
-state carry-overs with no observable effect on a forward pass; the knob
-exists so sequence drivers share one vocabulary with training setups.
+There is no training here: state starts at zero and carries across the
+whole sequence. Default scales, channels and seed come from
+``config.FUSION_DEFAULTS``.
 
 Parameters serialize to a flat float64 binary archive plus a JSON manifest
 listing (name, shape, offset) per tensor.
@@ -23,11 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import FUSION_DEFAULTS
 from .errors import ContractError, FormatError, ParameterError
 from .stacks import EventStack
-
-DEFAULT_SCALES = (4, 8, 16)
-DEFAULT_CHANNELS = (16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -188,9 +186,9 @@ def depth_head(fused: np.ndarray, params: FusionParams) -> np.ndarray:
 
 def toy_extractor(
     stack,
-    seed: int = 0,
-    scales: tuple[int, ...] = DEFAULT_SCALES,
-    channels: tuple[int, ...] = DEFAULT_CHANNELS,
+    seed: int = FUSION_DEFAULTS.seed,
+    scales: tuple[int, ...] = FUSION_DEFAULTS.scales,
+    channels: tuple[int, ...] = FUSION_DEFAULTS.channels,
 ) -> FeaturePyramid:
     """Seeded random-projection patch embedding standing in for a real
     backbone: non-overlapping s x s patches, a fixed Gaussian projection per
@@ -216,9 +214,9 @@ def toy_extractor(
 
 
 def make_model_params(
-    seed: int = 0,
-    scales: tuple[int, ...] = DEFAULT_SCALES,
-    channels: tuple[int, ...] = DEFAULT_CHANNELS,
+    seed: int = FUSION_DEFAULTS.seed,
+    scales: tuple[int, ...] = FUSION_DEFAULTS.scales,
+    channels: tuple[int, ...] = FUSION_DEFAULTS.channels,
     kernel_size: int = 3,
 ) -> ModelParams:
     if len(scales) != len(channels) or not scales:
@@ -252,16 +250,12 @@ def run_sequence(
     stacks: Sequence,
     extractor: Callable[[object], FeaturePyramid],
     params: ModelParams,
-    unroll: int = 20,
 ) -> list[np.ndarray]:
     """Run the recurrent model over a stack sequence; one depth map per step.
 
-    State starts at zero and carries across the whole sequence; every
-    ``unroll`` steps marks a truncation boundary, which in this forward-only
-    runner is a plain carry-over. Output maps live at the finest stride.
+    State starts at zero and carries across the whole sequence. Output maps
+    live at the finest stride.
     """
-    if unroll < 1:
-        raise ParameterError(f"unroll must be >= 1, got {unroll}")
     state = None
     outputs = []
     for step, stack in enumerate(stacks):
@@ -291,7 +285,6 @@ def run_sequence(
             enhanced.append(h_new)
         fused = fuse(FeaturePyramid(pyramid.scales, tuple(enhanced)), params.fusion)
         outputs.append(depth_head(fused, params.fusion))
-        # (step + 1) % unroll == 0 is a truncation boundary: state carries over
     return outputs
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LOSS_DEFAULTS
 from .errors import ContractError, InsufficientSupportError, ParameterError
 
 _DEGENERATE_REL_TOL = 1e-12
@@ -181,7 +182,9 @@ def _tv_term(values, mask):
     return float(term), grad, n_valid
 
 
-def loss_reg(pred, target, mask=None, k_scales=4, *, align=True, affine=None) -> RegLoss:
+def loss_reg(
+    pred, target, mask=None, k_scales=LOSS_DEFAULTS.k_scales, *, align=True, affine=None
+) -> RegLoss:
     """Multi-scale gradient regularization of the aligned residual.
 
     The residual R = s*pred + t - target is taken through ``k_scales`` dyadic
@@ -227,8 +230,8 @@ def loss_total(
     pred,
     target,
     mask=None,
-    lam: float = 0.25,
-    k_scales: int = 4,
+    lam: float = LOSS_DEFAULTS.lam,
+    k_scales: int = LOSS_DEFAULTS.k_scales,
     *,
     align=True,
     affine=None,

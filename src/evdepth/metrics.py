@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CLAMP_MIN
 from .errors import ContractError, DomainError, InsufficientSupportError, ParameterError
 from .losses import lstsq_align
 
@@ -90,7 +91,9 @@ def _report_from_pool(pool: PixelPool, aligned: bool) -> MetricsReport:
     )
 
 
-def evaluate(pred, gt, mask=None, align=True, clamp=(1e-3, math.inf)) -> MetricsReport:
+def evaluate(
+    pred, gt, mask=None, align=True, clamp=(DEFAULT_CLAMP_MIN, math.inf)
+) -> MetricsReport:
     """Evaluate a prediction against ground truth over the valid pixels.
 
     With ``align`` the prediction is least-squares scale/shift aligned to the

@@ -13,6 +13,7 @@ runner is for; ``drop_empty`` removes them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
 from .errors import BuildError, ContractError, FormatError, ParameterError
-from .events import EventStream, read_events, slice_sbn, slice_sbt
+from .events import EventSlice, EventStream, SliceMode, SliceSpec, read_events, slice_sbn, slice_sbt
 from .imgio import depth_valid_mask, load_depth, load_mask_pgm
 from .losses import LossReport, loss_total
 from .naming import timestamped_files
@@ -34,6 +35,8 @@ DEPTH_SUFFIXES = (".pfm", ".pgm")
 
 @dataclass(frozen=True)
 class SampleRecord:
+    """One manifest record; the field names are its JSON keys in the file."""
+
     t_d_us: int
     events_path: str
     t_start_us: int
@@ -48,11 +51,34 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    layout: str  # voxel | imagelike | tencode
-    mode: str  # sbt | sbn
-    window_us: int | None = None
-    count: int | None = None
+    """How every record of a manifest is sliced and encoded.
+
+    ``bins`` is the voxel bin count: set (and positive) exactly when the
+    layout is voxel.
+    """
+
+    layout: StackLayout
+    slicing: SliceSpec
     bins: int | None = None
+
+    def __post_init__(self) -> None:
+        if (self.layout is StackLayout.VOXEL) != (self.bins is not None):
+            raise ParameterError("bins applies to the voxel layout only, and voxel needs it")
+        if self.bins is not None and (not isinstance(self.bins, (int, np.integer)) or self.bins < 1):
+            raise ParameterError(f"bin count must be an integer >= 1, got {self.bins!r}")
+
+
+def _member(kind, value):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ParameterError(f"unknown {kind.__name__} {value!r}") from None
+
+
+def _encoder_spec(layout: str, mode: str, window_us, count, bins) -> EncoderSpec:
+    """EncoderSpec from its manifest fields; any bad value is a ParameterError."""
+    slicing = SliceSpec(_member(SliceMode, mode), window_us, count)
+    return EncoderSpec(_member(StackLayout, layout), slicing, bins)
 
 
 @dataclass(frozen=True)
@@ -79,6 +105,22 @@ def _find_by_stem(directory: Path | None, stem: str, suffixes) -> Path | None:
     return None
 
 
+def _slice_record(
+    stream: EventStream, t_d: int, slicing: SliceSpec, record: SampleRecord | None = None
+) -> EventSlice:
+    """The slice ending at ``t_d``; given ``record``, check it still matches."""
+    # this module's slice_sbt/slice_sbn, not slice_events: evbench/tracing.py wraps these names
+    if slicing.mode is SliceMode.SBT:
+        sl = slice_sbt(stream, t_d, slicing.window_us)
+    else:
+        sl = slice_sbn(stream, t_d, slicing.count)
+    if record is not None and (
+        sl.t_start_us != record.t_start_us or (len(sl) == 0) != record.empty_slice
+    ):
+        raise ContractError(f"record t_d={t_d}: events file no longer matches manifest interval")
+    return sl
+
+
 def build_manifest(
     events_path,
     frames_dir,
@@ -96,15 +138,14 @@ def build_manifest(
     k_scales: int = LOSS_DEFAULTS.k_scales,
     drop_empty: bool = False,
 ) -> DatasetManifest:
-    """One record per frame, slices ending at the frame timestamps."""
-    if mode not in ("sbt", "sbn"):
-        raise ParameterError(f"mode must be 'sbt' or 'sbn', got {mode!r}")
-    if mode == "sbn" and (count is None or count < 1):
-        raise ParameterError("sbn mode needs a positive event count")
-    if layout not in [lay.value for lay in StackLayout]:
-        raise ParameterError(f"unknown layout {layout!r}")
-    if layout == "voxel" and bins is None:
+    """One record per frame, slices ending at the frame timestamps.
+
+    ``window_us`` applies in SBT mode only; ``count`` and ``bins`` must be
+    left unset unless the mode is SBN and the layout voxel respectively.
+    """
+    if layout == StackLayout.VOXEL.value and bins is None:
         bins = ENCODER_DEFAULTS.voxel_bins
+    encoder = _encoder_spec(layout, mode, window_us if mode == "sbt" else None, count, bins)
 
     events_path = Path(events_path).resolve()
     proxy_dir = Path(proxy_dir)
@@ -131,11 +172,7 @@ def build_manifest(
                 continue
             mask_path = str(mask.resolve())
         gt = _find_by_stem(gt_dir, stem, DEPTH_SUFFIXES)
-        sl = (
-            slice_sbt(stream, t_d, window_us)
-            if mode == "sbt"
-            else slice_sbn(stream, t_d, count)
-        )
+        sl = _slice_record(stream, t_d, encoder.slicing)
         records.append(
             SampleRecord(
                 t_d_us=t_d,
@@ -154,13 +191,6 @@ def build_manifest(
         raise BuildError("missing proxy/mask files for frames: " + ", ".join(missing))
     if drop_empty:
         records = [r for r in records if not r.empty_slice]
-    encoder = EncoderSpec(
-        layout=layout,
-        mode=mode,
-        window_us=window_us if mode == "sbt" else None,
-        count=count if mode == "sbn" else None,
-        bins=bins if layout == "voxel" else None,
-    )
     return DatasetManifest(
         encoder=encoder,
         provenance=Provenance(teacher=teacher, lam=lam, k_scales=k_scales),
@@ -176,10 +206,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     payload = {
         "version": MANIFEST_VERSION,
         "encoder": {
-            "layout": manifest.encoder.layout,
-            "mode": manifest.encoder.mode,
-            "window_us": manifest.encoder.window_us,
-            "count": manifest.encoder.count,
+            "layout": manifest.encoder.layout.value,
+            "mode": manifest.encoder.slicing.mode.value,
+            "window_us": manifest.encoder.slicing.window_us,
+            "count": manifest.encoder.slicing.count,
             "bins": manifest.encoder.bins,
         },
         "provenance": {
@@ -187,21 +217,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
             "lambda": manifest.provenance.lam,
             "k_scales": manifest.provenance.k_scales,
         },
-        "records": [
-            {
-                "t_d_us": r.t_d_us,
-                "events_path": r.events_path,
-                "t_start_us": r.t_start_us,
-                "t_end_us": r.t_end_us,
-                "proxy_path": r.proxy_path,
-                "gt_path": r.gt_path,
-                "mask_path": r.mask_path,
-                "width": r.width,
-                "height": r.height,
-                "empty_slice": r.empty_slice,
-            }
-            for r in manifest.records
-        ],
+        "records": [dataclasses.asdict(r) for r in manifest.records],
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -209,45 +225,33 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != MANIFEST_VERSION:
-        raise FormatError(f"{path}: unsupported manifest version {payload.get('version')!r}")
-    enc = payload["encoder"]
-    prov = payload["provenance"]
-    records = tuple(
-        SampleRecord(
-            t_d_us=r["t_d_us"],
-            events_path=r["events_path"],
-            t_start_us=r["t_start_us"],
-            t_end_us=r["t_end_us"],
-            proxy_path=r["proxy_path"],
-            gt_path=r.get("gt_path"),
-            mask_path=r.get("mask_path"),
-            width=r["width"],
-            height=r["height"],
-            empty_slice=r["empty_slice"],
+    """Parse a manifest file; any malformed content is a FormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # invalid JSON or non-ASCII bytes
+        raise FormatError(f"{path}: not a manifest: {exc}") from None
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != MANIFEST_VERSION:
+        raise FormatError(f"{path}: unsupported manifest version {version!r}")
+    try:
+        enc = payload["encoder"]
+        prov = payload["provenance"]
+        encoder = _encoder_spec(
+            enc["layout"], enc["mode"], enc["window_us"], enc["count"], enc["bins"]
         )
-        for r in payload["records"]
-    )
-    prev = None
-    for r in records:
-        if prev is not None and r.t_d_us <= prev:
-            raise FormatError(f"{path}: record timestamps must strictly increase at {r.t_d_us}")
-        prev = r.t_d_us
-    return DatasetManifest(
-        encoder=EncoderSpec(
-            layout=enc["layout"],
-            mode=enc["mode"],
-            window_us=enc.get("window_us"),
-            count=enc.get("count"),
-            bins=enc.get("bins"),
-        ),
-        provenance=Provenance(
+        provenance = Provenance(
             teacher=prov["teacher"], lam=prov["lambda"], k_scales=prov["k_scales"]
-        ),
-        records=records,
-    )
+        )
+        records = tuple(SampleRecord(**r) for r in payload["records"])
+        for prev, r in zip(records, records[1:]):
+            if r.t_d_us <= prev.t_d_us:
+                raise FormatError(f"{path}: record timestamps must strictly increase at {r.t_d_us}")
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from None
+    except (ParameterError, TypeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return DatasetManifest(encoder=encoder, provenance=provenance, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +332,13 @@ def training_step(
 # Stack export
 
 
-def _rebuild_slice(stream: EventStream, record: SampleRecord, encoder: EncoderSpec):
-    if encoder.mode == "sbt":
-        sl = slice_sbt(stream, record.t_d_us, encoder.window_us)
-    else:
-        sl = slice_sbn(stream, record.t_d_us, encoder.count)
-    if sl.t_start_us != record.t_start_us or (len(sl) == 0) != record.empty_slice:
-        raise ContractError(
-            f"record t_d={record.t_d_us}: events file no longer matches manifest interval"
-        )
-    return sl
-
-
 def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[Path]:
     """Encode every record to ``<t_d:012>.pfm/.ppm``; reruns are byte-identical."""
     if fmt not in ("pfm", "ppm"):
         raise ParameterError(f"format must be pfm or ppm, got {fmt!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    layout = StackLayout(manifest.encoder.layout)
+    encoder = manifest.encoder
     streams: dict[str, EventStream] = {}
     written = []
     for record in manifest.records:
@@ -354,20 +346,11 @@ def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[
         if stream is None:
             stream = read_events(record.events_path)
             streams[record.events_path] = stream
-        sl = _rebuild_slice(stream, record, manifest.encoder)
-        stack = encode(sl, layout, bins=manifest.encoder.bins or ENCODER_DEFAULTS.voxel_bins)
+        sl = _slice_record(stream, record.t_d_us, encoder.slicing, record)
+        stack = encode(sl, encoder.layout, bins=encoder.bins)
         target = out_dir / f"{record.t_d_us:012d}.{fmt}"
         if fmt == "pfm":
             written.extend(save_stack_pfm(stack, target))
         else:
             written.append(save_stack_ppm(stack, target))
     return written
-
-
-def export_tencode_set(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[Path]:
-    """Tencode-specific export; the manifest's encoder layout must agree."""
-    if manifest.encoder.layout != StackLayout.TENCODE.value:
-        raise ParameterError(
-            f"manifest encodes {manifest.encoder.layout!r}, expected tencode"
-        )
-    return export_stacks(manifest, out_dir, fmt=fmt)

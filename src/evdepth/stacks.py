@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ENCODER_DEFAULTS
 from .errors import DegenerateIntervalError, ParameterError
 from .events import EventSlice
 from .imgio import write_pfm, write_ppm
@@ -108,7 +109,7 @@ def encode_tencode(sl: EventSlice) -> EventStack:
     return EventStack(StackLayout.TENCODE, values, sl.t_start_us, sl.t_end_us)
 
 
-def encode(sl: EventSlice, layout: StackLayout, bins: int = 5) -> EventStack:
+def encode(sl: EventSlice, layout: StackLayout, bins: int = ENCODER_DEFAULTS.voxel_bins) -> EventStack:
     if layout is StackLayout.VOXEL:
         return encode_voxel(sl, bins)
     if layout is StackLayout.IMAGE_LIKE:

@@ -22,7 +22,7 @@ from evdepth.fusion import (
 from evdepth.imgio import load_depth, save_depth_pfm, write_pgm
 from evdepth.losses import loss_reg, loss_si, loss_total, lstsq_align
 from evdepth.metrics import evaluate
-from evdepth.pipeline import build_manifest, export_tencode_set, save_manifest, training_step
+from evdepth.pipeline import build_manifest, export_stacks, save_manifest, training_step
 from evdepth.simulator import IntensityFrame, SimConfig, simulate
 from evdepth.stacks import encode_image_like, encode_tencode, encode_voxel
 
@@ -298,8 +298,8 @@ def test_c09_recurrent_mechanism():
     state_ok = not np.allclose(ab[1], ba[1])
 
     stacks = [rng.standard_normal((64, 64, 3)) for _ in range(20)]
-    run1 = run_sequence(stacks, extractor, params, unroll=20)
-    run2 = run_sequence(stacks, extractor, params, unroll=20)
+    run1 = run_sequence(stacks, extractor, params)
+    run2 = run_sequence(stacks, extractor, params)
     run_ok = (
         len(run1) == 20
         and all(o.shape == (16, 16) for o in run1)
@@ -381,8 +381,8 @@ def test_c11_format_round_trips(tmp_path):
         save_depth_pfm(proxies / f"{stem}.pfm", rng.uniform(1, 10, (24, 32)))
     manifest = build_manifest(sev, frames, proxies)
     out = tmp_path / "stacks"
-    first = {p.name: p.read_bytes() for p in export_tencode_set(manifest, out)}
-    second = {p.name: p.read_bytes() for p in export_tencode_set(manifest, out)}
+    first = {p.name: p.read_bytes() for p in export_stacks(manifest, out)}
+    second = {p.name: p.read_bytes() for p in export_stacks(manifest, out)}
     export_ok = first == second and len(first) == 3
     _report(11, "1M-event EVB/CSV round trips bit-exact; PFM exact; export idempotent",
             evb_ok and csv_ok and pfm_ok and export_ok)

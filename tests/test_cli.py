@@ -91,6 +91,11 @@ class TestSliceEncode:
     def test_mutually_exclusive_window_args(self, tmp_path, events_file):
         assert main(["slice", "--events", str(events_file), "--td-us", "10",
                      "--dt-us", "5", "--count", "3", "--out", str(tmp_path / "o.evb")]) == 1
+        build = ["dataset", "build", "--events", str(events_file), "--frames", str(tmp_path),
+                 "--proxy", str(tmp_path), "--out", str(tmp_path / "m.json")]
+        assert main(build + ["--count", "3"]) == 1  # --count without --mode sbn
+        assert main(build + ["--layout", "tencode", "--bins", "3"]) == 1
+        assert not (tmp_path / "m.json").exists()
 
     def test_encode_matches_library_golden_bytes(self, tmp_path, events_file):
         out = tmp_path / "stack.pfm"

@@ -96,18 +96,18 @@ class TestSliceSbn:
 class TestSliceSpec:
     def test_dispatch(self):
         s = small_stream()
-        spec = SliceSpec(SliceMode.SBT, 100, window_us=50)
-        assert list(slice_events(s, spec).ts) == [60, 100]
-        spec = SliceSpec(SliceMode.SBN, 100, count=1)
-        assert list(slice_events(s, spec).ts) == [100]
+        spec = SliceSpec(SliceMode.SBT, window_us=50)
+        assert list(slice_events(s, 100, spec).ts) == [60, 100]
+        spec = SliceSpec(SliceMode.SBN, count=1)
+        assert list(slice_events(s, 100, spec).ts) == [100]
 
     def test_exactly_one_active_parameter(self):
         with pytest.raises(ParameterError):
-            SliceSpec(SliceMode.SBT, 100, window_us=50, count=3)
+            SliceSpec(SliceMode.SBT, window_us=50, count=3)
         with pytest.raises(ParameterError):
-            SliceSpec(SliceMode.SBN, 100)
+            SliceSpec(SliceMode.SBN)
         with pytest.raises(ParameterError):
-            SliceSpec(SliceMode.SBT, 100, window_us=0)
+            SliceSpec(SliceMode.SBT, window_us=0)
 
 
 class TestStreamInvariants:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evdepth.errors import ContractError, ParameterError
+from evdepth.errors import ContractError
 from evdepth.fusion import (
     ConvLSTMParams,
     FeaturePyramid,
@@ -241,7 +241,7 @@ class TestRunSequence:
         rng = np.random.default_rng(10)
         stacks = [rng.standard_normal((64, 64, 3)) for _ in range(20)]
         params = make_model_params(seed=3)
-        outs = run_sequence(stacks, lambda a: toy_extractor(a, seed=3), params, unroll=20)
+        outs = run_sequence(stacks, lambda a: toy_extractor(a, seed=3), params)
         assert len(outs) == 20
         assert all(o.shape == (16, 16) for o in outs)
         assert all(np.isfinite(o).all() for o in outs)
@@ -252,10 +252,6 @@ class TestRunSequence:
         params = make_model_params(seed=0)
         with pytest.raises(ContractError, match="drift"):
             run_sequence(stacks, lambda a: toy_extractor(a, seed=0), params)
-
-    def test_unroll_validation(self):
-        with pytest.raises(ParameterError):
-            run_sequence([], lambda a: a, make_model_params(), unroll=0)
 
 
 class TestParamsArchive:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_random_stream
+from evdepth.cli import main
 from evdepth.errors import BuildError, ContractError, FormatError, ParameterError
-from evdepth.events import read_events, slice_sbt, write_events
+from evdepth.events import SliceMode, SliceSpec, read_events, slice_sbt, write_events
 from evdepth.imgio import load_depth, read_pfm, save_depth_pfm, save_mask_pgm, write_pgm
 from evdepth.pipeline import (
     build_manifest,
     export_stacks,
-    export_tencode_set,
     load_manifest,
     save_manifest,
     training_step,
@@ -18,6 +18,82 @@ from evdepth.pipeline import (
 from evdepth.stacks import encode_tencode
 
 MS = 1000
+
+# v1 manifests exactly as save_manifest writes them; the on-disk format is pinned
+PINNED_SBT_TENCODE = """\
+{
+  "encoder": {
+    "bins": null,
+    "count": null,
+    "layout": "tencode",
+    "mode": "sbt",
+    "window_us": 50000
+  },
+  "provenance": {
+    "k_scales": 4,
+    "lambda": 0.25,
+    "teacher": "unspecified"
+  },
+  "records": [
+    {
+      "empty_slice": false,
+      "events_path": "/data/scene.evb",
+      "gt_path": null,
+      "height": 24,
+      "mask_path": null,
+      "proxy_path": "/data/proxy/000050000.pfm",
+      "t_d_us": 50000,
+      "t_end_us": 50000,
+      "t_start_us": 0,
+      "width": 32
+    },
+    {
+      "empty_slice": true,
+      "events_path": "/data/scene.evb",
+      "gt_path": "/data/gt/000100000.pfm",
+      "height": 24,
+      "mask_path": "/data/mask/000100000.pgm",
+      "proxy_path": "/data/proxy/000100000.pfm",
+      "t_d_us": 100000,
+      "t_end_us": 100000,
+      "t_start_us": 50000,
+      "width": 32
+    }
+  ],
+  "version": 1
+}
+"""
+PINNED_SBN_VOXEL = """\
+{
+  "encoder": {
+    "bins": 5,
+    "count": 100,
+    "layout": "voxel",
+    "mode": "sbn",
+    "window_us": null
+  },
+  "provenance": {
+    "k_scales": 3,
+    "lambda": 0.5,
+    "teacher": "vfm-large"
+  },
+  "records": [
+    {
+      "empty_slice": false,
+      "events_path": "/data/scene.evb",
+      "gt_path": null,
+      "height": 24,
+      "mask_path": null,
+      "proxy_path": "/data/proxy/000150000.pfm",
+      "t_d_us": 150000,
+      "t_end_us": 150000,
+      "t_start_us": 149012,
+      "width": 32
+    }
+  ],
+  "version": 1
+}
+"""
 
 
 def build_scene(tmp_path, frame_times_ms=(50, 100, 150), with_gt=False, with_mask=False, seed=0):
@@ -99,9 +175,7 @@ class TestBuildManifest:
     def test_sbn_mode_records_count_interval(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)
         manifest = build_manifest(events, frames, proxies, mode="sbn", count=100)
-        assert manifest.encoder.mode == "sbn"
-        assert manifest.encoder.count == 100
-        assert manifest.encoder.window_us is None
+        assert manifest.encoder.slicing == SliceSpec(SliceMode.SBN, count=100)
         stream = read_events(events)
         for r in manifest.records:
             lo = np.searchsorted(stream.ts, r.t_d_us, side="right") - 100
@@ -120,6 +194,10 @@ class TestBuildManifest:
             build_manifest(events, frames, proxies, mode="sbn")
         with pytest.raises(ParameterError):
             build_manifest(events, frames, proxies, mode="nope")
+        with pytest.raises(ParameterError):  # a count would be dropped in SBT mode
+            build_manifest(events, frames, proxies, count=100)
+        with pytest.raises(ParameterError):  # bins would be dropped by a non-voxel layout
+            build_manifest(events, frames, proxies, layout="tencode", bins=3)
 
     def test_timestamp_index_file_overrides_stems(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)
@@ -160,6 +238,45 @@ class TestManifestFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="increase"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m.pop("encoder"),
+            lambda m: m.pop("provenance"),
+            lambda m: m["records"][0].pop("proxy_path"),
+            lambda m: m["encoder"].update(mode="sbx"),
+            lambda m: m["encoder"].update(layout="hexgrid"),
+            lambda m: m["encoder"].update(window_us=None),
+            lambda m: m["encoder"].update(mode="sbn", window_us=None, count=None),
+            lambda m: m["encoder"].update(mode="sbn", window_us=None, count=2.5),
+            lambda m: m["encoder"].update(layout="voxel", bins=0),
+            lambda m: m["encoder"].update(layout="voxel"),  # bins stays null
+        ],
+        ids=[
+            "no-encoder", "no-provenance", "no-record-key", "unknown-mode", "unknown-layout",
+            "null-window", "null-count", "fractional-count", "zero-bins", "missing-bins",
+        ],
+    )
+    def test_malformed_manifest_is_format_error(self, tmp_path, capsys, mutate):
+        events, frames, proxies, _, _ = build_scene(tmp_path)
+        path = tmp_path / "m.json"
+        save_manifest(build_manifest(events, frames, proxies), path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError):
+            load_manifest(path)
+        assert main(["dataset", "export", "--manifest", str(path),
+                     "--out", str(tmp_path / "stacks")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", [PINNED_SBT_TENCODE, PINNED_SBN_VOXEL])
+    def test_save_reproduces_loaded_bytes(self, tmp_path, text):
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(text)
+        save_manifest(load_manifest(src), dst)
+        assert dst.read_bytes() == src.read_bytes()
 
 
 class TestTrainingStep:
@@ -240,7 +357,7 @@ class TestExport:
         events, frames, proxies, _, _ = build_scene(tmp_path)
         manifest = build_manifest(events, frames, proxies, window_us=50 * MS)
         out = tmp_path / "stacks"
-        written = export_tencode_set(manifest, out)
+        written = export_stacks(manifest, out)
         assert len(written) == 3
         stream = read_events(events)
         for record, path in zip(manifest.records, written):
@@ -253,14 +370,14 @@ class TestExport:
         events, frames, proxies, _, _ = build_scene(tmp_path)
         manifest = build_manifest(events, frames, proxies)
         out = tmp_path / "stacks"
-        first = {p.name: p.read_bytes() for p in export_tencode_set(manifest, out)}
-        second = {p.name: p.read_bytes() for p in export_tencode_set(manifest, out)}
+        first = {p.name: p.read_bytes() for p in export_stacks(manifest, out)}
+        second = {p.name: p.read_bytes() for p in export_stacks(manifest, out)}
         assert first == second
 
     def test_empty_slice_exports_zero_stack(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path, frame_times_ms=(50, 400))
         manifest = build_manifest(events, frames, proxies, window_us=10 * MS)
-        written = export_tencode_set(manifest, tmp_path / "stacks")
+        written = export_stacks(manifest, tmp_path / "stacks")
         zero_stack = read_pfm([p for p in written if f"{400 * MS:012d}" in p.name][0])
         assert not zero_stack.any()
 
@@ -269,13 +386,11 @@ class TestExport:
         manifest = build_manifest(events, frames, proxies, layout="voxel", bins=5)
         written = export_stacks(manifest, tmp_path / "stacks")
         assert len(written) == 15  # 3 records x 5 per-channel files
-        with pytest.raises(ParameterError):
-            export_tencode_set(manifest, tmp_path / "other")
 
     def test_ppm_export(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)
         manifest = build_manifest(events, frames, proxies)
-        written = export_tencode_set(manifest, tmp_path / "stacks", fmt="ppm")
+        written = export_stacks(manifest, tmp_path / "stacks", fmt="ppm")
         assert all(p.suffix == ".ppm" for p in written)
 
     def test_stale_events_file_detected(self, tmp_path):
