@@ -20,11 +20,8 @@ from .events import (
     write_events,
 )
 from .fusion import (
-    ConvLSTMParams,
     FeaturePyramid,
-    FusionParams,
     ModelParams,
-    RecurrentState,
     convlstm_step,
     depth_head,
     fuse,

@@ -29,12 +29,12 @@ from .fusion import (
     save_model_params,
     toy_extractor,
 )
-from .imgio import depth_valid_mask, load_depth, load_mask_pgm, read_pfm, save_depth_pfm
+from .imgio import depth_valid_mask, load_depth, load_mask_pgm, save_depth_pfm
 from .losses import lstsq_align
 from .metrics import aggregate, evaluate, write_reports_csv, write_reports_json
 from .pipeline import build_manifest, export_stacks, load_manifest, save_manifest
 from .simulator import SimConfig, frames_from_dir, simulate
-from .stacks import StackLayout, encode, save_stack_pfm, save_stack_ppm
+from .stacks import StackLayout, encode, load_stack_pfms, save_stack_pfm, save_stack_ppm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -302,15 +302,9 @@ def cmd_fusion_run(args) -> int:
     stacks_dir = Path(args.stacks)
     if not stacks_dir.is_dir():
         raise FileNotFoundError(f"not a directory: {stacks_dir}")
-    stack_paths = sorted(p for p in stacks_dir.iterdir() if p.suffix.lower() == ".pfm")
-    if not stack_paths:
+    stacks = load_stack_pfms(stacks_dir)
+    if not stacks:
         raise ParameterError(f"no .pfm stacks under {stacks_dir}")
-    arrays = []
-    for p in stack_paths:
-        arr = read_pfm(p)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        arrays.append(arr)
     if args.params:
         params = load_model_params(args.params)
     else:
@@ -318,15 +312,15 @@ def cmd_fusion_run(args) -> int:
     if args.params_out:
         save_model_params(params, args.params_out)
     depths = run_sequence(
-        arrays,
+        [values for _, values in stacks],
         lambda a: toy_extractor(a, seed=args.seed, scales=params.scales, channels=params.channels),
         params,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for p, depth in zip(stack_paths, depths):
-        out_path = out_dir / f"{p.stem}.depth.pfm"
+    for (stem, _), depth in zip(stacks, depths):
+        out_path = out_dir / f"{stem}.depth.pfm"
         save_depth_pfm(out_path, depth)
         written.append(out_path)
     if args.json:
@@ -505,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion", help="recurrent fusion tools")
     fsub = p.add_subparsers(dest="fusion_command", parser_class=_Parser)
     r = fsub.add_parser("run", help="run the recurrent model over a stack sequence")
-    r.add_argument("--stacks", required=True, help="directory of PFM stacks")
+    r.add_argument("--stacks", required=True,
+                   help="directory of PFM stacks; voxel channels as <t>.c<k>.pfm")
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=FUSION_DEFAULTS.seed)
     r.add_argument("--params", default=None, help="load parameters (.bin archive)")

@@ -17,6 +17,7 @@ listing (name, shape, offset) per tensor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -25,7 +26,6 @@ import numpy as np
 
 from .config import FUSION_DEFAULTS
 from .errors import ContractError, FormatError, ParameterError
-from .stacks import EventStack
 
 
 @dataclass(frozen=True)
@@ -42,48 +42,20 @@ class FeaturePyramid:
             raise ContractError(f"scales must ascend, got {self.scales}")
 
 
-@dataclass
-class RecurrentState:
-    """Hidden and cell maps per scale; zero-initialized at sequence start."""
-
-    hidden: dict[int, np.ndarray]
-    cell: dict[int, np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, pyramid: FeaturePyramid) -> "RecurrentState":
-        hidden = {s: np.zeros_like(f) for s, f in zip(pyramid.scales, pyramid.maps)}
-        cell = {s: np.zeros_like(f) for s, f in zip(pyramid.scales, pyramid.maps)}
-        return cls(hidden, cell)
-
-
-@dataclass(frozen=True)
-class ConvLSTMParams:
-    """Per scale: gate kernel (k, k, 2*C_s, 4*C_s) and bias (4*C_s,).
-
-    Gate order along the last axis is input, forget, output, candidate;
-    the forget block is initialized to 1 for state retention.
-    """
-
-    kernels: dict[int, np.ndarray]
-    biases: dict[int, np.ndarray]
-
-
-@dataclass(frozen=True)
-class FusionParams:
-    """1x1 projections keyed by the coarse scale of each adjacent pair, plus
-    the linear depth head over the finest-scale fused features."""
-
-    projections: dict[int, np.ndarray]  # (C_coarse, C_fine)
-    head_weight: np.ndarray  # (C_finest,)
-    head_bias: float
-
-
 @dataclass(frozen=True)
 class ModelParams:
-    convlstm: ConvLSTMParams
-    fusion: FusionParams
+    """Every model tensor. Per scale s with C_s channels: a ConvLSTM gate
+    kernel (k, k, 2*C_s, 4*C_s) and bias (4*C_s,), gates ordered input,
+    forget, output, candidate. Projections are 1x1 (C_coarse, C_fine), keyed
+    by the coarse scale of each adjacent pair."""
+
     scales: tuple[int, ...]
     channels: tuple[int, ...]
+    kernels: dict[int, np.ndarray]
+    biases: dict[int, np.ndarray]
+    projections: dict[int, np.ndarray]
+    head_weight: np.ndarray  # (C_finest,)
+    head_bias: float
 
 
 def _sigmoid(x):
@@ -119,7 +91,8 @@ def convlstm_step(features, hidden, cell, kernel, bias):
             f"state shape {hidden.shape}/{cell.shape} does not match features {features.shape}"
         )
     c = features.shape[2]
-    if kernel.ndim != 4 or kernel.shape[2] != 2 * c or kernel.shape[3] != 4 * c:
+    odd_k = kernel.ndim == 4 and kernel.shape[0] % 2 == kernel.shape[1] % 2 == 1
+    if not odd_k or kernel.shape[2:] != (2 * c, 4 * c):
         raise ContractError(f"kernel shape {kernel.shape} incompatible with {c} channels")
     if bias.shape != (4 * c,):
         raise ContractError(f"bias shape {bias.shape}, expected ({4 * c},)")
@@ -153,20 +126,23 @@ def bilinear_up2(x: np.ndarray) -> np.ndarray:
     return top * (1 - fr) + bottom * fr
 
 
-def fuse(pyramid: FeaturePyramid, params: FusionParams) -> np.ndarray:
-    """Coarse-to-fine fusion: upsample x2, project 1x1, add to the next finer
-    map. Returns the fused finest-scale feature map."""
+def fuse(pyramid: FeaturePyramid, projections: dict[int, np.ndarray]) -> np.ndarray:
+    """Coarse-to-fine fusion: upsample x2, project 1x1 (``projections`` keyed
+    by the coarser scale), add to the next finer map. Returns the fused
+    finest-scale feature map."""
     scales = pyramid.scales
     for fine, coarse in zip(scales, scales[1:]):
         if coarse != 2 * fine:
             raise ContractError(f"scales must be contiguous (factor 2), got {scales}")
     acc = pyramid.maps[-1]
     for idx in range(len(scales) - 2, -1, -1):
-        proj = params.projections.get(scales[idx + 1])
-        if proj is None:
-            raise ContractError(f"missing projection for scale {scales[idx + 1]}")
-        up = bilinear_up2(acc)
+        proj = projections.get(scales[idx + 1])
         fine_map = pyramid.maps[idx]
+        if proj is None or proj.shape != (acc.shape[2], fine_map.shape[2]):
+            raise ContractError(
+                f"scale {scales[idx + 1]} needs a ({acc.shape[2]}, {fine_map.shape[2]}) projection"
+            )
+        up = bilinear_up2(acc)
         if up.shape[:2] != fine_map.shape[:2]:
             raise ContractError(
                 f"upsampled {up.shape[:2]} does not match finer map {fine_map.shape[:2]}"
@@ -175,13 +151,11 @@ def fuse(pyramid: FeaturePyramid, params: FusionParams) -> np.ndarray:
     return acc
 
 
-def depth_head(fused: np.ndarray, params: FusionParams) -> np.ndarray:
+def depth_head(fused: np.ndarray, weight: np.ndarray, bias: float) -> np.ndarray:
     """Linear projection of fused features to a single depth channel."""
-    if fused.shape[2] != params.head_weight.shape[0]:
-        raise ContractError(
-            f"head expects {params.head_weight.shape[0]} channels, got {fused.shape[2]}"
-        )
-    return fused @ params.head_weight + params.head_bias
+    if weight.shape != (fused.shape[2],):
+        raise ContractError(f"head weight shape {weight.shape}, expected ({fused.shape[2]},)")
+    return fused @ weight + bias
 
 
 def toy_extractor(
@@ -195,7 +169,7 @@ def toy_extractor(
     scale, plus a fixed positional term. Same seed, same stack: identical
     pyramid bits.
     """
-    values = stack.values if isinstance(stack, EventStack) else np.asarray(stack, dtype=np.float64)
+    values = np.asarray(stack, dtype=np.float64)
     if values.ndim != 3:
         raise ContractError(f"stack values must be (H, W, C), got {values.shape}")
     h, w, c_in = values.shape
@@ -217,33 +191,26 @@ def make_model_params(
     seed: int = FUSION_DEFAULTS.seed,
     scales: tuple[int, ...] = FUSION_DEFAULTS.scales,
     channels: tuple[int, ...] = FUSION_DEFAULTS.channels,
-    kernel_size: int = 3,
 ) -> ModelParams:
+    """Seeded parameters with 3x3 gate kernels."""
     if len(scales) != len(channels) or not scales:
         raise ParameterError("need one channel count per scale")
     kernels = {}
     biases = {}
     for s, c in zip(scales, channels):
         rng = np.random.default_rng([seed, 7, s])
-        fan_in = kernel_size * kernel_size * 2 * c
-        kernels[s] = rng.standard_normal((kernel_size, kernel_size, 2 * c, 4 * c)) / np.sqrt(fan_in)
+        kernels[s] = rng.standard_normal((3, 3, 2 * c, 4 * c)) / np.sqrt(3 * 3 * 2 * c)
         b = np.zeros(4 * c)
         b[c : 2 * c] = 1.0  # forget gate bias: retain state by default
         biases[s] = b
     projections = {}
-    for (f_scale, f_ch), (c_scale, c_ch) in zip(
-        zip(scales, channels), zip(scales[1:], channels[1:])
-    ):
+    for f_ch, c_scale, c_ch in zip(channels, scales[1:], channels[1:]):
         rng = np.random.default_rng([seed, 11, c_scale])
         projections[c_scale] = rng.standard_normal((c_ch, f_ch)) / np.sqrt(c_ch)
     rng = np.random.default_rng([seed, 13])
     head_weight = rng.standard_normal(channels[0]) / np.sqrt(channels[0])
-    return ModelParams(
-        convlstm=ConvLSTMParams(kernels, biases),
-        fusion=FusionParams(projections, head_weight, 0.0),
-        scales=tuple(scales),
-        channels=tuple(channels),
-    )
+    return ModelParams(tuple(scales), tuple(channels), kernels, biases, projections,
+                       head_weight, 0.0)
 
 
 def run_sequence(
@@ -256,7 +223,7 @@ def run_sequence(
     State starts at zero and carries across the whole sequence. Output maps
     live at the finest stride.
     """
-    state = None
+    hidden, cell = [], []  # per scale, finest first
     outputs = []
     for step, stack in enumerate(stacks):
         pyramid = extractor(stack)
@@ -264,27 +231,20 @@ def run_sequence(
             raise ContractError(
                 f"extractor scales {pyramid.scales} do not match params {params.scales}"
             )
-        if state is None:
-            state = RecurrentState.zeros_like(pyramid)
-        enhanced = []
-        for s, feature_map in zip(pyramid.scales, pyramid.maps):
-            if feature_map.shape != state.hidden[s].shape:
+        if not hidden:
+            hidden = [np.zeros_like(f) for f in pyramid.maps]
+            cell = [np.zeros_like(f) for f in pyramid.maps]
+        for i, (s, feature_map) in enumerate(zip(pyramid.scales, pyramid.maps)):
+            if feature_map.shape != hidden[i].shape:
                 raise ContractError(
                     f"step {step}: shape drift at scale {s}: "
-                    f"{feature_map.shape} vs {state.hidden[s].shape}"
+                    f"{feature_map.shape} vs {hidden[i].shape}"
                 )
-            h_new, c_new = convlstm_step(
-                feature_map,
-                state.hidden[s],
-                state.cell[s],
-                params.convlstm.kernels[s],
-                params.convlstm.biases[s],
+            hidden[i], cell[i] = convlstm_step(
+                feature_map, hidden[i], cell[i], params.kernels[s], params.biases[s]
             )
-            state.hidden[s] = h_new
-            state.cell[s] = c_new
-            enhanced.append(h_new)
-        fused = fuse(FeaturePyramid(pyramid.scales, tuple(enhanced)), params.fusion)
-        outputs.append(depth_head(fused, params.fusion))
+        fused = fuse(FeaturePyramid(pyramid.scales, tuple(hidden)), params.projections)
+        outputs.append(depth_head(fused, params.head_weight, params.head_bias))
     return outputs
 
 
@@ -294,17 +254,17 @@ def run_sequence(
 
 def _named_tensors(params: ModelParams):
     for s in params.scales:
-        yield f"lstm.{s}.kernel", params.convlstm.kernels[s]
-        yield f"lstm.{s}.bias", params.convlstm.biases[s]
+        yield f"lstm.{s}.kernel", params.kernels[s]
+        yield f"lstm.{s}.bias", params.biases[s]
     for s in params.scales[1:]:
-        yield f"fuse.{s}.projection", params.fusion.projections[s]
-    yield "head.weight", params.fusion.head_weight
-    yield "head.bias", np.asarray([params.fusion.head_bias])
+        yield f"fuse.{s}.projection", params.projections[s]
+    yield "head.weight", params.head_weight
+    yield "head.bias", np.asarray([params.head_bias])
 
 
-def save_model_params(params: ModelParams, bin_path, manifest_path=None) -> None:
+def save_model_params(params: ModelParams, bin_path) -> None:
+    """Write the tensors to ``bin_path`` and their manifest to ``<bin stem>.json``."""
     bin_path = Path(bin_path)
-    manifest_path = Path(manifest_path) if manifest_path else bin_path.with_suffix(".json")
     tensors = []
     offset = 0
     with open(bin_path, "wb") as fh:
@@ -313,50 +273,56 @@ def save_model_params(params: ModelParams, bin_path, manifest_path=None) -> None
             fh.write(data.tobytes())
             tensors.append({"name": name, "shape": list(data.shape), "offset": offset})
             offset += data.nbytes
-    manifest = {
-        "version": 1,
-        "dtype": "<f8",
-        "scales": list(params.scales),
-        "channels": list(params.channels),
-        "tensors": tensors,
-    }
-    with open(manifest_path, "w", encoding="ascii") as fh:
+    manifest = {"version": 1, "dtype": "<f8", "scales": list(params.scales),
+                "channels": list(params.channels), "tensors": tensors}
+    with open(bin_path.with_suffix(".json"), "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_model_params(bin_path, manifest_path=None) -> ModelParams:
+def _int_list(value, minimum: int = 0) -> bool:
+    """True for a JSON list of integers (not booleans), each >= ``minimum``."""
+    return isinstance(value, list) and all(type(v) is int and v >= minimum for v in value)
+
+
+def load_model_params(bin_path) -> ModelParams:
+    """Read an archive written by save_model_params. A malformed manifest
+    field, a missing tensor or a truncated archive is a FormatError."""
     bin_path = Path(bin_path)
-    manifest_path = Path(manifest_path) if manifest_path else bin_path.with_suffix(".json")
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    if manifest.get("version") != 1 or manifest.get("dtype") != "<f8":
-        raise FormatError(f"{manifest_path}: unsupported parameter manifest")
+    json_path = bin_path.with_suffix(".json")
+    try:
+        with open(json_path, "r", encoding="ascii") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # invalid JSON or non-ASCII bytes
+        raise FormatError(f"{json_path}: not a parameter manifest: {exc}") from None
+    if not (isinstance(manifest, dict) and manifest.get("version") == 1
+            and manifest.get("dtype") == "<f8"):
+        raise FormatError(f"{json_path}: unsupported parameter manifest")
+    scales, channels, specs = (manifest.get(k) for k in ("scales", "channels", "tensors"))
+    if not (_int_list(scales, 1) and _int_list(channels, 1) and 0 < len(scales) == len(channels)):
+        raise FormatError(f"{json_path}: need positive integer scales, one channel count each")
+    if not isinstance(specs, list) or not all(
+        isinstance(t, dict) and isinstance(t.get("name"), str)
+        and _int_list(t.get("shape")) and _int_list([t.get("offset")])
+        for t in specs
+    ):
+        raise FormatError(f"{json_path}: every tensor needs a name, a shape and an offset")
     raw = bin_path.read_bytes()
     tensors = {}
-    for spec in manifest["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = spec["offset"]
-        end = start + count * 8
+    for spec in specs:
+        start, shape = spec["offset"], tuple(spec["shape"])
+        end = start + math.prod(shape) * 8
         if end > len(raw):
             raise FormatError(f"{bin_path}: archive truncated at tensor {spec['name']}")
-        tensors[spec["name"]] = (
-            np.frombuffer(raw[start:end], dtype="<f8").reshape(shape).astype(np.float64)
-        )
-    scales = tuple(manifest["scales"])
-    channels = tuple(manifest["channels"])
+        tensors[spec["name"]] = np.frombuffer(raw[start:end], "<f8").reshape(shape).astype(np.float64)
     try:
         kernels = {s: tensors[f"lstm.{s}.kernel"] for s in scales}
         biases = {s: tensors[f"lstm.{s}.bias"] for s in scales}
         projections = {s: tensors[f"fuse.{s}.projection"] for s in scales[1:]}
-        head_weight = tensors["head.weight"]
-        head_bias = float(tensors["head.bias"][0])
+        head_weight, head_bias = tensors["head.weight"], tensors["head.bias"]
     except KeyError as exc:
-        raise FormatError(f"{manifest_path}: missing tensor {exc}") from None
-    return ModelParams(
-        convlstm=ConvLSTMParams(kernels, biases),
-        fusion=FusionParams(projections, head_weight, head_bias),
-        scales=scales,
-        channels=channels,
-    )
+        raise FormatError(f"{json_path}: missing tensor {exc}") from None
+    if head_bias.shape != (1,):
+        raise FormatError(f"{json_path}: head.bias must hold one value")
+    return ModelParams(tuple(scales), tuple(channels), kernels, biases, projections,
+                       head_weight, float(head_bias[0]))

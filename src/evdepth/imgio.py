@@ -10,6 +10,7 @@ back into metric depth. Masks are 8-bit PGM with 0 = invalid.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,20 @@ def _next_token(fh) -> bytes:
         tok += c
         c = fh.read(1)
     return tok
+
+
+def _header_field(fh, path, what: str, parse=int):
+    """Next header token parsed by ``parse``: a width, height or maxval must
+    be a non-negative integer, a PFM scale (``parse=float``) finite and
+    non-zero. Anything else is a FormatError."""
+    token = _next_token(fh)
+    try:
+        value = parse(token)
+    except ValueError:
+        value = None
+    if value is None or (value < 0 if parse is int else (not math.isfinite(value) or value == 0)):
+        raise FormatError(f"{path}: bad {what} {token!r} in raster header")
+    return value
 
 
 def _read_exact(fh, n: int, path) -> bytes:
@@ -82,11 +97,9 @@ def read_pfm(path) -> np.ndarray:
             channels = 1
         else:
             raise FormatError(f"{path}: bad PFM identifier {ident!r}")
-        w = int(_next_token(fh))
-        h = int(_next_token(fh))
-        scale = float(_next_token(fh))
-        if scale == 0:
-            raise FormatError(f"{path}: zero PFM scale")
+        w = _header_field(fh, path, "width")
+        h = _header_field(fh, path, "height")
+        scale = _header_field(fh, path, "scale", float)
         dt = "<f4" if scale < 0 else ">f4"
         raw = _read_exact(fh, w * h * channels * 4, path)
     arr = np.frombuffer(raw, dtype=dt).reshape(h, w, channels)
@@ -123,9 +136,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         ident = _next_token(fh)
         if ident != b"P5":
             raise FormatError(f"{path}: expected binary PGM (P5), got {ident!r}")
-        w = int(_next_token(fh))
-        h = int(_next_token(fh))
-        maxval = int(_next_token(fh))
+        w = _header_field(fh, path, "width")
+        h = _header_field(fh, path, "height")
+        maxval = _header_field(fh, path, "maxval")
         if not 1 <= maxval <= 65535:
             raise FormatError(f"{path}: bad maxval {maxval}")
         dt = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
@@ -157,9 +170,9 @@ def read_ppm(path) -> np.ndarray:
         ident = _next_token(fh)
         if ident != b"P6":
             raise FormatError(f"{path}: expected binary PPM (P6), got {ident!r}")
-        w = int(_next_token(fh))
-        h = int(_next_token(fh))
-        maxval = int(_next_token(fh))
+        w = _header_field(fh, path, "width")
+        h = _header_field(fh, path, "height")
+        maxval = _header_field(fh, path, "maxval")
         if maxval != 255:
             raise FormatError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
         raw = _read_exact(fh, w * h * 3, path)

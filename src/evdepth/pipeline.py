@@ -49,6 +49,10 @@ class SampleRecord:
     empty_slice: bool
 
 
+# the exact JSON value types each SampleRecord annotation admits (a bool is no int)
+_RECORD_TYPES = {"int": (int,), "str": (str,), "str | None": (str, type(None)), "bool": (bool,)}
+
+
 @dataclass(frozen=True)
 class EncoderSpec:
     """How every record of a manifest is sliced and encoded.
@@ -244,6 +248,11 @@ def load_manifest(path) -> DatasetManifest:
             teacher=prov["teacher"], lam=prov["lambda"], k_scales=prov["k_scales"]
         )
         records = tuple(SampleRecord(**r) for r in payload["records"])
+        for r in records:
+            for field in dataclasses.fields(SampleRecord):
+                value = getattr(r, field.name)
+                if type(value) not in _RECORD_TYPES[field.type]:
+                    raise FormatError(f"{path}: record field {field.name} holds {value!r}")
         for prev, r in zip(records, records[1:]):
             if r.t_d_us <= prev.t_d_us:
                 raise FormatError(f"{path}: record timestamps must strictly increase at {r.t_d_us}")
@@ -311,9 +320,9 @@ def training_step(
     proxy_report = gt_report = None
     total = 0.0
     grad = np.zeros(pred.shape, dtype=np.float64)
+    mask = _record_mask(record, pred.shape)
     if mode in ("proxy", "combined"):
         proxy = _load_target(record.proxy_path, record, "proxy")
-        mask = _record_mask(record, pred.shape)
         proxy_report, proxy_grad = loss_total(pred, proxy, mask, lam, k_scales)
         total += proxy_report.total
         grad += proxy_grad
@@ -321,7 +330,7 @@ def training_step(
         if record.gt_path is None:
             raise ParameterError(f"record t_d={record.t_d_us} has no ground-truth target")
         gt = _load_target(record.gt_path, record, "ground-truth")
-        gt_mask = depth_valid_mask(gt) & _record_mask(record, pred.shape)
+        gt_mask = depth_valid_mask(gt) & mask
         gt_report, gt_grad = loss_total(pred, gt, gt_mask, lam, k_scales)
         total += gt_report.total
         grad += gt_grad

@@ -19,15 +19,16 @@ not an error. All encoders are pure functions of the slice.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ENCODER_DEFAULTS
-from .errors import DegenerateIntervalError, ParameterError
+from .errors import DegenerateIntervalError, FormatError, ParameterError
 from .events import EventSlice
-from .imgio import write_pfm, write_ppm
+from .imgio import read_pfm, write_pfm, write_ppm
 
 
 class StackLayout(enum.Enum):
@@ -138,3 +139,35 @@ def save_stack_pfm(stack: EventStack, path) -> list[Path]:
         write_pfm(p, stack.values[:, :, k])
         written.append(p)
     return written
+
+
+_CHANNEL_STEM = re.compile(r"(.+)\.c(0|[1-9][0-9]*)")
+
+
+def load_stack_pfms(directory) -> list[tuple[str, np.ndarray]]:
+    """Inverse of save_stack_pfm over a directory: one (stem, (H, W, C)
+    array) per stack, in stem order. The ``<stem>.c<k>.pfm`` files of one
+    stem are its channels; any other PFM is a whole stack."""
+    whole: dict[str, np.ndarray] = {}
+    split: dict[str, dict[int, np.ndarray]] = {}
+    for path in Path(directory).iterdir():
+        if path.suffix.lower() != ".pfm":
+            continue
+        values = read_pfm(path)
+        match = _CHANNEL_STEM.fullmatch(path.stem)
+        if match is None:
+            whole[path.stem] = values if values.ndim == 3 else values[:, :, None]
+        elif values.ndim != 2:
+            raise FormatError(f"{path}: a channel file must be a grayscale PFM")
+        else:
+            split.setdefault(match[1], {})[int(match[2])] = values
+    for stem, planes in split.items():
+        if stem in whole:
+            raise FormatError(f"{directory}: stack {stem} has a whole-stack file and channel files")
+        missing = set(range(max(planes) + 1)) - set(planes)
+        if missing:
+            raise FormatError(f"{directory}: stack {stem} has no channel file .c{min(missing)}")
+        if len({v.shape for v in planes.values()}) > 1:
+            raise FormatError(f"{directory}: stack {stem} has channel files of different sizes")
+        whole[stem] = np.stack([planes[k] for k in range(len(planes))], axis=2)
+    return [(stem, whole[stem]) for stem in sorted(whole)]

@@ -7,7 +7,9 @@ import pytest
 from conftest import make_random_stream
 from evdepth import config
 from evdepth.cli import main
+from evdepth.errors import FormatError
 from evdepth.events import read_events, slice_sbt, write_events
+from evdepth.fusion import load_model_params, make_model_params, save_model_params
 from evdepth.imgio import read_pfm, save_depth_pfm, write_pfm, write_pgm
 from evdepth.stacks import encode_tencode, save_stack_pfm
 
@@ -195,7 +197,7 @@ class TestAlignEvaluate:
 
 
 class TestDatasetAndFusion:
-    def _build_dataset(self, tmp_path, events_file):
+    def _build_dataset(self, tmp_path, events_file, shape=(12, 16)):
         frames = tmp_path / "frames"
         proxies = tmp_path / "proxy"
         frames.mkdir()
@@ -203,8 +205,8 @@ class TestDatasetAndFusion:
         rng = np.random.default_rng(3)
         for t_ms in (300, 600, 900):
             stem = f"{t_ms * MS:09d}"
-            write_pgm(frames / f"{stem}.pgm", rng.integers(0, 256, (12, 16)).astype(np.uint8))
-            save_depth_pfm(proxies / f"{stem}.pfm", rng.uniform(1, 10, (12, 16)))
+            write_pgm(frames / f"{stem}.pgm", rng.integers(0, 256, shape).astype(np.uint8))
+            save_depth_pfm(proxies / f"{stem}.pfm", rng.uniform(1, 10, shape))
         return frames, proxies
 
     def test_build_export_fusion_round(self, tmp_path, events_file, capsys):
@@ -245,6 +247,75 @@ class TestDatasetAndFusion:
             assert a.read_bytes() == b.read_bytes()
         depth = read_pfm(files_a[0])
         assert depth.shape == (8, 8)  # finest stride of 32x32 input
+
+    def test_voxel_export_runs_one_step_per_record(self, tmp_path, capsys):
+        stream = make_random_stream(np.random.default_rng(5), width=32, height=16, n_events=3000)
+        events = tmp_path / "events.evb"
+        write_events(stream, events)
+        frames, proxies = self._build_dataset(tmp_path, events, shape=(16, 32))
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["dataset", "build", "--events", str(events), "--frames", str(frames),
+                     "--proxy", str(proxies), "--dt-us", str(300 * MS), "--layout", "voxel",
+                     "--out", str(manifest_path)]) == 0
+        stacks_dir, out = tmp_path / "stacks", tmp_path / "depth"
+        assert main(["dataset", "export", "--manifest", str(manifest_path),
+                     "--out", str(stacks_dir)]) == 0
+        assert len(list(stacks_dir.glob("*.c*.pfm"))) == 3 * config.ENCODER_DEFAULTS.voxel_bins
+        capsys.readouterr()
+        assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(out)]) == 0
+        assert "ran 3 steps" in capsys.readouterr().out
+        records = json.loads(manifest_path.read_text())["records"]
+        want = sorted(f"{r['t_d_us']:012d}.depth.pfm" for r in records)
+        assert sorted(p.name for p in out.iterdir()) == want
+
+    def test_fusion_run_on_malformed_pfm_is_data_error(self, tmp_path, capsys):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        (stacks_dir / "000000000001.pfm").write_bytes(b"PF\nwide 32\n-1.0\n" + bytes(64))
+        assert main(["fusion", "run", "--stacks", str(stacks_dir),
+                     "--out", str(tmp_path / "depth")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            "{not json",
+            "[]",
+            lambda m: m.pop("version"),
+            lambda m: m.pop("tensors"),
+            lambda m: m.update(tensors={"name": "head.bias"}),
+            lambda m: m["tensors"][0].update(offset=-8),
+            lambda m: m["tensors"][0].update(shape=[3, "3", 32, 64]),
+            lambda m: m["tensors"][0].update(name=None),
+            lambda m: m.update(scales=[4, 8, "16"]),
+            lambda m: m.update(scales=True),
+            lambda m: m.update(channels=[16, 32]),
+            lambda m: m["tensors"][-1].update(shape=[]),
+        ],
+        ids=[
+            "invalid-json", "not-an-object", "no-version", "no-tensors", "tensors-not-list",
+            "negative-offset", "text-dim", "no-name", "text-scale", "bool-scales",
+            "short-channels", "scalar-head-bias",
+        ],
+    )
+    def test_malformed_params_manifest_is_data_error(self, tmp_path, capsys, mutation):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / "000000000001.pfm", np.zeros((32, 32, 3)))
+        bin_path = tmp_path / "model.bin"
+        save_model_params(make_model_params(seed=0), bin_path)
+        json_path = bin_path.with_suffix(".json")
+        if isinstance(mutation, str):
+            json_path.write_text(mutation)
+        else:
+            manifest = json.loads(json_path.read_text())
+            mutation(manifest)
+            json_path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError):
+            load_model_params(bin_path)
+        assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(tmp_path / "d"),
+                     "--params", str(bin_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBench:

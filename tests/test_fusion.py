@@ -5,9 +5,7 @@ import pytest
 
 from evdepth.errors import ContractError
 from evdepth.fusion import (
-    ConvLSTMParams,
     FeaturePyramid,
-    FusionParams,
     ModelParams,
     bilinear_up2,
     conv2d_same,
@@ -31,10 +29,7 @@ def zero_params(scales=(4, 8, 16), channels=(16, 32, 64)) -> ModelParams:
     biases = {s: np.zeros(4 * c) for s, c in zip(scales, channels)}
     projections = {s: np.zeros((c, cf)) for s, c, cf in zip(scales[1:], channels[1:], channels)}
     return ModelParams(
-        ConvLSTMParams(kernels, biases),
-        FusionParams(projections, np.zeros(channels[0]), 0.0),
-        tuple(scales),
-        tuple(channels),
+        tuple(scales), tuple(channels), kernels, biases, projections, np.zeros(channels[0]), 0.0
     )
 
 
@@ -91,6 +86,11 @@ class TestConvLstmStep:
                 np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
                 np.zeros((3, 3, 2, 4)), np.zeros(4),
             )
+        with pytest.raises(ContractError):  # an even kernel has no centre tap
+            convlstm_step(
+                np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), np.zeros((2, 2, 1)),
+                np.zeros((2, 2, 2, 4)), np.zeros(4),
+            )
 
 
 class TestConv2dSame:
@@ -134,35 +134,37 @@ class TestFuse:
     def test_single_scale_passthrough(self):
         m = np.random.default_rng(2).standard_normal((4, 4, 3))
         pyramid = FeaturePyramid((4,), (m,))
-        params = FusionParams({}, np.zeros(3), 0.0)
-        assert np.array_equal(fuse(pyramid, params), m)
+        assert np.array_equal(fuse(pyramid, {}), m)
 
     def test_zero_coarse_contributes_nothing(self):
         rng = np.random.default_rng(3)
         fine = rng.standard_normal((4, 4, 2))
         pyramid = FeaturePyramid((2, 4), (fine, np.zeros((2, 2, 3))))
-        params = FusionParams({4: rng.standard_normal((3, 2))}, np.zeros(2), 0.0)
-        assert np.array_equal(fuse(pyramid, params), fine)
+        assert np.array_equal(fuse(pyramid, {4: rng.standard_normal((3, 2))}), fine)
 
     def test_two_scale_hand_case(self):
         fine = np.zeros((4, 4, 1))
         coarse = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
         projection = np.array([[2.0]])
         pyramid = FeaturePyramid((1, 2), (fine, coarse))
-        params = FusionParams({2: projection}, np.zeros(1), 0.0)
-        fused = fuse(pyramid, params)[:, :, 0]
+        fused = fuse(pyramid, {2: projection})[:, :, 0]
         assert np.allclose(fused, 2.0 * bilinear_up2(coarse)[:, :, 0], atol=1e-15)
 
     def test_non_contiguous_scales_rejected(self):
         pyramid = FeaturePyramid((2, 8), (np.zeros((8, 8, 1)), np.zeros((2, 2, 1))))
-        params = FusionParams({8: np.zeros((1, 1))}, np.zeros(1), 0.0)
         with pytest.raises(ContractError):
-            fuse(pyramid, params)
+            fuse(pyramid, {8: np.zeros((1, 1))})
+
+    def test_wrong_projection_or_head_shape_rejected(self):
+        pyramid = FeaturePyramid((2, 4), (np.zeros((4, 4, 2)), np.zeros((2, 2, 3))))
+        with pytest.raises(ContractError):
+            fuse(pyramid, {4: np.zeros((3, 1))})
+        with pytest.raises(ContractError):
+            depth_head(np.zeros((4, 4, 2)), np.zeros((2, 1)), 0.0)
 
     def test_head_is_linear_projection(self):
         fused = np.array([[[1.0, 2.0]]])
-        params = FusionParams({}, np.array([0.5, 0.25]), 1.0)
-        assert depth_head(fused, params)[0, 0] == pytest.approx(0.5 + 0.5 + 1.0)
+        assert depth_head(fused, np.array([0.5, 0.25]), 1.0)[0, 0] == pytest.approx(0.5 + 0.5 + 1.0)
 
 
 class TestToyExtractor:
@@ -262,12 +264,12 @@ class TestParamsArchive:
         assert loaded.scales == params.scales
         assert loaded.channels == params.channels
         for s in params.scales:
-            assert np.array_equal(loaded.convlstm.kernels[s], params.convlstm.kernels[s])
-            assert np.array_equal(loaded.convlstm.biases[s], params.convlstm.biases[s])
+            assert np.array_equal(loaded.kernels[s], params.kernels[s])
+            assert np.array_equal(loaded.biases[s], params.biases[s])
         for s in params.scales[1:]:
-            assert np.array_equal(loaded.fusion.projections[s], params.fusion.projections[s])
-        assert np.array_equal(loaded.fusion.head_weight, params.fusion.head_weight)
-        assert loaded.fusion.head_bias == params.fusion.head_bias
+            assert np.array_equal(loaded.projections[s], params.projections[s])
+        assert np.array_equal(loaded.head_weight, params.head_weight)
+        assert loaded.head_bias == params.head_bias
 
     def test_loaded_params_reproduce_outputs(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -295,6 +297,6 @@ class TestParamsArchive:
     def test_forget_bias_initialized_to_one(self):
         params = make_model_params(seed=0)
         for s, c in zip(params.scales, params.channels):
-            bias = params.convlstm.biases[s]
+            bias = params.biases[s]
             assert (bias[c : 2 * c] == 1.0).all()
             assert not bias[:c].any() and not bias[2 * c :].any()

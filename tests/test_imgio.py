@@ -118,6 +118,35 @@ class TestPgmPpm:
             write_pgm(tmp_path / "g.pgm", np.array([[300]]), maxval=255)
 
 
+class TestRasterHeaderFields:
+    @pytest.mark.parametrize(
+        "reader, header",
+        [
+            (read_pfm, b"Pf\nabc 2\n-1.0\n"),
+            (read_pfm, b"Pf\n2 -2\n-1.0\n"),
+            (read_pfm, b"Pf\n2 2\nnan\n"),
+            (read_pfm, b"Pf\n2 2\n-inf\n"),
+            (read_pfm, b"Pf\n2 2\n0.0\n"),
+            (read_pgm, b"P5\n2x 2\n255\n"),
+            (read_pgm, b"P5\n-2 -2\n255\n"),
+            (read_pgm, b"P5\n2 2\n-255\n"),
+            (read_ppm, b"P6\n2 two\n255\n"),
+            (read_ppm, b"P6\n-2 -2\n255\n"),
+            (read_ppm, b"P6\n2 2\n2.5e2\n"),
+        ],
+        ids=[
+            "pfm-width-text", "pfm-height-negative", "pfm-scale-nan", "pfm-scale-inf",
+            "pfm-scale-zero", "pgm-width-text", "pgm-dims-negative", "pgm-maxval-negative",
+            "ppm-height-text", "ppm-dims-negative", "ppm-maxval-float",
+        ],
+    )
+    def test_bad_field_is_format_error(self, tmp_path, reader, header):
+        p = tmp_path / "r.img"
+        p.write_bytes(header + bytes(64))
+        with pytest.raises(FormatError, match="header"):
+            reader(p)
+
+
 class TestDepthConventions:
     def test_depth_pfm_round_trip(self, tmp_path):
         depth = np.array([[1.5, 2.5], [0.25, 8.0]])

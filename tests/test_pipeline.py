@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_stream
+from evdepth import pipeline
 from evdepth.cli import main
 from evdepth.errors import BuildError, ContractError, FormatError, ParameterError
 from evdepth.events import SliceMode, SliceSpec, read_events, slice_sbt, write_events
@@ -252,10 +253,20 @@ class TestManifestFile:
             lambda m: m["encoder"].update(mode="sbn", window_us=None, count=2.5),
             lambda m: m["encoder"].update(layout="voxel", bins=0),
             lambda m: m["encoder"].update(layout="voxel"),  # bins stays null
+            lambda m: m.update(records=[dict(m["records"][0], t_d_us="50000")]),
+            lambda m: m["records"][1].update(events_path=5),
+            lambda m: m["records"][0].update(width=True),
+            lambda m: m["records"][0].update(height=24.0),
+            lambda m: m["records"][0].update(gt_path=7),
+            lambda m: m["records"][0].update(mask_path=["m.pgm"]),
+            lambda m: m["records"][0].update(empty_slice=0),
+            lambda m: m["records"][0].update(proxy_path=None),
         ],
         ids=[
             "no-encoder", "no-provenance", "no-record-key", "unknown-mode", "unknown-layout",
             "null-window", "null-count", "fractional-count", "zero-bins", "missing-bins",
+            "text-t_d-one-record", "int-events-path", "bool-width", "float-height",
+            "int-gt-path", "list-mask-path", "int-empty-slice", "null-proxy-path",
         ],
     )
     def test_malformed_manifest_is_format_error(self, tmp_path, capsys, mutate):
@@ -330,6 +341,18 @@ class TestTrainingStep:
         combined = training_step(record, pred, mode="combined")
         assert combined.total == proxy_only.total + gt_only.total
         assert np.array_equal(combined.grad, proxy_only.grad + gt_only.grad)
+
+    def test_combined_mode_reads_the_mask_once(self, tmp_path, monkeypatch):
+        events, frames, proxies, gt_dir, mask_dir = build_scene(
+            tmp_path, with_gt=True, with_mask=True
+        )
+        manifest = build_manifest(events, frames, proxies, gt_dir=gt_dir, mask_dir=mask_dir)
+        record = manifest.records[1]
+        reads = []
+        load = pipeline.load_mask_pgm
+        monkeypatch.setattr(pipeline, "load_mask_pgm", lambda p: reads.append(p) or load(p))
+        training_step(record, np.ones((24, 32)), mode="combined")
+        assert reads == [record.mask_path]
 
     def test_combined_requires_gt(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)

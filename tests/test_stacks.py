@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_stream
-from evdepth.errors import DegenerateIntervalError, ParameterError
+from evdepth.errors import DegenerateIntervalError, FormatError, ParameterError
 from evdepth.events import EventStream, slice_sbt
-from evdepth.imgio import read_pfm, read_ppm
+from evdepth.imgio import read_pfm, read_ppm, write_pfm
 from evdepth.stacks import (
     StackLayout,
     encode,
     encode_image_like,
     encode_tencode,
     encode_voxel,
+    load_stack_pfms,
     save_stack_pfm,
     save_stack_ppm,
 )
@@ -274,6 +275,36 @@ class TestExport:
             got = read_pfm(p)
             want = stack.values[:, :, k].astype(np.float32).astype(np.float64)
             assert np.array_equal(got, want)
+
+    def test_load_stack_pfms_inverts_save(self, tmp_path):
+        stream = make_random_stream(np.random.default_rng(9), n_events=200)
+        sl = slice_sbt(stream, 1_000_000, 1_000_000)
+        voxel, tencode = encode_voxel(sl, 5), encode_tencode(sl)
+        save_stack_pfm(voxel, tmp_path / "b.pfm")
+        save_stack_pfm(tencode, tmp_path / "a.pfm")
+        write_pfm(tmp_path / "c.pfm", tencode.values[:, :, 1])
+        loaded = load_stack_pfms(tmp_path)
+        assert [stem for stem, _ in loaded] == ["a", "b", "c"]
+        wants = (tencode.values, voxel.values, tencode.values[:, :, 1:2])
+        for (_, got), want in zip(loaded, wants):
+            assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda d: (d / "v.c2.pfm").unlink(),
+            lambda d: write_pfm(d / "v.pfm", np.zeros((24, 32, 3))),
+            lambda d: write_pfm(d / "v.c4.pfm", np.zeros((24, 16))),
+            lambda d: write_pfm(d / "v.c4.pfm", np.zeros((24, 32, 3))),
+        ],
+        ids=["missing-channel", "whole-and-split", "size-mismatch", "color-channel"],
+    )
+    def test_load_stack_pfms_rejects_broken_channel_sets(self, tmp_path, damage):
+        stream = make_random_stream(np.random.default_rng(10), n_events=50)
+        save_stack_pfm(encode_voxel(slice_sbt(stream, 1_000_000, 1_000_000), 5), tmp_path / "v.pfm")
+        damage(tmp_path)
+        with pytest.raises(FormatError):
+            load_stack_pfms(tmp_path)
 
     def test_dispatcher(self):
         sl = one_event_slice(0, 0, 1, 80, 50, 100)
