@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -247,6 +248,27 @@ class TestRunSequence:
         assert len(outs) == 20
         assert all(o.shape == (16, 16) for o in outs)
         assert all(np.isfinite(o).all() for o in outs)
+
+    def test_golden_depth_digest(self):
+        # Pins every output bit of the kernels behind a seed-0 run; a rewrite
+        # of any kernel must leave this digest unchanged.
+        rng = np.random.default_rng(2024)
+        shape = (64, 96)
+        stacks = []
+        for _ in range(4):  # tencode-like: R/B exclusive polarity, G recency
+            lit = rng.random(shape) < 0.25
+            positive = rng.random(shape) < 0.5
+            values = np.zeros(shape + (3,), dtype=np.float32)
+            values[:, :, 0] = lit & positive
+            values[:, :, 1] = np.where(lit, rng.random(shape), 0.0)
+            values[:, :, 2] = lit & ~positive
+            stacks.append(values)
+        depths = run_sequence(stacks, toy_extractor, make_model_params(seed=0))
+        digest = hashlib.sha256(b"".join(d.astype("<f4").tobytes() for d in depths))
+        assert [d.shape for d in depths] == [(16, 24)] * 4
+        assert digest.hexdigest() == (
+            "b1cc97e47e10f2d53df58d99afa0a1a68b85b508e2cda707983bc381259f16b7"
+        )
 
     def test_shape_drift_rejected(self):
         rng = np.random.default_rng(11)
