@@ -16,6 +16,7 @@ listing (name, shape, offset) per tensor.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -59,22 +60,25 @@ class ModelParams:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Branch-free 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below zero:
+    # both sides divide by one plus the same exp(-|x|), which never overflows.
+    # min(x, -x) is -|x| that also keeps the sign bit of a NaN input.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Zero-padded 'same' 2-D convolution; x (H, W, Cin), kernel (k, k, Cin, Cout)."""
-    kh, kw = kernel.shape[:2]
-    ph, pw = kh // 2, kw // 2
-    padded = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    # windows: (H, W, Cin, kh, kw)
-    return np.einsum("hwcij,ijco->hwo", windows, kernel, optimize=True)
+    kh, kw, _, c_out = kernel.shape
+    h, w = x.shape[:2]
+    padded = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    # im2col with taps in the kernel's own (kh, kw, Cin) order, then one GEMM
+    # run as (Cout, K) @ (K, H*W): the GEMM numpy's einsum reduces this
+    # convolution to, so its sums and its Cout-major result layout are kept.
+    # Another tap or operand order sums differently and moves the last bits.
+    cols = np.stack([padded[i : i + h, j : j + w] for i in range(kh) for j in range(kw)], axis=2)
+    out = kernel.reshape(-1, c_out).T @ cols.reshape(h * w, -1).T
+    return out.T.reshape(h, w, c_out)
 
 
 def convlstm_step(features, hidden, cell, kernel, bias):
@@ -97,9 +101,8 @@ def convlstm_step(features, hidden, cell, kernel, bias):
     if bias.shape != (4 * c,):
         raise ContractError(f"bias shape {bias.shape}, expected ({4 * c},)")
     gates = conv2d_same(np.concatenate([features, hidden], axis=2), kernel) + bias
-    i = _sigmoid(gates[:, :, :c])
-    f = _sigmoid(gates[:, :, c : 2 * c])
-    o = _sigmoid(gates[:, :, 2 * c : 3 * c])
+    ifo = _sigmoid(gates[:, :, : 3 * c])
+    i, f, o = ifo[:, :, :c], ifo[:, :, c : 2 * c], ifo[:, :, 2 * c :]
     g = np.tanh(gates[:, :, 3 * c :])
     new_cell = f * cell + i * g
     new_hidden = o * np.tanh(new_cell)
@@ -119,11 +122,12 @@ def bilinear_up2(x: np.ndarray) -> np.ndarray:
 
     r0, r1, fr = axis_weights(x.shape[0])
     c0, c1, fc = axis_weights(x.shape[1])
+    # Columns first, on the input rows only; then rows. Each output element
+    # sees the same products and sums as a full-size lerp in both axes.
+    fc = np.ascontiguousarray(np.broadcast_to(fc[:, None], (fc.size, x.shape[2])))
+    cols = x[:, c0] * (1 - fc) + x[:, c1] * fc
     fr = fr[:, None, None]
-    fc = fc[None, :, None]
-    top = x[r0][:, c0] * (1 - fc) + x[r0][:, c1] * fc
-    bottom = x[r1][:, c0] * (1 - fc) + x[r1][:, c1] * fc
-    return top * (1 - fr) + bottom * fr
+    return cols[r0] * (1 - fr) + cols[r1] * fr
 
 
 def fuse(pyramid: FeaturePyramid, projections: dict[int, np.ndarray]) -> np.ndarray:
@@ -158,6 +162,17 @@ def depth_head(fused: np.ndarray, weight: np.ndarray, bias: float) -> np.ndarray
     return fused @ weight + bias
 
 
+@functools.lru_cache(maxsize=16)
+def _toy_embedding(seed: int, s: int, c_in: int, c_s: int, hs: int, ws: int):
+    """The seeded (projection, positional) pair of one scale, read-only."""
+    rng = np.random.default_rng([seed, s])
+    projection = rng.standard_normal((s * s * c_in, c_s)) / np.sqrt(s * s * c_in)
+    positional = 0.1 * rng.standard_normal((hs, ws, c_s))
+    projection.flags.writeable = False
+    positional.flags.writeable = False
+    return projection, positional
+
+
 def toy_extractor(
     stack,
     seed: int = FUSION_DEFAULTS.seed,
@@ -177,12 +192,10 @@ def toy_extractor(
     for s, c_s in zip(scales, channels):
         if h % s or w % s:
             raise ContractError(f"stack dims {h}x{w} not divisible by scale {s}")
-        rng = np.random.default_rng([seed, s])
         hs, ws = h // s, w // s
         patches = values.reshape(hs, s, ws, s, c_in).transpose(0, 2, 1, 3, 4)
         patches = patches.reshape(hs, ws, s * s * c_in)
-        projection = rng.standard_normal((s * s * c_in, c_s)) / np.sqrt(s * s * c_in)
-        positional = 0.1 * rng.standard_normal((hs, ws, c_s))
+        projection, positional = _toy_embedding(seed, s, c_in, c_s, hs, ws)
         maps.append(patches @ projection + positional)
     return FeaturePyramid(tuple(scales), tuple(maps))
 

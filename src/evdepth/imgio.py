@@ -226,9 +226,15 @@ def load_depth_pgm16(path) -> np.ndarray:
     raster, maxval = read_pgm(path)
     if maxval < 256:
         raise FormatError(f"{path}: expected 16-bit depth PGM, maxval {maxval}")
-    with open(_sidecar(path), "r", encoding="ascii") as fh:
-        meta = json.load(fh)
-    scale = float(meta["scale_m_per_unit"])
+    sidecar = _sidecar(path)
+    try:
+        with open(sidecar, "r", encoding="ascii") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # invalid JSON or non-ASCII bytes
+        raise FormatError(f"{sidecar}: not a depth sidecar: {exc}") from None
+    scale = meta.get("scale_m_per_unit") if isinstance(meta, dict) else None
+    if type(scale) not in (int, float) or not (math.isfinite(scale) and scale > 0):
+        raise FormatError(f"{sidecar}: scale_m_per_unit must be a finite number > 0")
     return raster.astype(np.float64) * scale
 
 

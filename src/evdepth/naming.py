@@ -34,7 +34,11 @@ def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Pat
     index = dirpath / INDEX_FILENAME
     if index.is_file():
         out = []
-        for lineno, line in enumerate(index.read_text(encoding="ascii").splitlines(), start=1):
+        try:
+            lines = index.read_text(encoding="ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{index}: not an ASCII timestamp index: {exc}") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -10,7 +10,8 @@ from evdepth.cli import main
 from evdepth.errors import FormatError
 from evdepth.events import read_events, slice_sbt, write_events
 from evdepth.fusion import load_model_params, make_model_params, save_model_params
-from evdepth.imgio import read_pfm, save_depth_pfm, write_pfm, write_pgm
+from evdepth.imgio import read_pfm, save_depth_pfm, save_depth_pgm16, write_pfm, write_pgm
+from evdepth.naming import timestamped_files
 from evdepth.stacks import encode_tencode, save_stack_pfm
 
 MS = 1000
@@ -72,6 +73,16 @@ class TestSimulate:
         per_pixel = math.floor(math.log(136 / 50) / 0.1)
         assert payload["n_events"] == 64 * per_pixel
         assert len(read_events(out)) == payload["n_events"]
+
+    def test_non_ascii_timestamp_index_is_data_error(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        write_frames(frames, [(0, 90)])
+        (frames / "timestamps.txt").write_bytes(b"a.pgm,\xff12\n")
+        with pytest.raises(FormatError, match="timestamps.txt"):
+            timestamped_files(frames, (".pgm",))
+        assert main(["simulate", "--frames", str(frames), "--contrast", "0.1",
+                     "--out", str(tmp_path / "o.evb")]) == 2
+        assert "timestamps.txt" in capsys.readouterr().err
 
     def test_missing_dir_reports_path(self, tmp_path, capsys):
         missing = tmp_path / "nope"
@@ -184,6 +195,14 @@ class TestAlignEvaluate:
         (pred_dir / "extra.pfm").write_bytes((pred_dir / "f0.pfm").read_bytes())
         assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
         assert "extra" in capsys.readouterr().err
+
+    def test_malformed_gt_sidecar_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        (gt_dir / "f0.pfm").unlink()
+        save_depth_pgm16(gt_dir / "f0.pgm", np.full((10, 10), 4.0))
+        (gt_dir / "f0.pgm.json").write_text('{"scale": 0.001}\n')
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
+        assert "f0.pgm.json" in capsys.readouterr().err
 
     def test_report_files_written(self, tmp_path):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from evdepth import fusion
 from evdepth.errors import ContractError
 from evdepth.fusion import (
     FeaturePyramid,
@@ -32,6 +33,27 @@ def zero_params(scales=(4, 8, 16), channels=(16, 32, 64)) -> ModelParams:
     return ModelParams(
         tuple(scales), tuple(channels), kernels, biases, projections, np.zeros(channels[0]), 0.0
     )
+
+
+def sigmoid_two_branch(v):
+    """Scalar oracle: the overflow-free form on each side of zero."""
+    if v >= 0:
+        return 1.0 / (1.0 + math.exp(-v))
+    e = math.exp(v)
+    return e / (1.0 + e)
+
+
+class TestSigmoid:
+    def test_matches_scalar_oracle_without_warnings(self):
+        special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0, math.nan]
+        x = np.concatenate([special, np.random.default_rng(12).normal(0.0, 20.0, 2000)])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = fusion._sigmoid(x)
+        assert math.isnan(out[len(special) - 1])
+        for v, got in zip(x, out):
+            if not math.isnan(v):
+                want = sigmoid_two_branch(v)
+                assert abs(got - want) <= 1e-15 * want, v
 
 
 class TestConvLstmStep:
@@ -110,6 +132,24 @@ class TestConv2dSame:
         assert out[1, 1, 0] == x.sum()
         assert out[0, 0, 0] == x[0:2, 0:2].sum()
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_matches_naive_loop(self, k):
+        rng = np.random.default_rng(14 + k)
+        h, w, c_in, c_out = 6, 7, 3, 5
+        x = rng.standard_normal((h, w, c_in))
+        kernel = rng.standard_normal((k, k, c_in, c_out))
+        padded = np.pad(x, ((k // 2, k // 2), (k // 2, k // 2), (0, 0)))
+        want = np.zeros((h, w, c_out))
+        for y in range(h):
+            for xx in range(w):
+                for i in range(k):
+                    for j in range(k):
+                        for c in range(c_in):
+                            want[y, xx] += padded[y + i, xx + j, c] * kernel[i, j, c]
+        got = conv2d_same(x, kernel)
+        assert got.shape == (h, w, c_out)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestBilinearUp2:
     def test_hand_case_two_by_two(self):
@@ -129,6 +169,28 @@ class TestBilinearUp2:
         out = bilinear_up2(np.full((3, 5, 2), 7.0))
         assert out.shape == (6, 10, 2)
         assert np.allclose(out, 7.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (3, 5), (4, 4)])
+    def test_matches_scalar_oracle(self, shape):
+        x = np.random.default_rng(15).standard_normal(shape + (2,))
+
+        def taps(dst, n):
+            u = min(max((dst + 0.5) / 2.0 - 0.5, 0.0), n - 1.0)
+            lo = math.floor(u)
+            return lo, min(lo + 1, n - 1), u - lo
+
+        h, w = shape
+        want = np.empty((2 * h, 2 * w, 2))
+        for y in range(2 * h):
+            r0, r1, fr = taps(y, h)
+            for xx in range(2 * w):
+                c0, c1, fc = taps(xx, w)
+                for ch in range(2):
+                    top = x[r0, c0, ch] * (1 - fc) + x[r0, c1, ch] * fc
+                    bottom = x[r1, c0, ch] * (1 - fc) + x[r1, c1, ch] * fc
+                    want[y, xx, ch] = top * (1 - fr) + bottom * fr
+        # same products and sums in the same order: equal to the last bit
+        assert np.array_equal(bilinear_up2(x), want)
 
 
 class TestFuse:
@@ -176,6 +238,19 @@ class TestToyExtractor:
         b = toy_extractor(stack, seed=5)
         for ma, mb in zip(a.maps, b.maps):
             assert np.array_equal(ma, mb)
+
+    def test_cached_embedding_gives_identical_bits(self):
+        rng = np.random.default_rng(16)
+        stacks = [rng.standard_normal((64, 48, 3)), rng.standard_normal((32, 64, 3))]
+        calls = [(stack, seed) for seed in (1, 2) for stack in stacks]
+        fusion._toy_embedding.cache_clear()
+        first = [toy_extractor(stack, seed=seed).maps for stack, seed in calls]
+        for _ in range(2):  # cache hits, interleaved over seeds and shapes
+            for (stack, seed), maps in zip(calls[::-1], first[::-1]):
+                again = toy_extractor(stack, seed=seed).maps
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(again, maps))
+        projection, positional = fusion._toy_embedding(1, 4, 3, 16, 16, 12)
+        assert not projection.flags.writeable and not positional.flags.writeable
 
     def test_different_seed_differs(self):
         stack = np.random.default_rng(5).standard_normal((64, 64, 3))

@@ -163,6 +163,32 @@ class TestDepthConventions:
         out = load_depth_pgm16(p)
         assert np.abs(out - depth).max() <= 0.0005 + 1e-12  # half a quantum
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            b"{not json",
+            b'{"scale_m_per_unit": 0.001, "note": "\xff"}',
+            b"[0.001]",
+            b"{}",
+            b'{"scale_m_per_unit": "0.001"}',
+            b'{"scale_m_per_unit": true}',
+            b'{"scale_m_per_unit": null}',
+            b'{"scale_m_per_unit": NaN}',
+            b'{"scale_m_per_unit": Infinity}',
+            b'{"scale_m_per_unit": 0}',
+            b'{"scale_m_per_unit": -0.001}',
+        ],
+        ids=["invalid-json", "non-ascii", "not-an-object", "no-scale", "text-scale",
+             "bool-scale", "null-scale", "nan-scale", "inf-scale", "zero-scale",
+             "negative-scale"],
+    )
+    def test_malformed_pgm16_sidecar_is_format_error(self, tmp_path, sidecar):
+        p = tmp_path / "d.pgm"
+        save_depth_pgm16(p, np.full((2, 2), 3.0))
+        (tmp_path / "d.pgm.json").write_bytes(sidecar)
+        with pytest.raises(FormatError, match="d.pgm.json"):
+            load_depth_pgm16(p)
+
     def test_pgm16_invalid_pixels_stay_zero(self, tmp_path):
         depth = np.array([[1.0, 0.0], [np.nan, np.inf]])
         p = tmp_path / "d.pgm"
