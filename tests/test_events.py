@@ -137,6 +137,69 @@ class TestStreamInvariants:
             s.width = 12
 
 
+def long_columns(n=20_000):
+    """Valid columns of a 32x24 stream, t = 10 * index."""
+    rng = np.random.default_rng(21)
+    xs = rng.integers(0, 32, n)
+    ys = rng.integers(0, 24, n)
+    ps = rng.choice(np.array([-1, 1]), n)
+    return xs, ys, ps, np.arange(n, dtype=np.int64) * 10
+
+
+# (column edits, error, message): the first bad record wins, and the checks run
+# in the order polarity, pixel bounds, first timestamp, timestamp order
+BAD_RECORDS = {
+    "polarity-0": (
+        {"ps": {7321: 0, 15000: 2}}, FormatError, "record 7321: polarity must be -1 or +1, got 0"
+    ),
+    "x-equals-width": (
+        {"xs": {7321: 32, 15000: -1}, "ys": {7321: 5}}, BoundsError,
+        "record 7321: pixel (32, 5) outside 32x24 sensor",
+    ),
+    "y-minus-one": (
+        {"xs": {7321: 3}, "ys": {7321: -1, 15000: 24}}, BoundsError,
+        "record 7321: pixel (3, -1) outside 32x24 sensor",
+    ),
+    "negative-first-timestamp": ({"ts": {0: -5}}, FormatError, "record 0: negative timestamp -5"),
+    "regressing-timestamp": (
+        {"ts": {7321: 73199, 15000: 0}}, OrderingError,
+        "record 7321: timestamp 73199 < previous 73200",
+    ),
+    "polarity-before-bounds": (
+        {"ps": {9000: 0}, "xs": {7321: 32}}, FormatError,
+        "record 9000: polarity must be -1 or +1, got 0",
+    ),
+    "bounds-before-order": (
+        {"xs": {9000: 40}, "ys": {9000: 2}, "ts": {7321: 0}}, BoundsError,
+        "record 9000: pixel (40, 2) outside 32x24 sensor",
+    ),
+}
+
+
+class TestValidationDiagnostics:
+    @pytest.mark.parametrize("case", BAD_RECORDS, ids=list(BAD_RECORDS))
+    def test_first_bad_record_is_reported(self, case):
+        edits, error, message = BAD_RECORDS[case]
+        cols = dict(zip(("xs", "ys", "ps", "ts"), long_columns()))
+        for name, changes in edits.items():
+            for i, value in changes.items():
+                cols[name][i] = value
+        with pytest.raises(error) as info:
+            EventStream(32, 24, **cols)
+        assert str(info.value) == message
+
+    def test_evb_polarity_minus_128(self, tmp_path):
+        path = tmp_path / "ev.evb"
+        write_events(EventStream(32, 24, *long_columns()), path)
+        raw = bytearray(path.read_bytes())
+        for i in (7321, 15000):
+            raw[16 + 13 * i + 4] = 0x80  # the i8 polarity of record i
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as info:
+            read_events(path)
+        assert str(info.value) == f"{path}: record 7321: polarity must be -1 or +1, got -128"
+
+
 class TestCsvFormat:
     def test_example_record(self, tmp_path):
         p = tmp_path / "ev.csv"

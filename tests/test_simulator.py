@@ -33,6 +33,34 @@ def crossing_count_oracle(total_log_change, c):
     return math.floor(abs(total_log_change) / c)
 
 
+def reference_simulate(frames, c):
+    """The crossing model emitted in frame-pair order, then sorted by one global
+    stable argsort; also returns each sorted event's frame-pair index."""
+    width = frames[0].width
+    ref = np.log(frames[0].values).ravel()
+    log_prev = ref.copy()
+    chunks = []
+    for k, (prev, cur) in enumerate(zip(frames, frames[1:])):
+        log_cur = np.log(cur.values).ravel()
+        t_a, t_b = prev.timestamp_us, cur.timestamp_us
+        n_pos = np.maximum(np.floor((log_cur - ref) / c).astype(np.int64), 0)
+        n_neg = np.maximum(np.floor((ref - log_cur) / c).astype(np.int64), 0)
+        for counts, sign in ((n_pos, 1), (n_neg, -1)):
+            for pix in np.flatnonzero(counts):
+                for j in range(1, counts[pix] + 1):
+                    level = ref[pix] + sign * j * c
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        frac = (level - log_prev[pix]) / (log_cur[pix] - log_prev[pix])
+                    frac = np.clip(np.nan_to_num(frac, nan=1.0, posinf=1.0, neginf=1.0), 0.0, 1.0)
+                    t = int(np.rint(t_a + (t_b - t_a) * frac))
+                    chunks.append((pix % width, pix // width, sign, t, k))
+        ref = ref + (n_pos - n_neg) * c
+        log_prev = log_cur
+    cols = np.array(chunks, dtype=np.int64).reshape(-1, 5)
+    order = np.argsort(cols[:, 3], kind="stable")
+    return cols[order]
+
+
 class TestThresholdModel:
     def test_three_positive_crossings(self):
         frames = ramp_frames(np.full((1, 1), 0.35))
@@ -191,3 +219,32 @@ class TestPgmInput:
         stream = simulate(frames, SimConfig(0.1))
         per_pixel = math.floor(math.log(136 / 50) / 0.1)
         assert len(stream) == 4 * per_pixel
+
+
+class TestEventOrder:
+    @pytest.mark.parametrize(
+        "gaps",
+        [
+            [3, 3, 200, 3, 255],  # uint8 offsets
+            [3, 3, 50_000, 3, 50_000],  # uint16 offsets
+            [3, 3, 65_536, 3, 250_000],  # wider offsets
+        ],
+        ids=["uint8", "uint16", "wide"],
+    )
+    def test_matches_one_global_stable_sort(self, gaps):
+        rng = np.random.default_rng(16)
+        deltas = rng.uniform(-0.9, 0.9, (len(gaps), 6, 7))
+        times = np.concatenate([[1000], 1000 + np.cumsum(gaps)])
+        level = np.cumsum(np.concatenate([np.zeros((1, 6, 7)), deltas]), axis=0)
+        frames = [IntensityFrame(int(t), np.exp(v)) for t, v in zip(times, level)]
+        stream = simulate(frames, SimConfig(0.05))
+        expected = reference_simulate(frames, 0.05)
+        assert stream.xs.tolist() == expected[:, 0].tolist()
+        assert stream.ys.tolist() == expected[:, 1].tolist()
+        assert stream.ps.tolist() == expected[:, 2].tolist()
+        assert stream.ts.tolist() == expected[:, 3].tolist()
+        # the 3 us gaps round many crossings onto the shared frame time, so
+        # events of two frame pairs tie there
+        t_shared = times[1]
+        pairs = set(expected[expected[:, 3] == t_shared, 4].tolist())
+        assert pairs == {0, 1}

@@ -213,6 +213,22 @@ class TestTencode:
         sl = slice_sbt(stream, 800_000, 700_000)
         assert np.array_equal(encode_tencode(sl).values, tencode_oracle(sl))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from([-1, 1]), st.integers(0, 12)),
+            min_size=1,
+            max_size=120,
+        ),
+        window=st.integers(1, 14),
+    )
+    def test_matches_oracle_with_repeats_and_equal_timestamps(self, data, window):
+        # 12 pixels and 13 timestamps: most pixels fire many times, often at one timestamp
+        data.sort(key=lambda e: e[3])  # stable: equal timestamps keep their drawn order
+        xs, ys, ps, ts = zip(*data)
+        sl = slice_sbt(EventStream(4, 3, xs, ys, ps, ts), 12, window)
+        assert np.array_equal(encode_tencode(sl).values, tencode_oracle(sl))
+
     def test_channel_scheme_invariant(self):
         sl = slice_sbt(make_random_stream(np.random.default_rng(5)), 1_000_000, 1_000_000)
         v = encode_tencode(sl).values
