@@ -91,19 +91,17 @@ def _validate_arrays(width, height, xs, ys, ps, ts):
         raise FormatError("event arrays have mismatched lengths")
     if n == 0:
         return
-    bad = np.flatnonzero((ps != 1) & (ps != -1))
-    if bad.size:
-        raise FormatError(f"record {bad[0]}: polarity must be -1 or +1, got {ps[bad[0]]}")
-    bad = np.flatnonzero((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height))
-    if bad.size:
-        raise BoundsError(
-            f"record {bad[0]}: pixel ({xs[bad[0]]}, {ys[bad[0]]}) outside {width}x{height} sensor"
-        )
+    # each check is one reduction; only a failing one locates its first bad record
+    if not (np.abs(ps) == 1).all():  # abs(-128) is -128 in int8
+        i = np.flatnonzero((ps != 1) & (ps != -1))[0]
+        raise FormatError(f"record {i}: polarity must be -1 or +1, got {ps[i]}")
+    if xs.min() < 0 or xs.max() >= width or ys.min() < 0 or ys.max() >= height:
+        i = np.flatnonzero((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height))[0]
+        raise BoundsError(f"record {i}: pixel ({xs[i]}, {ys[i]}) outside {width}x{height} sensor")
     if ts[0] < 0:
         raise FormatError(f"record 0: negative timestamp {ts[0]}")
-    drops = np.flatnonzero(np.diff(ts) < 0)
-    if drops.size:
-        i = int(drops[0]) + 1
+    if (ts[1:] < ts[:-1]).any():
+        i = int(np.flatnonzero(ts[1:] < ts[:-1])[0]) + 1
         raise OrderingError(f"record {i}: timestamp {ts[i]} < previous {ts[i - 1]}")
 
 
@@ -363,11 +361,11 @@ def _read_evb(path: Path) -> EventStream:
             f"({expected} bytes) but file has {len(raw)} bytes"
         )
     rec = np.frombuffer(raw, dtype=_EVB_RECORD_DTYPE, count=count, offset=_EVB_HEADER.size)
-    ts = rec["t"]
-    if count and ts.max() > np.iinfo(np.int64).max:
+    if count and rec["t"].max() > np.iinfo(np.int64).max:
         raise FormatError(f"{path}: timestamp exceeds signed 64-bit range")
     try:
-        return EventStream(width, height, rec["x"], rec["y"], rec["p"], ts.astype(np.int64))
+        # EventStream's own copy converts u64 to i64, exact below the check above
+        return EventStream(width, height, rec["x"], rec["y"], rec["p"], rec["t"])
     except (FormatError, OrderingError, BoundsError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

@@ -103,6 +103,10 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
         if b <= a:
             raise OrderingError(f"frame timestamps must strictly increase: {a} then {b}")
 
+    # Below 2**53 us float64 holds every integer, so each interpolated time
+    # lies in its own frame pair's [t_a, t_b]; past it an event can round out
+    # of its pair, and only one global sort orders the stream.
+    sort_per_pair = times[-1] <= 2**53
     c = float(config.contrast_threshold)
     ref = np.log(frames[0].values).ravel()
     log_prev = ref.copy()
@@ -111,6 +115,7 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     for prev, cur in zip(frames, frames[1:]):
         log_cur = np.log(cur.values).ravel()
         t_a, t_b = prev.timestamp_us, cur.timestamp_us
+        pair_pix, pair_p, pair_t = [], [], []
 
         n_pos = np.floor((log_cur - ref) / c).astype(np.int64)
         np.maximum(n_pos, 0, out=n_pos)
@@ -132,10 +137,25 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
                 frac = (levels - log_prev[pix]) / denom
             # roundoff guard: a crossing can sit within eps of a frame value
             frac = np.clip(np.nan_to_num(frac, nan=1.0, posinf=1.0, neginf=1.0), 0.0, 1.0)
-            t_ev = np.rint(t_a + (t_b - t_a) * frac).astype(np.int64)
+            pair_pix.append(pix)
+            pair_p.append(np.full(total, sign, dtype=np.int8))
+            pair_t.append(np.rint(t_a + (t_b - t_a) * frac).astype(np.int64))
+
+        if pair_t:
+            pix = np.concatenate(pair_pix)
+            ps = np.concatenate(pair_p)
+            t_ev = np.concatenate(pair_t)
+            if sort_per_pair:
+                # earlier pairs win ties at t_b, so stable-sorting each pair
+                # on its own gives one global stable sort's order; the offset
+                # from t_a fits the smallest unsigned type holding t_b - t_a,
+                # and at <= 16 bits numpy's stable sort is a radix sort
+                key = (t_ev - t_a).astype(np.min_scalar_type(t_b - t_a))
+                order = np.argsort(key, kind="stable")
+                pix, ps, t_ev = pix[order], ps[order], t_ev[order]
             chunks_x.append((pix % width).astype(np.int32))
             chunks_y.append((pix // width).astype(np.int32))
-            chunks_p.append(np.full(total, sign, dtype=np.int8))
+            chunks_p.append(ps)
             chunks_t.append(t_ev)
 
         ref = ref + (n_pos - n_neg) * c
@@ -147,5 +167,7 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     ys = np.concatenate(chunks_y)
     ps = np.concatenate(chunks_p)
     ts = np.concatenate(chunks_t)
-    order = np.argsort(ts, kind="stable")
-    return EventStream(width, height, xs[order], ys[order], ps[order], ts[order])
+    if not sort_per_pair:
+        order = np.argsort(ts, kind="stable")
+        xs, ys, ps, ts = xs[order], ys[order], ps[order], ts[order]
+    return EventStream(width, height, xs, ys, ps, ts)

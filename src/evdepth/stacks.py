@@ -97,16 +97,20 @@ def encode_tencode(sl: EventSlice) -> EventStack:
     values = np.zeros((sl.height, sl.width, 3), dtype=np.float64)
     if len(sl):
         duration = _check_interval(sl)
-        flat = sl.ys.astype(np.int64) * sl.width + sl.xs
-        # last event per pixel: first occurrence in the reversed index array
-        lit, rev_idx = np.unique(flat[::-1], return_index=True)
-        last = len(sl) - 1 - rev_idx
+        flat = sl.ys.astype(np.intp) * sl.width + sl.xs
+        # index of the last event per pixel, -1 where none fired. ufunc.at
+        # applies every update; with fancy assignment numpy leaves undefined
+        # which of several writes to one pixel wins.
+        last_of = np.full(sl.height * sl.width, -1, dtype=np.intp)
+        np.maximum.at(last_of, flat, np.arange(len(sl)))
+        lit = np.flatnonzero(last_of >= 0)
+        last = last_of[lit]
         recency = (sl.t_end_us - sl.ts[last]).astype(np.float64) / duration
-        ys, xs = lit // sl.width, lit % sl.width
         pos = sl.ps[last] > 0
-        values[ys[pos], xs[pos], 0] = 1.0
-        values[ys, xs, 1] = recency
-        values[ys[~pos], xs[~pos], 2] = 1.0
+        pixels = values.reshape(-1, 3)
+        pixels[lit[pos], 0] = 1.0
+        pixels[lit, 1] = recency
+        pixels[lit[~pos], 2] = 1.0
     return EventStack(StackLayout.TENCODE, values, sl.t_start_us, sl.t_end_us)
 
 

@@ -153,11 +153,19 @@ BAD_RECORDS = {
         {"ps": {7321: 0, 15000: 2}}, FormatError, "record 7321: polarity must be -1 or +1, got 0"
     ),
     "x-equals-width": (
-        {"xs": {7321: 32, 15000: -1}, "ys": {7321: 5}}, BoundsError,
+        {"xs": {7321: 32, 15000: 40}, "ys": {7321: 5}}, BoundsError,
         "record 7321: pixel (32, 5) outside 32x24 sensor",
     ),
+    "x-minus-one": (
+        {"xs": {7321: -1, 15000: -9}, "ys": {7321: 5}}, BoundsError,
+        "record 7321: pixel (-1, 5) outside 32x24 sensor",
+    ),
+    "y-equals-height": (
+        {"xs": {7321: 3}, "ys": {7321: 24, 15000: 30}}, BoundsError,
+        "record 7321: pixel (3, 24) outside 32x24 sensor",
+    ),
     "y-minus-one": (
-        {"xs": {7321: 3}, "ys": {7321: -1, 15000: 24}}, BoundsError,
+        {"xs": {7321: 3}, "ys": {7321: -1, 15000: -7}}, BoundsError,
         "record 7321: pixel (3, -1) outside 32x24 sensor",
     ),
     "negative-first-timestamp": ({"ts": {0: -5}}, FormatError, "record 0: negative timestamp -5"),
@@ -262,6 +270,16 @@ class TestEvbFormat:
         p = tmp_path / "ev.evb"
         p.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(FormatError, match="magic"):
+            read_events(p)
+
+    def test_timestamp_range_edge(self, tmp_path):
+        p = tmp_path / "ev.evb"
+        write_events(EventStream(8, 8, [1, 2], [2, 3], [-1, 1], [77, 2**63 - 1]), p)
+        assert read_events(p).ts.tolist() == [77, 2**63 - 1]
+        raw = bytearray(p.read_bytes())
+        raw[16 + 13 + 5 :] = (2**63).to_bytes(8, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="exceeds signed 64-bit range"):
             read_events(p)
 
     def test_truncated_payload(self, tmp_path):

@@ -221,6 +221,22 @@ class TestPgmInput:
         assert len(stream) == 4 * per_pixel
 
 
+def pair_frames(gaps, t0=1000, seed=16):
+    """Frames ``gaps`` apart whose log intensity moves by up to 0.9 per pair."""
+    rng = np.random.default_rng(seed)
+    deltas = rng.uniform(-0.9, 0.9, (len(gaps), 6, 7))
+    times = [t0] + [t0 + int(g) for g in np.cumsum(gaps)]
+    level = np.cumsum(np.concatenate([np.zeros((1, 6, 7)), deltas]), axis=0)
+    return [IntensityFrame(t, np.exp(v)) for t, v in zip(times, level)]
+
+
+def assert_matches_reference(stream, expected):
+    assert stream.xs.tolist() == expected[:, 0].tolist()
+    assert stream.ys.tolist() == expected[:, 1].tolist()
+    assert stream.ps.tolist() == expected[:, 2].tolist()
+    assert stream.ts.tolist() == expected[:, 3].tolist()
+
+
 class TestEventOrder:
     @pytest.mark.parametrize(
         "gaps",
@@ -232,19 +248,18 @@ class TestEventOrder:
         ids=["uint8", "uint16", "wide"],
     )
     def test_matches_one_global_stable_sort(self, gaps):
-        rng = np.random.default_rng(16)
-        deltas = rng.uniform(-0.9, 0.9, (len(gaps), 6, 7))
-        times = np.concatenate([[1000], 1000 + np.cumsum(gaps)])
-        level = np.cumsum(np.concatenate([np.zeros((1, 6, 7)), deltas]), axis=0)
-        frames = [IntensityFrame(int(t), np.exp(v)) for t, v in zip(times, level)]
-        stream = simulate(frames, SimConfig(0.05))
+        frames = pair_frames(gaps)
         expected = reference_simulate(frames, 0.05)
-        assert stream.xs.tolist() == expected[:, 0].tolist()
-        assert stream.ys.tolist() == expected[:, 1].tolist()
-        assert stream.ps.tolist() == expected[:, 2].tolist()
-        assert stream.ts.tolist() == expected[:, 3].tolist()
+        assert_matches_reference(simulate(frames, SimConfig(0.05)), expected)
         # the 3 us gaps round many crossings onto the shared frame time, so
         # events of two frame pairs tie there
-        t_shared = times[1]
-        pairs = set(expected[expected[:, 3] == t_shared, 4].tolist())
-        assert pairs == {0, 1}
+        t_shared = frames[1].timestamp_us
+        assert set(expected[expected[:, 3] == t_shared, 4].tolist()) == {0, 1}
+
+    def test_matches_one_global_stable_sort_past_2_pow_53_us(self):
+        # float64 interpolation rounds events out of their frame pair here
+        frames = pair_frames([1000, 3, 1000], t0=2**62 + 12345, seed=3)
+        expected = reference_simulate(frames, 0.05)
+        t_a = np.array([f.timestamp_us for f in frames])[expected[:, 4]]
+        assert (expected[:, 3] < t_a).any()  # an event before its own pair
+        assert_matches_reference(simulate(frames, SimConfig(0.05)), expected)
