@@ -310,6 +310,7 @@ def cmd_fusion_run(args) -> int:
     else:
         params = make_model_params(seed=args.seed)
     if args.params_out:
+        Path(args.params_out).parent.mkdir(parents=True, exist_ok=True)
         save_model_params(params, args.params_out)
     depths = run_sequence(
         [values for _, values in stacks],

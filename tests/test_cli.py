@@ -267,6 +267,17 @@ class TestDatasetAndFusion:
         depth = read_pfm(files_a[0])
         assert depth.shape == (8, 8)  # finest stride of 32x32 input
 
+    def test_params_out_inside_a_fresh_out_dir(self, tmp_path, capsys):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / f"{0:012d}.pfm", np.full((32, 32, 3), 0.5, dtype=np.float32))
+        out = tmp_path / "run"
+        assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(out),
+                     "--seed", "2", "--params-out", str(out / "p.bin")]) == 0
+        loaded = load_model_params(out / "p.bin")
+        assert np.array_equal(loaded.head_weight, make_model_params(seed=2).head_weight)
+        assert (out / f"{0:012d}.depth.pfm").is_file()
+
     def test_voxel_export_runs_one_step_per_record(self, tmp_path, capsys):
         stream = make_random_stream(np.random.default_rng(5), width=32, height=16, n_events=3000)
         events = tmp_path / "events.evb"
