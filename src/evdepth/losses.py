@@ -15,7 +15,10 @@ scale-invariant term that is exact (the solve is at its own optimum); for
 the regularization term it is a deliberate approximation, so finite
 difference checks must also hold (s, t) fixed — pass ``affine=`` for that.
 The |.| subgradient at 0 is taken as 0. Masked-out pixels never influence
-values or gradients.
+values or gradients. A prediction or target that is not finite on the mask
+is a DomainError, since it would turn every value and gradient into nan.
+Each public call checks that once: calls made inside this module (and by
+``metrics.evaluate``) on arrays already checked pass ``_checked=True``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LOSS_DEFAULTS
-from .errors import ContractError, InsufficientSupportError, ParameterError
+from .errors import ContractError, DomainError, InsufficientSupportError, ParameterError
 
 _DEGENERATE_REL_TOL = 1e-12
 
@@ -68,7 +71,7 @@ class LossReport:
     empty_scales: tuple[int, ...] = ()
 
 
-def _check_pair(pred, target, mask):
+def _check_pair(pred, target, mask, finite=True):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 2:
@@ -81,16 +84,20 @@ def _check_pair(pred, target, mask):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != pred.shape:
             raise ContractError(f"mask shape {mask.shape} does not match {pred.shape}")
+    if finite:
+        for name, values in (("prediction", pred), ("target", target)):
+            if (mask & ~np.isfinite(values)).any():
+                raise DomainError(f"{name} must be finite on the valid mask")
     return pred, target, mask
 
 
-def lstsq_align(pred, target, mask=None) -> AffineParams:
+def lstsq_align(pred, target, mask=None, *, _checked=False) -> AffineParams:
     """Least-squares scale/shift of pred onto target over the valid pixels.
 
     A (numerically) constant prediction has no usable scale; the fallback is
     s = 1 with t the mean valid difference, flagged as degenerate.
     """
-    pred, target, mask = _check_pair(pred, target, mask)
+    pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
     m = int(mask.sum())
     if m < 2:
         raise InsufficientSupportError(f"alignment needs >= 2 valid pixels, got {m}")
@@ -112,17 +119,17 @@ def _resolve_affine(pred, target, mask, align, affine) -> AffineParams:
     if affine is not None:
         return affine
     if align:
-        return lstsq_align(pred, target, mask)
+        return lstsq_align(pred, target, mask, _checked=True)
     return IDENTITY_AFFINE
 
 
-def loss_si(pred, target, mask=None, *, align=True, affine=None) -> SiLoss:
+def loss_si(pred, target, mask=None, *, align=True, affine=None, _checked=False) -> SiLoss:
     """Scale-invariant loss: 1/(2|M|) * sum_M (s*pred + t - target)^2.
 
     ``align=False`` evaluates at s=1, t=0 (metric-depth use); an explicit
     ``affine`` overrides both.
     """
-    pred, target, mask = _check_pair(pred, target, mask)
+    pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
     m = int(mask.sum())
     if m < 2:
         raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
@@ -183,7 +190,14 @@ def _tv_term(values, mask):
 
 
 def loss_reg(
-    pred, target, mask=None, k_scales=LOSS_DEFAULTS.k_scales, *, align=True, affine=None
+    pred,
+    target,
+    mask=None,
+    k_scales=LOSS_DEFAULTS.k_scales,
+    *,
+    align=True,
+    affine=None,
+    _checked=False,
 ) -> RegLoss:
     """Multi-scale gradient regularization of the aligned residual.
 
@@ -193,7 +207,7 @@ def loss_reg(
     pixel count. Levels with no valid pixels contribute 0 and are reported
     in ``empty_scales``.
     """
-    pred, target, mask = _check_pair(pred, target, mask)
+    pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
     if k_scales < 1:
         raise ParameterError(f"k_scales must be >= 1, got {k_scales}")
     m = int(mask.sum())
@@ -239,8 +253,8 @@ def loss_total(
     """Combined loss l_si + lam * l_reg with a single shared alignment."""
     pred, target, mask = _check_pair(pred, target, mask)
     aff = _resolve_affine(pred, target, mask, align, affine)
-    si = loss_si(pred, target, mask, affine=aff)
-    reg = loss_reg(pred, target, mask, k_scales, affine=aff)
+    si = loss_si(pred, target, mask, affine=aff, _checked=True)
+    reg = loss_reg(pred, target, mask, k_scales, affine=aff, _checked=True)
     total = si.value + lam * reg.value
     grad = si.grad + lam * reg.grad
     report = LossReport(

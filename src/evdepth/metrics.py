@@ -7,6 +7,8 @@ Conventions fixed here because the usual write-ups leave them open:
   - Predictions are clamped (default [1e-3, inf)) before the log-domain
     metrics; alignment can push values non-positive.
   - Delta thresholds compare strictly (ratio < 1.25^n).
+  - A prediction that is not finite on the valid mask is a DomainError, as
+    is ground truth that is not finite and positive there.
 
 Each report can carry its pixel-level accumulators so a set of frames can be
 re-aggregated exactly as if all pixels had been evaluated at once.
@@ -116,11 +118,13 @@ def evaluate(
     g = gt[mask]
     if not np.all(np.isfinite(g)) or (g <= 0).any():
         raise DomainError("ground truth must be finite and > 0 on the valid mask")
+    if (mask & ~np.isfinite(pred)).any():
+        raise DomainError("prediction must be finite on the valid mask")
     lo, hi = clamp
     if not lo <= hi:
         raise ParameterError(f"clamp bounds out of order: {clamp}")
     if align:
-        aff = lstsq_align(pred, gt, mask)
+        aff = lstsq_align(pred, gt, mask, _checked=True)
         p = aff.scale * pred[mask] + aff.shift
     else:
         p = pred[mask].copy()

@@ -204,6 +204,16 @@ class TestAlignEvaluate:
         assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
         assert "f0.pgm.json" in capsys.readouterr().err
 
+    def test_non_finite_prediction_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        pred = read_pfm(pred_dir / "f1.pfm")
+        pred[4, 5] = np.nan
+        save_depth_pfm(pred_dir / "f1.pfm", pred)
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
+        assert "prediction must be finite" in capsys.readouterr().err
+        assert main(["align", "--pred", str(pred_dir / "f1.pfm"),
+                     "--target", str(gt_dir / "f1.pfm")]) == 2
+
     def test_report_files_written(self, tmp_path):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
         json_out = tmp_path / "r.json"

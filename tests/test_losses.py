@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_depth_pair
-from evdepth.errors import ContractError, InsufficientSupportError, ParameterError
+from evdepth import losses
+from evdepth.errors import ContractError, DomainError, InsufficientSupportError, ParameterError
 from evdepth.losses import (
     loss_reg,
     loss_si,
@@ -388,3 +389,50 @@ class TestLossTotal:
         mask = np.zeros((4, 4), dtype=bool)
         with pytest.raises(InsufficientSupportError):
             loss_total(np.ones((4, 4)), np.ones((4, 4)), mask)
+
+
+# --- non-finite inputs --------------------------------------------------------
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["prediction", "target"])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda p, t, m: loss_total(p, t, m),
+            lambda p, t, m: loss_total(p, t, m, affine=losses.IDENTITY_AFFINE),
+            lambda p, t, m: loss_si(p, t, m, align=False),
+            lambda p, t, m: loss_reg(p, t, m),
+            lambda p, t, m: lstsq_align(p, t, m),
+        ],
+        ids=["total", "total-fixed-affine", "si", "reg", "align"],
+    )
+    def test_non_finite_on_mask_is_domain_error(self, fn, which, bad):
+        pred, target, mask = make_depth_pair(np.random.default_rng(30), (8, 8))
+        y, x = np.argwhere(mask)[3]
+        (pred if which == "prediction" else target)[y, x] = bad
+        with pytest.raises(DomainError, match=f"{which} must be finite on the valid mask"):
+            fn(pred, target, mask)
+
+    def test_non_finite_off_mask_has_no_influence(self):
+        pred, target, mask = make_depth_pair(np.random.default_rng(31), (8, 8))
+        report, grad = loss_total(pred, target, mask)
+        y, x = np.argwhere(~mask)[0]
+        pred[y, x], target[y, x] = np.nan, np.inf
+        tampered, tampered_grad = loss_total(pred, target, mask)
+        assert tampered == report
+        assert np.array_equal(tampered_grad, grad)
+
+    def test_loss_total_checks_once(self, monkeypatch):
+        finite_flags = []
+        check = losses._check_pair
+
+        def spy(*args, finite=True):
+            finite_flags.append(finite)
+            return check(*args, finite)
+
+        monkeypatch.setattr(losses, "_check_pair", spy)
+        loss_total(*make_depth_pair(np.random.default_rng(32), (8, 8)))
+        # loss_total itself, then lstsq_align, loss_si and loss_reg unchecked
+        assert finite_flags == [True, False, False, False]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_depth_pair
+from evdepth import losses
 from evdepth.errors import ContractError, DomainError, InsufficientSupportError, ParameterError
 from evdepth.metrics import (
     MetricsReport,
@@ -79,6 +80,31 @@ class TestEvaluate:
         gt = np.array([[1.0, 0.0], [2.0, 3.0]])
         with pytest.raises(DomainError):
             evaluate(np.ones((2, 2)), gt)
+
+    @pytest.mark.parametrize("align", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_on_mask_is_domain_error(self, align, bad):
+        pred, gt, mask = make_depth_pair(np.random.default_rng(40), (8, 8))
+        y, x = np.argwhere(mask)[2]
+        pred[y, x] = bad
+        with pytest.raises(DomainError, match="prediction must be finite on the valid mask"):
+            evaluate(pred, gt, mask, align=align)
+
+    def test_non_finite_prediction_off_mask_has_no_influence(self, monkeypatch):
+        pred, gt, mask = make_depth_pair(np.random.default_rng(41), (8, 8))
+        base = evaluate(pred, gt, mask)
+        y, x = np.argwhere(~mask)[0]
+        pred[y, x] = np.nan
+        finite_flags = []
+        check = losses._check_pair
+
+        def spy(*args, finite=True):
+            finite_flags.append(finite)
+            return check(*args, finite)
+
+        monkeypatch.setattr(losses, "_check_pair", spy)
+        assert evaluate(pred, gt, mask) == base
+        assert finite_flags == [False]  # evaluate checked pred itself; alignment does not again
 
     def test_insufficient_support_with_align(self):
         mask = np.zeros((2, 2), dtype=bool)

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_random_stream
 from evdepth import pipeline
 from evdepth.cli import main
-from evdepth.errors import BuildError, ContractError, FormatError, ParameterError
+from evdepth.errors import BuildError, ContractError, DomainError, FormatError, ParameterError
 from evdepth.events import SliceMode, SliceSpec, read_events, slice_sbt, write_events
 from evdepth.imgio import load_depth, read_pfm, save_depth_pfm, save_mask_pgm, write_pgm
 from evdepth.pipeline import (
@@ -353,6 +353,17 @@ class TestTrainingStep:
         monkeypatch.setattr(pipeline, "load_mask_pgm", lambda p: reads.append(p) or load(p))
         training_step(record, np.ones((24, 32)), mode="combined")
         assert reads == [record.mask_path]
+
+    @pytest.mark.parametrize("mode", ["proxy", "gt", "combined"])
+    def test_non_finite_prediction_is_domain_error(self, tmp_path, mode):
+        events, frames, proxies, gt_dir, _ = build_scene(tmp_path, with_gt=True)
+        record = build_manifest(events, frames, proxies, gt_dir=gt_dir).records[0]
+        gt = load_depth(record.gt_path)
+        pred = np.random.default_rng(5).uniform(1, 10, (24, 32))
+        y, x = np.argwhere(gt > 0)[0]  # valid for the proxy and the ground truth
+        pred[y, x] = np.nan
+        with pytest.raises(DomainError, match="prediction must be finite"):
+            training_step(record, pred, mode=mode)
 
     def test_combined_requires_gt(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)
