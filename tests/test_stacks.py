@@ -216,7 +216,9 @@ class TestTencode:
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from([-1, 1]), st.integers(0, 12)),
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 2), st.sampled_from([-1, 1]), st.integers(0, 12)
+            ),
             min_size=1,
             max_size=120,
         ),
