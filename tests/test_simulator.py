@@ -34,8 +34,8 @@ def crossing_count_oracle(total_log_change, c):
 
 
 def reference_simulate(frames, c):
-    """The crossing model emitted in frame-pair order, then sorted by one global
-    stable argsort; also returns each sorted event's frame-pair index."""
+    """Rows (x, y, p, t, frame-pair index) of the crossing model, emitted in
+    frame-pair order and then sorted by one global stable argsort on t."""
     width = frames[0].width
     ref = np.log(frames[0].values).ravel()
     log_prev = ref.copy()
