@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import resource
 import statistics
 import sys
@@ -20,8 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
-from .errors import DomainError, EvDepthError, ParameterError
-from .events import EventSlice, SliceMode, SliceSpec, read_events, slice_events, write_events
+from .errors import DomainError, EvDepthError, FormatError, ParameterError
+from .events import SliceMode, SliceSpec, read_events, slice_events, slice_sbt, write_events
 from .fusion import (
     load_model_params,
     make_model_params,
@@ -31,8 +32,8 @@ from .fusion import (
 )
 from .imgio import depth_valid_mask, load_depth, load_mask_pgm, save_depth_pfm
 from .losses import lstsq_align
-from .metrics import aggregate, evaluate, write_reports_csv, write_reports_json
-from .pipeline import build_manifest, export_stacks, load_manifest, save_manifest
+from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
+from .pipeline import DEPTH_SUFFIXES, build_manifest, export_stacks, load_manifest, save_manifest
 from .simulator import SimConfig, frames_from_dir, simulate
 from .stacks import StackLayout, encode, load_stack_pfms, save_stack_pfm, save_stack_ppm
 
@@ -56,35 +57,26 @@ class _UsageError(Exception):
     """A flag combination the parser cannot reject on its own; exit code 1."""
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, str]:
     frames = frames_from_dir(args.frames)
     stream = simulate(frames, SimConfig(args.contrast))
     write_events(stream, args.out, fmt=args.format)
     n_pos = int((stream.ps > 0).sum())
-    if args.json:
-        _emit_json(
-            {
-                "frames": len(frames),
-                "n_events": len(stream),
-                "n_positive": n_pos,
-                "n_negative": len(stream) - n_pos,
-                "out": str(args.out),
-            }
-        )
-    else:
-        print(
-            f"simulated {len(stream)} events ({n_pos} positive, "
-            f"{len(stream) - n_pos} negative) from {len(frames)} frames -> {args.out}"
-        )
-    return EXIT_OK
+    payload = {
+        "frames": len(frames),
+        "n_events": len(stream),
+        "n_positive": n_pos,
+        "n_negative": len(stream) - n_pos,
+        "out": str(args.out),
+    }
+    return payload, (
+        f"simulated {len(stream)} events ({n_pos} positive, "
+        f"{len(stream) - n_pos} negative) from {len(frames)} frames -> {args.out}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +100,22 @@ def _slice_spec(args, mode: str | None = None) -> SliceSpec:
     return SliceSpec(SliceMode.SBT, window_us=window)
 
 
-def cmd_slice(args) -> int:
+def cmd_slice(args) -> tuple[dict, str]:
     if args.dt_us is None and args.count is None:
         raise _UsageError("slice needs --dt-us (SBT) or --count (SBN)")
     spec = _slice_spec(args)
     sl = slice_events(read_events(args.events), args.td_us, spec)
     write_events(sl.to_stream(), args.out, fmt=args.format)
-    if args.json:
-        _emit_json(
-            {
-                "n_events": len(sl),
-                "t_start_us": sl.t_start_us,
-                "t_end_us": sl.t_end_us,
-                "out": str(args.out),
-            }
-        )
-    else:
-        print(f"{len(sl)} events in [{sl.t_start_us}, {sl.t_end_us}] us -> {args.out}")
-    return EXIT_OK
+    payload = {
+        "n_events": len(sl),
+        "t_start_us": sl.t_start_us,
+        "t_end_us": sl.t_end_us,
+        "out": str(args.out),
+    }
+    return payload, f"{len(sl)} events in [{sl.t_start_us}, {sl.t_end_us}] us -> {args.out}"
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> tuple[dict, str]:
     spec = _slice_spec(args)
     sl = slice_events(read_events(args.events), args.td_us, spec)
     if len(sl) == 0:
@@ -141,50 +128,47 @@ def cmd_encode(args) -> int:
         written = save_stack_pfm(stack, out)
     else:
         raise _UsageError(f"output must end in .pfm or .ppm, got {out.name!r}")
-    if args.json:
-        _emit_json(
-            {
-                "layout": args.layout,
-                "n_events": len(sl),
-                "t_start_us": sl.t_start_us,
-                "t_end_us": sl.t_end_us,
-                "files": [str(p) for p in written],
-            }
-        )
-    else:
-        print(f"encoded {len(sl)} events as {args.layout} -> {', '.join(str(p) for p in written)}")
-    return EXIT_OK
+    files = [str(p) for p in written]
+    payload = {
+        "layout": args.layout,
+        "n_events": len(sl),
+        "t_start_us": sl.t_start_us,
+        "t_end_us": sl.t_end_us,
+        "files": files,
+    }
+    return payload, f"encoded {len(sl)} events as {args.layout} -> {', '.join(files)}"
 
 
 # ---------------------------------------------------------------------------
 # align / evaluate
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> tuple[dict, str]:
     pred = load_depth(args.pred)
     target = load_depth(args.target)
     mask = depth_valid_mask(target)
     if args.mask:
         mask &= load_mask_pgm(args.mask)
     affine = lstsq_align(pred, target, mask)
-    if args.json:
-        _emit_json(
-            {"scale": affine.scale, "shift": affine.shift, "degenerate": affine.degenerate}
-        )
-    else:
-        print(f"s={affine.scale:.12g} t={affine.shift:.12g} degenerate={affine.degenerate}")
-    return EXIT_OK
+    payload = {"scale": affine.scale, "shift": affine.shift, "degenerate": affine.degenerate}
+    return payload, f"s={affine.scale:.12g} t={affine.shift:.12g} degenerate={affine.degenerate}"
 
 
 def _depth_files(directory: Path) -> dict[str, Path]:
-    return {
-        p.stem: p
-        for p in sorted(directory.iterdir())
-        if p.suffix.lower() in (".pfm", ".pgm") and p.is_file()
-    }
+    """Depth files by stem; a stem with two depth suffixes is ambiguous."""
+    files = {}
+    for p in sorted(directory.iterdir()):
+        if p.suffix.lower() in DEPTH_SUFFIXES and p.is_file():
+            if p.stem in files:
+                raise ParameterError(
+                    f"ambiguous depth files for {p.stem!r} under {directory}: "
+                    f"{files[p.stem].name}, {p.name}"
+                )
+            files[p.stem] = p
+    return files
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple[dict, str]:
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     if not pred_dir.is_dir():
         raise FileNotFoundError(f"not a directory: {pred_dir}")
@@ -224,33 +208,20 @@ def cmd_evaluate(args) -> int:
         write_reports_json(args.json_out, frames, agg)
     if args.csv_out:
         write_reports_csv(args.csv_out, frames, agg)
-    if args.json:
-        _emit_json(
-            {
-                "frames": [{"frame": name, **r.to_dict()} for name, r in frames],
-                "aggregate": agg.to_dict(),
-            }
+    lines = [f"{'frame':<20} abs_rel  sq_rel    rmse  rmse_log  si_log  d1     d2     d3"]
+    for name, r in [*frames, ("aggregate", agg)]:
+        lines.append(
+            f"{name:<20} {r.abs_rel:7.4f} {r.sq_rel:7.4f} {r.rmse:7.4f}  "
+            f"{r.rmse_log:7.4f} {r.si_log:7.4f} {r.delta1:6.4f} {r.delta2:6.4f} {r.delta3:6.4f}"
         )
-    else:
-        header = f"{'frame':<20} abs_rel  sq_rel    rmse  rmse_log  si_log  d1     d2     d3"
-        print(header)
-        for name, r in frames:
-            print(
-                f"{name:<20} {r.abs_rel:7.4f} {r.sq_rel:7.4f} {r.rmse:7.4f}  "
-                f"{r.rmse_log:7.4f} {r.si_log:7.4f} {r.delta1:6.4f} {r.delta2:6.4f} {r.delta3:6.4f}"
-            )
-        print(
-            f"{'aggregate':<20} {agg.abs_rel:7.4f} {agg.sq_rel:7.4f} {agg.rmse:7.4f}  "
-            f"{agg.rmse_log:7.4f} {agg.si_log:7.4f} {agg.delta1:6.4f} {agg.delta2:6.4f} {agg.delta3:6.4f}"
-        )
-    return EXIT_OK
+    return reports_payload(frames, agg), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # dataset build / export
 
 
-def cmd_dataset_build(args) -> int:
+def cmd_dataset_build(args) -> tuple[dict, str]:
     spec = _slice_spec(args, args.mode)
     if args.bins is not None and args.layout != StackLayout.VOXEL.value:
         raise _UsageError("--bins needs --layout voxel")
@@ -272,33 +243,26 @@ def cmd_dataset_build(args) -> int:
     )
     save_manifest(manifest, args.out)
     n_empty = sum(r.empty_slice for r in manifest.records)
-    if args.json:
-        _emit_json(
-            {"records": len(manifest.records), "empty_slices": n_empty, "out": str(args.out)}
-        )
-    else:
-        print(
-            f"manifest with {len(manifest.records)} records "
-            f"({n_empty} empty slices) -> {args.out}"
-        )
-    return EXIT_OK
+    payload = {"records": len(manifest.records), "empty_slices": n_empty, "out": str(args.out)}
+    return payload, (
+        f"manifest with {len(manifest.records)} records ({n_empty} empty slices) -> {args.out}"
+    )
 
 
-def cmd_dataset_export(args) -> int:
+def cmd_dataset_export(args) -> tuple[dict, str]:
     manifest = load_manifest(args.manifest)
     written = export_stacks(manifest, args.out, fmt=args.format)
-    if args.json:
-        _emit_json({"files": [str(p) for p in written]})
-    else:
-        print(f"exported {len(written)} {manifest.encoder.layout.value} stacks -> {args.out}")
-    return EXIT_OK
+    return (
+        {"files": [str(p) for p in written]},
+        f"exported {len(written)} {manifest.encoder.layout.value} stacks -> {args.out}",
+    )
 
 
 # ---------------------------------------------------------------------------
 # fusion run
 
 
-def cmd_fusion_run(args) -> int:
+def cmd_fusion_run(args) -> tuple[dict, str]:
     stacks_dir = Path(args.stacks)
     if not stacks_dir.is_dir():
         raise FileNotFoundError(f"not a directory: {stacks_dir}")
@@ -324,37 +288,52 @@ def cmd_fusion_run(args) -> int:
         out_path = out_dir / f"{stem}.depth.pfm"
         save_depth_pfm(out_path, depth)
         written.append(out_path)
-    if args.json:
-        _emit_json({"steps": len(written), "seed": args.seed, "files": [str(p) for p in written]})
-    else:
-        print(f"ran {len(written)} steps (seed {args.seed}) -> {out_dir}")
-    return EXIT_OK
+    payload = {"steps": len(written), "seed": args.seed, "files": [str(p) for p in written]}
+    return payload, f"ran {len(written)} steps (seed {args.seed}) -> {out_dir}"
 
 
 # ---------------------------------------------------------------------------
 # bench
 
 
-def _full_stream_slice(stream) -> EventSlice:
-    if len(stream) == 0:
-        raise DomainError("cannot bench an empty stream")
-    t0, t1 = int(stream.ts[0]), int(stream.ts[-1])
-    if t1 <= t0:
-        raise DomainError("cannot bench a zero-duration stream")
-    return EventSlice(
-        stream.width, stream.height, stream.xs, stream.ys, stream.ps, stream.ts, t0, t1
-    )
+def _baseline_rates(path) -> dict[str, float]:
+    """events/s per layout of a bench JSON report; a malformed one is a FormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            report = json.load(fh)
+    except ValueError as exc:  # invalid JSON or non-ASCII bytes
+        raise FormatError(f"{path}: not a bench report: {exc}") from None
+    layouts = report.get("layouts", {}) if isinstance(report, dict) else None
+    if not isinstance(layouts, dict):
+        raise FormatError(f"{path}: not a bench report: no 'layouts' object")
+    rates = {}
+    for layout, entry in layouts.items():
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: not a bench report: layout {layout!r} is not an object")
+        rate = entry.get("events_per_s")
+        if rate is None:
+            continue
+        if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
+            raise FormatError(f"{path}: not a bench report: {layout!r} events_per_s {rate!r}")
+        rates[layout] = rate
+    return rates
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[dict, str]:
     layouts = _LAYOUTS if args.layouts == "all" else tuple(args.layouts.split(","))
     for layout in layouts:
         if layout not in _LAYOUTS:
             raise _UsageError(f"unknown layout {layout!r}; choose from {', '.join(_LAYOUTS)}")
     if args.repetitions < 1:
         raise _UsageError("--repetitions must be >= 1")
+    baseline = _baseline_rates(args.baseline) if args.baseline else None
     stream = read_events(args.events)
-    sl = _full_stream_slice(stream)
+    if len(stream) == 0:
+        raise DomainError("cannot bench an empty stream")
+    t0, t1 = int(stream.ts[0]), int(stream.ts[-1])
+    if t1 <= t0:
+        raise DomainError("cannot bench a zero-duration stream")
+    sl = slice_sbt(stream, t1, t1 - t0)
     results = {}
     for layout in layouts:
         times = []
@@ -387,21 +366,16 @@ def cmd_bench(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"bench over {len(stream)} events, {args.repetitions} repetition(s):")
+    lines = [f"bench over {len(stream)} events, {args.repetitions} repetition(s):"]
+    for layout, r in results.items():
+        lines.append(
+            f"  {layout:<10} median {r['median_s']:.3f} s   "
+            f"{r['events_per_s']:,.0f} events/s   hash {r['hash']}"
+        )
+    lines.append(f"  peak RSS ~ {peak_rss_kb / 1024:.0f} MiB")
+    if baseline is not None:
         for layout, r in results.items():
-            print(
-                f"  {layout:<10} median {r['median_s']:.3f} s   "
-                f"{r['events_per_s']:,.0f} events/s   hash {r['hash']}"
-            )
-        print(f"  peak RSS ~ {peak_rss_kb / 1024:.0f} MiB")
-    if args.baseline:
-        with open(args.baseline, "r", encoding="ascii") as fh:
-            baseline = json.load(fh)
-        for layout, r in results.items():
-            base = baseline.get("layouts", {}).get(layout, {}).get("events_per_s")
+            base = baseline.get(layout)
             if base is None:
                 print(f"baseline: no entry for {layout}", file=sys.stderr)
                 continue
@@ -414,7 +388,7 @@ def cmd_bench(args) -> int:
                 )
             elif ratio > 1.0 + args.tolerance:
                 print(f"improvement {layout}: {ratio:.2f}x baseline", file=sys.stderr)
-    return EXIT_OK
+    return payload, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contrast", required=True, type=float, help="log-intensity threshold C")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "evb"), default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     for name, func in (("slice", cmd_slice), ("encode", cmd_encode)):
@@ -440,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt-us", type=int, default=None, help="SBT window (us)")
         p.add_argument("--count", type=int, default=None, help="SBN event count")
         p.add_argument("--out", required=True)
-        p.add_argument("--json", action="store_true")
         if name == "slice":
             p.add_argument("--format", choices=("csv", "evb"), default=None)
         else:
@@ -452,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--mask", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("evaluate", help="depth metrics over paired directories")
@@ -465,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agg", choices=("uniform", "per-pixel"), default="uniform")
     p.add_argument("--json-out", default=None)
     p.add_argument("--csv-out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("dataset", help="distillation dataset tools")
@@ -487,14 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k-scales", type=int, default=LOSS_DEFAULTS.k_scales)
     b.add_argument("--drop-empty", action="store_true")
     b.add_argument("--out", required=True)
-    b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_dataset_build)
 
     e = dsub.add_parser("export", help="encode every manifest record to disk")
     e.add_argument("--manifest", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--format", choices=("pfm", "ppm"), default="pfm")
-    e.add_argument("--json", action="store_true")
     e.set_defaults(func=cmd_dataset_export)
 
     p = sub.add_parser("fusion", help="recurrent fusion tools")
@@ -506,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=FUSION_DEFAULTS.seed)
     r.add_argument("--params", default=None, help="load parameters (.bin archive)")
     r.add_argument("--params-out", default=None, help="save parameters (.bin archive)")
-    r.add_argument("--json", action="store_true")
     r.set_defaults(func=cmd_fusion_run)
 
     p = sub.add_parser("bench", help="encoder throughput report")
@@ -517,13 +484,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--baseline", default=None, help="JSON report to compare against")
     p.add_argument("--tolerance", type=float, default=0.2)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 
+    for group in (sub, dsub, fsub):
+        for leaf in group.choices.values():
+            if leaf.get_default("func") is not None:
+                leaf.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. A command returns
+    (payload, text); on success main prints the payload as JSON under --json,
+    else the text."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -533,7 +506,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        payload, text = args.func(args)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,10 @@ def _header_field(fh, path, what: str, parse=int):
 
 
 def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
+    # a header can claim more bytes than memory holds: ask a regular file for
+    # no more than it has left, so a lying header is a truncation, not a MemoryError
+    st = os.fstat(fh.fileno())
+    buf = fh.read(min(n, st.st_size - fh.tell()) if stat.S_ISREG(st.st_mode) else n)
     if len(buf) != n:
         raise FormatError(f"{path}: truncated raster, wanted {n} bytes, got {len(buf)}")
     return buf

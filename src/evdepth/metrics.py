@@ -191,14 +191,17 @@ def aggregate(reports, weights: str = "uniform") -> MetricsReport:
 # Report files
 
 
-def write_reports_json(path, frames, aggregate_report) -> None:
-    """``frames`` is a sequence of (name, MetricsReport) pairs."""
-    payload = {
+def reports_payload(frames, aggregate_report) -> dict:
+    """The JSON report: ``frames`` is a sequence of (name, MetricsReport) pairs."""
+    return {
         "frames": [{"frame": name, **r.to_dict()} for name, r in frames],
         "aggregate": aggregate_report.to_dict(),
     }
+
+
+def write_reports_json(path, frames, aggregate_report) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(reports_payload(frames, aggregate_report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -100,13 +100,16 @@ class DatasetManifest:
 
 
 def _find_by_stem(directory: Path | None, stem: str, suffixes) -> Path | None:
+    """The file ``stem + suffix`` under ``directory``; two suffixes are ambiguous."""
     if directory is None:
         return None
-    for suffix in suffixes:
-        candidate = directory / (stem + suffix)
-        if candidate.is_file():
-            return candidate
-    return None
+    found = [directory / (stem + s) for s in suffixes if (directory / (stem + s)).is_file()]
+    if len(found) > 1:
+        raise BuildError(
+            f"ambiguous depth files for {stem!r} under {directory}: "
+            + ", ".join(p.name for p in found)
+        )
+    return found[0] if found else None
 
 
 def _slice_record(

@@ -30,9 +30,16 @@ from .imgio import read_pgm
 from .naming import timestamped_files
 
 
+# simulate interpolates event times in float64, whose spacing just below 2**63
+# is 2**10: an event time can round up to one spacing past its frame pair's
+# end, and from the last frame time allowed here it still fits an int64.
+MAX_FRAME_TIME_US = 2**63 - 2**11
+
+
 @dataclass(frozen=True)
 class IntensityFrame:
-    """Linear-intensity raster (strictly positive) at an integer-us time."""
+    """Linear-intensity raster (strictly positive) at an integer time in
+    [0, MAX_FRAME_TIME_US] microseconds."""
 
     timestamp_us: int
     values: np.ndarray
@@ -41,10 +48,15 @@ class IntensityFrame:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ContractError(f"frame values must be (H, W), got {values.shape}")
-        if self.timestamp_us < 0:
-            raise ParameterError(f"frame timestamp must be >= 0, got {self.timestamp_us}")
+        t = self.timestamp_us
+        is_int = isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+        if not (is_int and 0 <= t <= MAX_FRAME_TIME_US):
+            raise ParameterError(
+                f"frame timestamp {t!r} is not an integer in [0, {MAX_FRAME_TIME_US}] us"
+            )
         if not np.all(np.isfinite(values)) or (values <= 0).any():
             raise DomainError("frame intensities must be finite and strictly positive")
+        object.__setattr__(self, "timestamp_us", int(t))
         object.__setattr__(self, "values", values)
 
     @property
@@ -74,7 +86,10 @@ def frame_from_pgm(path, timestamp_us: int) -> IntensityFrame:
     raster, maxval = read_pgm(path)
     if maxval > 255:
         raise FormatError(f"{path}: simulator frames must be 8-bit PGM, maxval {maxval}")
-    return IntensityFrame(timestamp_us, (raster.astype(np.float64) + 1.0) / 256.0)
+    try:
+        return IntensityFrame(timestamp_us, (raster.astype(np.float64) + 1.0) / 256.0)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def frames_from_dir(dirpath) -> list[IntensityFrame]:

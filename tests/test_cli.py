@@ -12,6 +12,7 @@ from evdepth.events import read_events, slice_sbt, write_events
 from evdepth.fusion import load_model_params, make_model_params, save_model_params
 from evdepth.imgio import read_pfm, save_depth_pfm, save_depth_pgm16, write_pfm, write_pgm
 from evdepth.naming import timestamped_files
+from evdepth.simulator import MAX_FRAME_TIME_US
 from evdepth.stacks import encode_tencode, save_stack_pfm
 
 MS = 1000
@@ -83,6 +84,16 @@ class TestSimulate:
         assert main(["simulate", "--frames", str(frames), "--contrast", "0.1",
                      "--out", str(tmp_path / "o.evb")]) == 2
         assert "timestamps.txt" in capsys.readouterr().err
+
+    def test_frame_time_past_bound_is_data_error(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        write_frames(frames, [(0, 90), (1000, 120)])
+        (frames / "timestamps.txt").write_text(
+            f"000000000.pgm,0\n000001000.pgm,{MAX_FRAME_TIME_US + 1}\n"
+        )
+        assert main(["simulate", "--frames", str(frames), "--contrast", "0.1",
+                     "--out", str(tmp_path / "o.evb")]) == 2
+        assert "000001000.pgm: frame timestamp" in capsys.readouterr().err
 
     def test_missing_dir_reports_path(self, tmp_path, capsys):
         missing = tmp_path / "nope"
@@ -214,6 +225,19 @@ class TestAlignEvaluate:
         assert main(["align", "--pred", str(pred_dir / "f1.pfm"),
                      "--target", str(gt_dir / "f1.pfm")]) == 2
 
+    def test_stem_with_pfm_and_pgm_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        save_depth_pgm16(gt_dir / "f1.pgm", np.full((10, 10), 4.0))
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--no-align"]) == 2
+        assert "ambiguous depth files for 'f1'" in capsys.readouterr().err
+
+    def test_raster_header_past_the_file_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        (pred_dir / "f2.pfm").write_bytes(b"Pf\n100000000 100000000\n-1.0\n" + bytes(400))
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
+        assert "truncated raster" in capsys.readouterr().err
+
     def test_report_files_written(self, tmp_path):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
         json_out = tmp_path / "r.json"
@@ -256,6 +280,14 @@ class TestDatasetAndFusion:
         assert main(["dataset", "export", "--manifest", str(manifest_path),
                      "--out", str(stacks_dir)]) == 0
         assert {p.name: p.read_bytes() for p in sorted(stacks_dir.glob("*.pfm"))} == first
+
+    def test_proxy_stem_with_pfm_and_pgm_is_data_error(self, tmp_path, events_file, capsys):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        save_depth_pgm16(proxies / f"{600 * MS:09d}.pgm", np.full((12, 16), 4.0))
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--out", str(tmp_path / "m.json")]) == 2
+        assert f"ambiguous depth files for '{600 * MS:09d}'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_fusion_run_deterministic(self, tmp_path, capsys):
         stacks_dir = tmp_path / "stacks"
@@ -381,6 +413,20 @@ class TestBench:
         assert main(["bench", "--events", str(events_file), "--layouts", "tencode",
                      "--repetitions", "1", "--baseline", str(baseline)]) == 0
         assert "REGRESSION" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["not json", "[1,2]", '{"layouts": [1]}', '{"layouts": {"tencode": 1}}',
+                 '{"layouts": {"tencode": {"events_per_s": "fast"}}}',
+                 '{"layouts": {"tencode": {"events_per_s": 0}}}'],
+        ids=["invalid-json", "list", "layouts-list", "entry-number", "rate-text", "rate-zero"],
+    )
+    def test_malformed_baseline_is_data_error(self, tmp_path, events_file, capsys, text):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(text)
+        assert main(["bench", "--events", str(events_file), "--layouts", "tencode",
+                     "--repetitions", "1", "--baseline", str(baseline)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {baseline}: not a bench report")
 
     def test_unknown_layout_is_usage_error(self, events_file):
         assert main(["bench", "--events", str(events_file), "--layouts", "hexgrid"]) == 1

@@ -158,4 +158,4 @@ def test_every_subcommand_takes_json(capsys, command):
     assert main(command + ["--help"]) == 0
     usage = capsys.readouterr().out.split("\n\n")[0]
     assert usage.startswith(f"usage: evdepth {' '.join(command)} ")
-    assert usage.split().count("[--json]") == 1
+    assert usage.split().count("[--json]") == 1 and usage.endswith("[--json]")

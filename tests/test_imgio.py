@@ -146,6 +146,20 @@ class TestRasterHeaderFields:
         with pytest.raises(FormatError, match="header"):
             reader(p)
 
+    @pytest.mark.parametrize(
+        "reader, header",
+        [(read_pfm, b"Pf\n100000000 100000000\n-1.0\n"),
+         (read_pgm, b"P5\n100000000 100000000\n255\n"),
+         (read_ppm, b"P6\n100000000 100000000\n255\n")],
+        ids=["pfm", "pgm", "ppm"],
+    )
+    def test_dims_past_the_file_are_truncation(self, tmp_path, reader, header):
+        # the raster would need petabytes: nothing that size may be allocated
+        p = tmp_path / "r.img"
+        p.write_bytes(header + bytes(64))
+        with pytest.raises(FormatError, match="truncated raster.* got 64$"):
+            reader(p)
+
 
 class TestDepthConventions:
     def test_depth_pfm_round_trip(self, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,14 @@ from evdepth.errors import (
     ParameterError,
 )
 from evdepth.imgio import write_pgm
-from evdepth.simulator import IntensityFrame, SimConfig, frame_from_pgm, frames_from_dir, simulate
+from evdepth.simulator import (
+    MAX_FRAME_TIME_US,
+    IntensityFrame,
+    SimConfig,
+    frame_from_pgm,
+    frames_from_dir,
+    simulate,
+)
 
 
 def ramp_frames(log_deltas, t_step=1000, base_log=0.0):
@@ -180,6 +189,41 @@ class TestSimulatorErrors:
     def test_bad_threshold(self):
         with pytest.raises(ParameterError):
             SimConfig(0.0)
+
+
+class TestFrameTimes:
+    @pytest.mark.parametrize(
+        "t", [0.0, 50000.0, True, -1, MAX_FRAME_TIME_US + 1, 2**64, "5"],
+        ids=["float-zero", "float", "bool", "negative", "past-bound", "2**64", "text"],
+    )
+    def test_rejected_naming_the_time(self, t):
+        with pytest.raises(ParameterError, match=f"frame timestamp {re.escape(repr(t))} "):
+            IntensityFrame(t, np.ones((2, 2)))
+
+    def test_numpy_integer_time_is_stored_as_int(self):
+        frame = IntensityFrame(np.uint64(7), np.ones((2, 2)))
+        assert frame.timestamp_us == 7 and type(frame.timestamp_us) is int
+
+    @pytest.mark.parametrize("t_a", [0, 2**62 + 1, MAX_FRAME_TIME_US - 1, MAX_FRAME_TIME_US - 3000])
+    def test_largest_time_simulates_without_overflow(self, t_a):
+        rng = np.random.default_rng(t_a % 1000)
+        frames = [
+            IntensityFrame(t_a, np.full((6, 7), 0.05)),
+            IntensityFrame(MAX_FRAME_TIME_US, np.exp(rng.uniform(-3, 3, (6, 7)))),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = simulate(frames, SimConfig(0.01))
+        assert len(stream) > 1000
+        # float64 rounding may move an event up to one spacing (2**10) off its pair
+        assert stream.ts.min() >= t_a - 2**10 and stream.ts.max() <= MAX_FRAME_TIME_US + 2**10
+
+    def test_index_time_past_bound_names_the_file(self, tmp_path):
+        write_pgm(tmp_path / "a.pgm", np.full((2, 2), 3, dtype=np.uint8))
+        write_pgm(tmp_path / "b.pgm", np.full((2, 2), 4, dtype=np.uint8))
+        (tmp_path / "timestamps.txt").write_text(f"a.pgm,0\nb.pgm,{MAX_FRAME_TIME_US + 1}\n")
+        with pytest.raises(ParameterError, match=r"b\.pgm: frame timestamp"):
+            frames_from_dir(tmp_path)
 
 
 class TestPgmInput:
