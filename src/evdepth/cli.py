@@ -252,10 +252,8 @@ def cmd_dataset_build(args) -> tuple[dict, str]:
 def cmd_dataset_export(args) -> tuple[dict, str]:
     manifest = load_manifest(args.manifest)
     written = export_stacks(manifest, args.out, fmt=args.format)
-    return (
-        {"files": [str(p) for p in written]},
-        f"exported {len(written)} {manifest.encoder.layout.value} stacks -> {args.out}",
-    )
+    payload = {"files": [str(p) for p in written]}
+    return payload, f"exported {len(written)} {manifest.encoder.layout.value} stacks -> {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +302,12 @@ def _baseline_rates(path) -> dict[str, float]:
     except ValueError as exc:  # invalid JSON or non-ASCII bytes
         raise FormatError(f"{path}: not a bench report: {exc}") from None
     layouts = report.get("layouts", {}) if isinstance(report, dict) else None
-    if not isinstance(layouts, dict):
-        raise FormatError(f"{path}: not a bench report: no 'layouts' object")
-    rates = {}
-    for layout, entry in layouts.items():
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: not a bench report: layout {layout!r} is not an object")
-        rate = entry.get("events_per_s")
-        if rate is None:
-            continue
+    if not isinstance(layouts, dict) or not all(isinstance(e, dict) for e in layouts.values()):
+        raise FormatError(f"{path}: not a bench report: 'layouts' must map names to objects")
+    rates = {k: e["events_per_s"] for k, e in layouts.items() if e.get("events_per_s") is not None}
+    for layout, rate in rates.items():
         if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
             raise FormatError(f"{path}: not a bench report: {layout!r} events_per_s {rate!r}")
-        rates[layout] = rate
     return rates
 
 

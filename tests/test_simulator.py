@@ -218,13 +218,6 @@ class TestFrameTimes:
         # float64 rounding may move an event up to one spacing (2**10) off its pair
         assert stream.ts.min() >= t_a - 2**10 and stream.ts.max() <= MAX_FRAME_TIME_US + 2**10
 
-    def test_index_time_past_bound_names_the_file(self, tmp_path):
-        write_pgm(tmp_path / "a.pgm", np.full((2, 2), 3, dtype=np.uint8))
-        write_pgm(tmp_path / "b.pgm", np.full((2, 2), 4, dtype=np.uint8))
-        (tmp_path / "timestamps.txt").write_text(f"a.pgm,0\nb.pgm,{MAX_FRAME_TIME_US + 1}\n")
-        with pytest.raises(ParameterError, match=r"b\.pgm: frame timestamp"):
-            frames_from_dir(tmp_path)
-
 
 class TestPgmInput:
     def test_value_mapping_keeps_positivity(self, tmp_path):
