@@ -112,37 +112,56 @@ def evaluate(
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != pred.shape:
             raise ContractError(f"mask shape {mask.shape} does not match {pred.shape}")
-    n = int(mask.sum())
+    n = int(np.count_nonzero(mask))
     if n < 1 or (align and n < 2):
         raise InsufficientSupportError(f"evaluation needs {2 if align else 1}+ valid pixels, got {n}")
-    g = gt[mask]
-    if not np.all(np.isfinite(g)) or (g <= 0).any():
+    ok = np.isfinite(gt)
+    ok &= gt > 0
+    if not np.less_equal(mask, ok, out=ok).all():  # valid implies finite and > 0
         raise DomainError("ground truth must be finite and > 0 on the valid mask")
-    if (mask & ~np.isfinite(pred)).any():
+    np.isfinite(pred, out=ok)
+    if not np.less_equal(mask, ok, out=ok).all():
         raise DomainError("prediction must be finite on the valid mask")
+    del ok
     lo, hi = clamp
     if not lo <= hi:
         raise ParameterError(f"clamp bounds out of order: {clamp}")
-    if align:
-        aff = lstsq_align(pred, gt, mask, _checked=True)
-        p = aff.scale * pred[mask] + aff.shift
-    else:
-        p = pred[mask].copy()
-    p = np.clip(p, lo, hi)
+    aff = lstsq_align(pred, gt, mask, _checked=True) if align else None
+    p = pred[mask]
+    g = gt[mask]
+    if aff is not None:
+        p *= aff.scale
+        p += aff.shift
+    np.clip(p, lo, hi, out=p)
 
-    err = p - g
-    d = np.log(p) - np.log(g)
-    ratio = np.maximum(p / g, g / p)
+    # One scratch vector serves every per-pixel term (err is recomputed rather
+    # than kept); each sum is still over the gathered valid pixels, in order.
+    buf = np.subtract(p, g)
+    np.abs(buf, out=buf)
+    sum_abs_rel = float(np.divide(buf, g, out=buf).sum())
+    np.subtract(p, g, out=buf)
+    sum_sq_err = float(np.multiply(buf, buf, out=buf).sum())
+    sum_sq_rel = float(np.divide(buf, g, out=buf).sum())
+    # ratio = max(p/g, g/p) < t  <=>  p/g < t and g/p < t
+    np.divide(p, g, out=buf)
+    within = [buf < 1.25**k for k in (1, 2, 3)]
+    np.divide(g, p, out=buf)
+    n_delta = [int(np.count_nonzero(np.logical_and(w, buf < 1.25**k, out=w)))
+               for k, w in zip((1, 2, 3), within)]
+    np.log(g, out=buf)
+    d = np.subtract(np.log(p, out=p), buf, out=p)
+    sum_log_diff = float(d.sum())
+    sum_sq_log_diff = float(np.multiply(d, d, out=buf).sum())
     pool = PixelPool(
         n=n,
-        sum_abs_rel=float((np.abs(err) / g).sum()),
-        sum_sq_rel=float((err * err / g).sum()),
-        sum_sq_err=float((err * err).sum()),
-        sum_log_diff=float(d.sum()),
-        sum_sq_log_diff=float((d * d).sum()),
-        n_delta1=int((ratio < 1.25).sum()),
-        n_delta2=int((ratio < 1.25**2).sum()),
-        n_delta3=int((ratio < 1.25**3).sum()),
+        sum_abs_rel=sum_abs_rel,
+        sum_sq_rel=sum_sq_rel,
+        sum_sq_err=sum_sq_err,
+        sum_log_diff=sum_log_diff,
+        sum_sq_log_diff=sum_sq_log_diff,
+        n_delta1=n_delta[0],
+        n_delta2=n_delta[1],
+        n_delta3=n_delta[2],
     )
     return _report_from_pool(pool, aligned=bool(align))
 

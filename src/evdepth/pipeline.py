@@ -322,21 +322,29 @@ def training_step(
         )
     proxy_report = gt_report = None
     total = 0.0
-    grad = np.zeros(pred.shape, dtype=np.float64)
+    grads = []
     mask = _record_mask(record, pred.shape)
     if mode in ("proxy", "combined"):
         proxy = _load_target(record.proxy_path, record, "proxy")
         proxy_report, proxy_grad = loss_total(pred, proxy, mask, lam, k_scales)
+        del proxy  # not needed while the ground-truth loss runs
         total += proxy_report.total
-        grad += proxy_grad
+        grads.append(proxy_grad)
     if mode in ("gt", "combined"):
         if record.gt_path is None:
             raise ParameterError(f"record t_d={record.t_d_us} has no ground-truth target")
         gt = _load_target(record.gt_path, record, "ground-truth")
         gt_mask = depth_valid_mask(gt) & mask
         gt_report, gt_grad = loss_total(pred, gt, gt_mask, lam, k_scales)
+        del gt, gt_mask
         total += gt_report.total
-        grad += gt_grad
+        grads.append(gt_grad)
+    # 0.0 + g1 (+ g2), summed in g1's array: as from a zero-filled start, a
+    # -0.0 in g1 comes out +0.0
+    grad = grads[0]
+    grad += 0.0
+    for g in grads[1:]:
+        grad += g
     return TrainingStep(proxy_report, gt_report, total, grad)
 
 

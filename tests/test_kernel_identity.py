@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdepth import losses, metrics
+from evdepth import losses, metrics, pipeline
 from evdepth.errors import InsufficientSupportError
 from evdepth.imgio import save_depth_pfm, save_depth_pgm16, save_mask_pgm
 from evdepth.losses import AffineParams, loss_reg, loss_si, loss_total, lstsq_align
@@ -229,10 +229,13 @@ class TestPyramidHelpers:
         _, _, counts = losses._downsample_masked(values, mask)
         _, _, ref_counts = ref_downsample_masked(values, mask)
         grad_coarse = _with_zeros(rng, rng.standard_normal(ref_counts.shape))
-        out = losses._upsample_adjoint(grad_coarse.copy(), counts, mask)
-        ref = ref_upsample_adjoint(grad_coarse, ref_counts, mask)
-        assert out.shape == ref.shape
-        assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
+        grad_fine = _with_zeros(rng, rng.standard_normal((h, w)))
+        grad_fine[~mask] = 0.0  # a level gradient, as _tv_term returns it
+        out = grad_fine.copy()
+        losses._add_upsample_adjoint(out, grad_coarse.copy(), counts)
+        ref = ref_upsample_adjoint(grad_coarse, ref_counts, mask) + grad_fine
+        # off the mask the sum is left for loss_reg to zero
+        assert np.where(mask, out, 0.0).tobytes() == ref.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(h=dims, w=dims, kind=mask_kinds, seed=seeds)
@@ -392,18 +395,53 @@ class TestInputsUntouched:
     def test_training_step(self, tmp_path):
         pred, target, mask = self._inputs()
         pred[~mask] = 5.0
-        save_depth_pfm(tmp_path / "p.pfm", target)
-        save_depth_pgm16(tmp_path / "g.pgm", np.where(mask, target, 0.0))
-        save_mask_pgm(tmp_path / "m.pgm", mask)
-        record = SampleRecord(
-            t_d_us=1, events_path="", t_start_us=0, t_end_us=1,
-            proxy_path=str(tmp_path / "p.pfm"), gt_path=str(tmp_path / "g.pgm"),
-            mask_path=str(tmp_path / "m.pgm"), width=pred.shape[1], height=pred.shape[0],
-            empty_slice=False,
-        )
+        record = _record(tmp_path, target, mask)
         before = _frozen(pred)
         step = training_step(record, pred, mode="combined")
         again = training_step(record, pred, mode="combined")
         assert _frozen(pred) == before
         assert step.grad.tobytes() == again.grad.tobytes()
         _assert_no_alias([step.grad, again.grad], [pred])
+
+
+def _record(tmp_path, target, mask):
+    """A record whose proxy is ``target`` and whose ground truth is ``target``
+    on ``mask`` (0, invalid, elsewhere)."""
+    save_depth_pfm(tmp_path / "p.pfm", target)
+    save_depth_pgm16(tmp_path / "g.pgm", np.where(mask, target, 0.0))
+    save_mask_pgm(tmp_path / "m.pgm", mask)
+    return SampleRecord(
+        t_d_us=1, events_path="", t_start_us=0, t_end_us=1,
+        proxy_path=str(tmp_path / "p.pfm"), gt_path=str(tmp_path / "g.pgm"),
+        mask_path=str(tmp_path / "m.pgm"), width=target.shape[1], height=target.shape[0],
+        empty_slice=False,
+    )
+
+
+class TestTrainingStepSum:
+    @pytest.mark.parametrize("mode", ["proxy", "gt", "combined"])
+    def test_gradient_is_the_sum_from_zero(self, tmp_path, monkeypatch, mode):
+        """The step gradient is 0.0 + g_proxy (+ g_gt) in float64 bytes: a
+        -0.0 in a term's gradient comes out as +0.0, as it did when the sum
+        was accumulated into a zero-filled array."""
+        rng = np.random.default_rng(9)
+        target = rng.uniform(1.0, 10.0, (12, 14))
+        mask = rng.random(target.shape) < 0.8
+        record = _record(tmp_path, target, mask)
+        pred = rng.uniform(1.0, 10.0, target.shape)
+        loss = pipeline.loss_total
+        terms = []
+
+        def signed_zeros(*args, **kwargs):
+            report, grad = loss(*args, **kwargs)
+            grad[::3, ::2] = -0.0
+            terms.append(grad.copy())
+            return report, grad
+
+        monkeypatch.setattr(pipeline, "loss_total", signed_zeros)
+        step = training_step(record, pred, mode=mode)
+        expected = np.zeros(target.shape)
+        for g in terms:
+            expected += g
+        assert len(terms) == (2 if mode == "combined" else 1)
+        assert step.grad.tobytes() == expected.tobytes()
