@@ -33,7 +33,15 @@ from .fusion import (
 from .imgio import depth_valid_mask, load_depth, load_mask_pgm, save_depth_pfm
 from .losses import lstsq_align
 from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
-from .pipeline import DEPTH_SUFFIXES, build_manifest, export_stacks, load_manifest, save_manifest
+from .naming import files_by_stem
+from .pipeline import (
+    DEPTH_SUFFIXES,
+    MASK_SUFFIXES,
+    build_manifest,
+    export_stacks,
+    load_manifest,
+    save_manifest,
+)
 from .simulator import SimConfig, frames_from_dir, simulate
 from .stacks import StackLayout, encode, load_stack_pfms, save_stack_pfm, save_stack_ppm
 
@@ -154,28 +162,14 @@ def cmd_align(args) -> tuple[dict, str]:
     return payload, f"s={affine.scale:.12g} t={affine.shift:.12g} degenerate={affine.degenerate}"
 
 
-def _depth_files(directory: Path) -> dict[str, Path]:
-    """Depth files by stem; a stem with two depth suffixes is ambiguous."""
-    files = {}
-    for p in sorted(directory.iterdir()):
-        if p.suffix.lower() in DEPTH_SUFFIXES and p.is_file():
-            if p.stem in files:
-                raise ParameterError(
-                    f"ambiguous depth files for {p.stem!r} under {directory}: "
-                    f"{files[p.stem].name}, {p.name}"
-                )
-            files[p.stem] = p
-    return files
-
-
 def cmd_evaluate(args) -> tuple[dict, str]:
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     if not pred_dir.is_dir():
         raise FileNotFoundError(f"not a directory: {pred_dir}")
     if not gt_dir.is_dir():
         raise FileNotFoundError(f"not a directory: {gt_dir}")
-    preds = _depth_files(pred_dir)
-    gts = _depth_files(gt_dir)
+    preds = files_by_stem(pred_dir, DEPTH_SUFFIXES, "depth")
+    gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth")
     only_pred = sorted(set(preds) - set(gts))
     only_gt = sorted(set(gts) - set(preds))
     if only_pred or only_gt:
@@ -186,6 +180,7 @@ def cmd_evaluate(args) -> tuple[dict, str]:
     if not preds:
         raise ParameterError(f"no depth files under {pred_dir}")
     mask_dir = Path(args.mask_dir) if args.mask_dir else None
+    masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
     clamp = (args.clamp_min, args.clamp_max)
     align = not args.no_align
 
@@ -193,11 +188,10 @@ def cmd_evaluate(args) -> tuple[dict, str]:
         pred = load_depth(preds[stem])
         gt = load_depth(gts[stem])
         mask = depth_valid_mask(gt)
-        if mask_dir is not None:
-            mask_path = mask_dir / f"{stem}.pgm"
-            if not mask_path.is_file():
-                raise FileNotFoundError(f"missing mask for frame {stem!r}: {mask_path}")
-            mask &= load_mask_pgm(mask_path)
+        if masks is not None:
+            if stem not in masks:
+                raise FileNotFoundError(f"missing mask for frame {stem!r}: {mask_dir / stem}.pgm")
+            mask &= load_mask_pgm(masks[stem])
         return stem, evaluate(pred, gt, mask, align=align, clamp=clamp)
 
     stems = sorted(preds)

@@ -4,6 +4,9 @@ Frame-like files are named by their acquisition time in zero-padded
 microseconds (``000050000.pgm``). A directory may instead carry a
 ``timestamps.txt`` index with one ``<filename>,<t_us>`` line per file,
 which takes precedence over stem parsing.
+
+Files that pair with a frame (proxy labels, ground truth, masks) share its
+stem; their suffix matches in any letter case.
 """
 
 from __future__ import annotations
@@ -65,3 +68,25 @@ def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Pat
         if ta == tb:
             raise BuildError(f"duplicate frame timestamp {ta} us: {pa.name}, {pb.name}")
     return out
+
+
+def files_by_stem(dirpath, suffixes: tuple[str, ...], kind: str) -> dict[str, Path]:
+    """The files under ``dirpath`` whose suffix is one of ``suffixes`` in any
+    letter case, keyed by stem; a missing directory holds none.
+
+    A stem found twice (``a.pfm`` with ``a.pgm``, or with ``a.PFM``) is
+    ambiguous; ``kind`` names the files in that error.
+    """
+    dirpath = Path(dirpath)
+    if not dirpath.is_dir():
+        return {}
+    files: dict[str, Path] = {}
+    for p in sorted(dirpath.iterdir()):
+        if p.suffix.lower() in suffixes and p.is_file():
+            if p.stem in files:
+                raise BuildError(
+                    f"ambiguous {kind} files for {p.stem!r} under {dirpath}: "
+                    f"{files[p.stem].name}, {p.name}"
+                )
+            files[p.stem] = p
+    return files

@@ -25,12 +25,13 @@ from .errors import BuildError, ContractError, FormatError, ParameterError
 from .events import EventSlice, EventStream, SliceMode, SliceSpec, read_events, slice_sbn, slice_sbt
 from .imgio import depth_valid_mask, load_depth, load_mask_pgm
 from .losses import LossReport, loss_total
-from .naming import timestamped_files
+from .naming import files_by_stem, timestamped_files
 from .stacks import StackLayout, encode, save_stack_pfm, save_stack_ppm
 
 MANIFEST_VERSION = 1
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pfm", ".png", ".jpg")
 DEPTH_SUFFIXES = (".pfm", ".pgm")
+MASK_SUFFIXES = (".pgm",)
 
 
 @dataclass(frozen=True)
@@ -99,19 +100,6 @@ class DatasetManifest:
     records: tuple[SampleRecord, ...]
 
 
-def _find_by_stem(directory: Path | None, stem: str, suffixes) -> Path | None:
-    """The file ``stem + suffix`` under ``directory``; two suffixes are ambiguous."""
-    if directory is None:
-        return None
-    found = [directory / (stem + s) for s in suffixes if (directory / (stem + s)).is_file()]
-    if len(found) > 1:
-        raise BuildError(
-            f"ambiguous depth files for {stem!r} under {directory}: "
-            + ", ".join(p.name for p in found)
-        )
-    return found[0] if found else None
-
-
 def _slice_record(
     stream: EventStream, t_d: int, slicing: SliceSpec, record: SampleRecord | None = None
 ) -> EventSlice:
@@ -155,30 +143,31 @@ def build_manifest(
     encoder = _encoder_spec(layout, mode, window_us if mode == "sbt" else None, count, bins)
 
     events_path = Path(events_path).resolve()
-    proxy_dir = Path(proxy_dir)
-    gt_dir = Path(gt_dir) if gt_dir else None
-    mask_dir = Path(mask_dir) if mask_dir else None
     stream = read_events(events_path)
     frames = timestamped_files(frames_dir, suffixes=FRAME_SUFFIXES)
     if not frames:
         raise BuildError(f"no frames found under {frames_dir}")
+    # each directory is listed once; a frame's files share its stem
+    proxies = files_by_stem(proxy_dir, DEPTH_SUFFIXES, "depth")
+    gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth") if gt_dir else {}
+    masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
 
     records = []
     missing = []
     for t_d, frame_path in frames:
         stem = frame_path.stem
-        proxy = _find_by_stem(proxy_dir, stem, DEPTH_SUFFIXES)
+        proxy = proxies.get(stem)
         if proxy is None:
             missing.append(f"{stem} (t_d={t_d})")
             continue
         mask_path = None
-        if mask_dir is not None:
-            mask = _find_by_stem(mask_dir, stem, (".pgm",))
+        if masks is not None:
+            mask = masks.get(stem)
             if mask is None:
                 missing.append(f"{stem} (t_d={t_d}, mask)")
                 continue
             mask_path = str(mask.resolve())
-        gt = _find_by_stem(gt_dir, stem, DEPTH_SUFFIXES)
+        gt = gts.get(stem)
         sl = _slice_record(stream, t_d, encoder.slicing)
         records.append(
             SampleRecord(

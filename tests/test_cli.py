@@ -232,6 +232,26 @@ class TestAlignEvaluate:
                      "--no-align"]) == 2
         assert "ambiguous depth files for 'f1'" in capsys.readouterr().err
 
+    def test_stem_with_pfm_and_upper_case_pfm_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        save_depth_pfm(gt_dir / "f1.PFM", np.full((10, 10), 4.0))
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--no-align"]) == 2
+        assert "ambiguous depth files for 'f1' under" in capsys.readouterr().err
+
+    def test_upper_case_suffixes_are_read(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        (pred_dir / "f1.pfm").rename(pred_dir / "f1.PFM")
+        mask_dir = tmp_path / "masks"
+        mask_dir.mkdir()
+        for k in range(3):
+            write_pgm(mask_dir / f"f{k}.{'PGM' if k == 2 else 'pgm'}", np.full((10, 10), 255))
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--mask-dir", str(mask_dir), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["frame"] for f in payload["frames"]] == ["f0", "f1", "f2"]
+        assert payload["aggregate"]["n_valid"] == 300
+
     def test_raster_header_past_the_file_is_data_error(self, tmp_path, capsys):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
         (pred_dir / "f2.pfm").write_bytes(b"Pf\n100000000 100000000\n-1.0\n" + bytes(400))
@@ -280,6 +300,33 @@ class TestDatasetAndFusion:
         assert main(["dataset", "export", "--manifest", str(manifest_path),
                      "--out", str(stacks_dir)]) == 0
         assert {p.name: p.read_bytes() for p in sorted(stacks_dir.glob("*.pfm"))} == first
+
+    def test_upper_case_proxy_and_mask_suffixes_build(self, tmp_path, events_file, capsys):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        masks = tmp_path / "masks"
+        masks.mkdir()
+        for t_ms in (300, 600, 900):
+            stem = f"{t_ms * MS:09d}"
+            write_pgm(masks / f"{stem}.PGM", np.full((12, 16), 255))
+        stem = f"{600 * MS:09d}"
+        (proxies / f"{stem}.pfm").rename(proxies / f"{stem}.PFM")
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--mask", str(masks),
+                     "--out", str(manifest_path)]) == 0
+        records = json.loads(manifest_path.read_text())["records"]
+        assert [r["proxy_path"].endswith(".PFM") for r in records] == [False, True, False]
+        assert all(r["mask_path"].endswith(".PGM") for r in records)
+
+    def test_proxy_stem_with_pfm_and_upper_case_pfm_is_data_error(
+        self, tmp_path, events_file, capsys
+    ):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        save_depth_pfm(proxies / f"{600 * MS:09d}.PFM", np.full((12, 16), 4.0))
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--out", str(tmp_path / "m.json")]) == 2
+        assert f"ambiguous depth files for '{600 * MS:09d}'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_proxy_stem_with_pfm_and_pgm_is_data_error(self, tmp_path, events_file, capsys):
         frames, proxies = self._build_dataset(tmp_path, events_file)
