@@ -20,13 +20,13 @@ is a DomainError, since it would turn every value and gradient into nan.
 Each public call checks that once: calls made inside this module (and by
 ``metrics.evaluate``) on arrays already checked pass ``_checked=True``.
 
-The kernels work in place on arrays they allocated themselves, never on an
-argument, and hold nothing between calls. Every value and gradient is the
-same float64, bit for bit, as the plain expressions of the definitions
-above: each sum still runs over the gathered valid pixels in row-major
-order. Internally, the pyramid helpers (``_downsample_masked``,
-``_add_upsample_adjoint``, ``_tv_term``) expect level values that are
-finite and +0.0 off the level's mask; ``loss_reg`` builds its residual so.
+The kernels work in place on arrays they allocate, never on an argument,
+and keep nothing between calls. Each sum runs over the gathered valid pixels
+in row-major order, so values and gradients are bit for bit those of the
+plain expressions of the definitions (``tests/test_kernel_identity.py``
+keeps reference copies). The pyramid helpers (``_downsample_masked``,
+``_add_upsample_adjoint``, ``_tv_term``) expect level values that are finite
+and +0.0 off the level's mask; ``loss_reg`` builds its residual so.
 """
 
 from __future__ import annotations

@@ -122,7 +122,6 @@ def evaluate(
     np.isfinite(pred, out=ok)
     if not np.less_equal(mask, ok, out=ok).all():
         raise DomainError("prediction must be finite on the valid mask")
-    del ok
     lo, hi = clamp
     if not lo <= hi:
         raise ParameterError(f"clamp bounds out of order: {clamp}")

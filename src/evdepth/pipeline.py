@@ -325,7 +325,7 @@ def training_step(
         gt = _load_target(record.gt_path, record, "ground-truth")
         gt_mask = depth_valid_mask(gt) & mask
         gt_report, gt_grad = loss_total(pred, gt, gt_mask, lam, k_scales)
-        del gt, gt_mask
+        del gt, gt_mask  # freed before the sum: the allocator reuses the space sooner
         total += gt_report.total
         grads.append(gt_grad)
     # 0.0 + g1 (+ g2), summed in g1's array: as from a zero-filled start, a
