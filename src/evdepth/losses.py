@@ -210,7 +210,7 @@ def _tv_term(values, mask):
     +0.0 off their masks.
     """
     n_valid = int(np.count_nonzero(mask))
-    grad = np.zeros_like(values)
+    grad = np.zeros_like(values, order="C")  # updated in place through grad.ravel()
     if n_valid == 0:
         return 0.0, grad, 0
     w = values.shape[1]
@@ -268,7 +268,7 @@ def loss_reg(
         raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
     aff = _resolve_affine(pred, target, mask, align, affine)
     off_mask = ~mask
-    residual = pred * aff.scale
+    residual = np.multiply(pred, aff.scale, order="C")  # the helpers ravel and reshape it
     residual += aff.shift
     residual -= target
     np.copyto(residual, 0.0, where=off_mask)

@@ -343,6 +343,39 @@ class TestEvaluateKernel:
             assert getattr(pool, field) == getattr(ref, field), field
 
 
+class TestMemoryLayout:
+    """Fortran-ordered and strided inputs give the bytes C-ordered ones do:
+    the in-place kernels must not update a copy made by ravel or reshape."""
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("shape", [(16, 22), (15, 21)])
+    def test_kernels(self, layout, shape):
+        pred, target, mask = _pair(*shape, "random", 11)
+        gt = np.abs(target) + 0.5
+        if layout == "fortran":
+            moved = [np.asfortranarray(a) for a in (pred, target, mask, gt)]
+        else:
+            moved = []
+            for a in (pred, target, mask, gt):
+                wide = np.zeros((shape[0], 2 * shape[1]), dtype=a.dtype)
+                wide[:, ::2] = a
+                moved.append(wide[:, ::2])
+        p, t, m, g = moved
+        assert not p.flags.c_contiguous
+        aff = ref_lstsq_align(pred, target, mask)
+        assert lstsq_align(p, t, m) == aff
+        si = loss_si(p, t, m)
+        assert si.grad.tobytes() == ref_loss_si(pred, target, mask, aff)[1].tobytes()
+        reg = loss_reg(p, t, m)
+        _, ref_grad, _ = ref_loss_reg(pred, target, mask, losses.LOSS_DEFAULTS.k_scales, aff)
+        assert reg.grad.tobytes() == ref_grad.tobytes()
+        _, grad = loss_total(p, t, m)
+        assert grad.tobytes() == loss_total(pred, target, mask)[1].tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert evaluate(p, g, m).pool == ref_evaluate_pool(pred, gt, mask, True,
+                                                               (1e-3, math.inf))
+
+
 # --- the caller's arrays stay the caller's ------------------------------------
 
 
