@@ -1,9 +1,9 @@
 """Byte-for-byte pins of the supervision kernels, and of what they leave alone.
 
-The reference functions below are verbatim copies of the kernel bodies as
-they stood before the allocation-lean rewrite of ``losses`` and
-``metrics.evaluate`` (argument checks dropped). Every value and gradient of
-the library must match them in its float64 bytes, signed zeros included:
+The reference functions below copy the kernel bodies as they stood before
+``losses`` and ``metrics.evaluate`` were rewritten to work in place (argument
+checks dropped, off-mask warnings silenced). Every value and gradient of the
+library must match them in its float64 bytes, signed zeros included:
 ``np.array_equal`` would accept -0.0 for +0.0, ``tobytes`` does not.
 """
 
