@@ -11,8 +11,10 @@ probe hashes the float64 (and integer) bytes of what it computes, over every
 seed, so a last-bit change anywhere shows: the gated seed-0 digests of the
 benchmark hash float32 and cannot see one.
 
-Prints one JSON object: per probe the two hashes and whether they are equal.
-Exits 0 when every probe is equal, 1 when any differs, 2 on a bad argument
+Prints one JSON object: per probe the two hashes and whether they are equal,
+and for a probe that differs the first seed and item index (the position in
+the list the probe returns) whose bytes differ. Exits 0 when every probe is
+equal, 1 when any differs, 2 on a bad argument
 or a tree that cannot be exported or run. GEMM and SIMD reductions may sum
 differently on another CPU or BLAS build, so compare two trees on one
 machine; the hashes themselves are not portable.
@@ -47,6 +49,7 @@ FUSION_SHAPE = (256, 352)
 FUSION_STEPS = 4
 SUPERVISE_SHAPE = (480, 640)
 ODD_CROP = (479, 637)
+NARROW_CROP = (479, 5)  # widths 5, 3, 2, 1: the pyramid's width-1 block sums
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +118,32 @@ def probe_loss_total(seed):
             report, grad = loss_total(pred, target, mask, 0.25, k_scales)
             out += [report.l_si, report.l_reg, report.total, report.affine.scale,
                     report.affine.shift, np.array(report.empty_scales, dtype=np.int64), grad]
+    return out
+
+
+def probe_loss_deep_pyramid(seed):
+    """Mixed-magnitude residuals through pyramids that reach coarse width 2
+    (640x480, 10 scales) and width 1 (a narrow odd crop, 4 and 9 scales), so
+    the order of each block sum's four adds shows in the bits: aligned
+    residuals spanning twelve decades, and, under the identity map, residuals
+    drawn from {+-1e16, +-1, 3, 1e-3} (1e16 + 1 rounds back to 1e16)."""
+    from evdepth.losses import AffineParams, loss_total
+
+    rng = np.random.default_rng([seed, 7])
+    decades = 10.0 ** rng.integers(-6, 7, SUPERVISE_SHAPE)
+    pred = rng.uniform(1.0, 2.0, SUPERVISE_SHAPE)
+    target = pred + decades * rng.standard_normal(SUPERVISE_SHAPE)
+    mask = rng.random(SUPERVISE_SHAPE) < 0.9
+    blocks = rng.choice([1e16, -1e16, 1.0, -1.0, 3.0, 1e-3], size=SUPERVISE_SHAPE)
+    zeros = np.zeros(SUPERVISE_SHAPE)
+    out = []
+    for p, t, affine in ((pred, target, None), (blocks, zeros, AffineParams(1.0, 0.0))):
+        for crop, k_scales in ((SUPERVISE_SHAPE, 10), (NARROW_CROP, 4), (NARROW_CROP, 9)):
+            h, w = crop
+            report, grad = loss_total(p[:h, :w], t[:h, :w], mask[:h, :w], 0.25, k_scales,
+                                      affine=affine)
+            out += [report.l_si, report.l_reg, report.affine.scale, report.affine.shift,
+                    np.array(report.empty_scales, dtype=np.int64), grad]
     return out
 
 
@@ -279,12 +308,16 @@ PROBES = {
     "fusion.run_sequence": probe_run_sequence,
     "losses.lstsq_align": probe_lstsq_align,
     "losses.loss_total": probe_loss_total,
+    "losses.loss_deep_pyramid": probe_loss_deep_pyramid,
     "pipeline.training_step": probe_training_step,
     "metrics.evaluate": probe_evaluate,
 }
 
 
-def run_probes(tree: Path) -> dict[str, str]:
+def run_probes(tree: Path) -> dict[str, dict | str]:
+    """Per probe: the digest over every seed's items, and one digest per item
+    of each seed (so a difference can be traced to a seed and an item); or
+    the error the probe raised."""
     src = (tree / "src").resolve()
     sys.path.insert(0, str(src))
     import evdepth
@@ -293,15 +326,33 @@ def run_probes(tree: Path) -> dict[str, str]:
         raise ImportError(f"imported evdepth from {evdepth.__file__}, not from {src}")
     results = {}
     for name, probe in PROBES.items():
-        items = []
+        per_seed = []
         try:
             with np.errstate(all="ignore"):
                 for seed in SEEDS:
-                    items += [np.asarray(x) for x in probe(seed)]
-            results[name] = _digest(items)
+                    per_seed.append([np.asarray(x) for x in probe(seed)])
         except Exception as exc:  # a tree without the probed API still reports the rest
             results[name] = f"error: {type(exc).__name__}: {exc}"
+            continue
+        results[name] = {
+            "digest": _digest([item for items in per_seed for item in items]),
+            "items": [[_digest([item]) for item in items] for items in per_seed],
+        }
     return results
+
+
+def _digest_of(result):
+    return result["digest"] if isinstance(result, dict) else result
+
+
+def _first_difference(a: dict, b: dict) -> dict | None:
+    """The first seed and item index whose bytes differ between two probe
+    results (an item present in one tree only counts as different)."""
+    for seed, items_a, items_b in zip(SEEDS, a["items"], b["items"]):
+        for index in range(max(len(items_a), len(items_b))):
+            if index >= min(len(items_a), len(items_b)) or items_a[index] != items_b[index]:
+                return {"seed": seed, "item": index}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +405,13 @@ def compare(spec_a: str, spec_b: str) -> dict:
     probes = {}
     for name in PROBES:
         a, b = hashes[0].get(name), hashes[1].get(name)
-        equal = a == b and a is not None and not a.startswith("error")
-        probes[name] = {"a": a, "b": b, "equal": equal}
+        if isinstance(a, dict) and isinstance(b, dict):
+            first = _first_difference(a, b)
+            probes[name] = {"a": a["digest"], "b": b["digest"], "equal": first is None}
+            if first is not None:
+                probes[name]["first_difference"] = first
+        else:  # the probe raised (or is missing) in either tree
+            probes[name] = {"a": _digest_of(a), "b": _digest_of(b), "equal": False}
     different = [name for name, p in probes.items() if not p["equal"]]
     return {
         "a": trees[0][1],

@@ -27,6 +27,17 @@ plain expressions of the definitions (``tests/test_kernel_identity.py``
 keeps reference copies). The pyramid helpers (``_downsample_masked``,
 ``_add_upsample_adjoint``, ``_tv_term``) expect level values that are finite
 and +0.0 off the level's mask; ``loss_reg`` builds its residual so.
+
+A 2x2 block with values a, b (top row) and c, d (bottom row) sums as
+(a + b) + (c + d) when the coarse level is at least 2 wide and as
+((a + b) + c) + d when it is 1 wide, from a +0.0 start either way (so four
+-0.0 give +0.0). The pyramid was defined by numpy's
+``reshape(h2, 2, w2, 2).sum(axis=(1, 3))``, and this is the order that
+reduction adds in: with one coarse column its two reduced axes are one
+contiguous run of four, summed left to right. Four strided views added in
+that order give the same bits in a fraction of the time. numpy does not
+document the order, so ``tests/test_kernel_identity.py`` pins it against the
+reduction on the numpy in use, with values where 1e16 + 1 rounds back to 1e16.
 """
 
 from __future__ import annotations
@@ -182,7 +193,12 @@ def _downsample_masked(values, mask):
     counts += m[1::2, 1::2]
     coarse_mask = counts > 0
     np.maximum(counts, 1, out=counts)
-    coarse = values.reshape(h2, 2, w2, 2).sum(axis=(1, 3))
+    if w2 > 1:  # block sums in the reduction's order (module docstring)
+        coarse = np.add(values[0::2, 0::2], values[0::2, 1::2])
+        coarse += np.add(values[1::2, 0::2], values[1::2, 1::2])
+        coarse += 0.0  # the +0.0 start: four -0.0 sum to +0.0
+    else:
+        coarse = values.reshape(h2, 2, w2, 2).sum(axis=(1, 3))
     coarse /= counts
     return coarse, coarse_mask, counts
 
@@ -198,8 +214,11 @@ def _add_upsample_adjoint(grad_fine, grad_coarse, counts):
     if h % 2 or w % 2:
         grad_fine += np.repeat(np.repeat(share, 2, axis=0), 2, axis=1)[:h, :w]
     else:
+        # one add per fine pixel: the left, then the right column of every
+        # block, each over both of the block's rows
         fine = grad_fine.reshape(h // 2, 2, w // 2, 2)
-        fine += share[:, None, :, None]
+        for col in (0, 1):
+            fine[:, :, :, col] += share[:, None, :]
 
 
 def _tv_term(values, mask):
@@ -210,36 +229,47 @@ def _tv_term(values, mask):
     +0.0 off their masks.
     """
     n_valid = int(np.count_nonzero(mask))
-    grad = np.zeros_like(values, order="C")  # updated in place through grad.ravel()
     if n_valid == 0:
-        return 0.0, grad, 0
-    w = values.shape[1]
-    flat, valid_px, grad_flat = values.ravel(), mask.ravel(), grad.ravel()
-    buf = np.empty(flat.size, dtype=np.float64)
-    sums = []
+        return 0.0, np.zeros_like(values, order="C"), 0
+    n, w = values.size, values.shape[1]
+    flat, valid_px = values.ravel(), mask.ravel()
+    buf = np.empty(n, dtype=np.float64)
+    sums, signs = [], []
     # Forward differences along the flattened image: step 1 pairs each pixel
     # with its right neighbour (the pair across a row end is never valid),
     # step w with the one below. Pairs come out in the row-major order of the
     # 2-D pair grid, so the gathered sums add in the same order as a 2-D
     # gather would.
     for step, row_wrap in ((1, True), (w, False)):
-        diff = np.subtract(flat[step:], flat[:-step], out=buf[: flat.size - step])
+        diff = np.subtract(flat[step:], flat[:-step], out=buf[: n - step])
         valid = valid_px[step:] & valid_px[:-step]
         if row_wrap:
             valid[w - 1 :: w] = False
+        # sign of each valid pair's difference as an int8, 0 elsewhere, with
+        # `step` zeros on either side: sign[step + j] is pair (j, j + step)
+        sign = np.zeros(n + step, dtype=np.int8)
+        inner = sign[step:n]
+        np.subtract((diff > 0.0).view(np.int8), (diff < 0.0).view(np.int8), out=inner)
+        inner *= valid.view(np.int8)
+        signs.append(sign)
         pairs = diff[valid]
         sums.append(np.abs(pairs, out=pairs).sum())
         del pairs
-        # sign(diff) / n_valid on valid pairs (copysign(1/n, d) is sign(d)/n
-        # bit for bit when d != 0), a zero of either sign elsewhere: added to a
-        # gradient that starts at +0.0, either zero leaves it unchanged
-        valid &= diff != 0.0
-        np.copysign(1.0 / n_valid, diff, out=diff)
-        diff *= valid
-        grad_flat[step:] += diff
-        grad_flat[:-step] -= diff
     term = (sums[0] + sums[1]) / n_valid
-    return float(term), grad, n_valid
+
+    # The gradient at pixel i is the sum, from +0.0 and in this order, of
+    #   +sign(i-1, i) - sign(i, i+1) + sign(i-w, i) - sign(i, i+w),
+    # each sign times u = 1/n_valid. The first three terms add up to k3 * u
+    # with |k3| <= 3, exactly after two of them and with one rounding after
+    # the third: the one rounding of k3 * u. The fourth is subtracted as a
+    # float, so each pixel gets the bits of the term-by-term sum.
+    right, down = signs
+    k3 = np.subtract(right[:n], right[1:])
+    k3 += down[:n]
+    u = 1.0 / n_valid
+    grad = np.multiply(k3, u, dtype=np.float64)
+    grad -= np.multiply(down[w:], u, out=buf, dtype=np.float64)
+    return float(term), grad.reshape(values.shape), n_valid
 
 
 def loss_reg(
@@ -268,9 +298,12 @@ def loss_reg(
         raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
     aff = _resolve_affine(pred, target, mask, align, affine)
     off_mask = ~mask
-    residual = np.multiply(pred, aff.scale, order="C")  # the helpers ravel and reshape it
-    residual += aff.shift
-    residual -= target
+    # On the mask both operands are checked finite, so an invalid operation
+    # (inf - inf, nan) can only come from pixels off the mask, zeroed next.
+    with np.errstate(invalid="ignore"):
+        residual = np.multiply(pred, aff.scale, order="C")  # the helpers ravel and reshape it
+        residual += aff.shift
+        residual -= target
     np.copyto(residual, 0.0, where=off_mask)
 
     values, masks, counts = [residual], [mask], []

@@ -8,6 +8,7 @@ library must match them in its float64 bytes, signed zeros included:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,49 @@ class TestPyramidHelpers:
         assert n_valid == ref_n
 
 
+# Block values for the order pins: 1e16 + 1 rounds back to 1e16, so sums of
+# mixed magnitudes tell the grouping of the four adds apart; the zeros pin the
+# sign of an all-zero block.
+ORDER_VALUES = np.array([1e16, -1e16, 1.0, -1.0, 3.0, 1e-3, 0.0, -0.0])
+
+
+def _order_input(h, w, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((h, w)) < 0.9
+    values = rng.choice(ORDER_VALUES, size=(h, w))
+    values[~mask] = 0.0
+    return values, mask
+
+
+class TestBlockSumOrder:
+    """``_downsample_masked`` adds each 2x2 block from four strided views in
+    the order numpy's ``reshape(h2, 2, w2, 2).sum(axis=(1, 3))`` uses: that
+    order is numpy's, not a documented rule, so this pins it on every numpy
+    the suite runs with. Odd fine dimensions take the padded path."""
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("w2", [1, 2, 3, 7, 8, 9, 320])
+    @pytest.mark.parametrize("h2", [1, 2, 3, 17, 240])
+    def test_matches_reshape_sum(self, h2, w2, parity):
+        trim = 1 if parity == "odd" else 0
+        values, mask = _order_input(2 * h2 - trim, 2 * w2 - trim, 1000 * h2 + w2 + trim)
+        coarse, coarse_mask, counts = losses._downsample_masked(values, mask)
+        ref, ref_mask, ref_counts = ref_downsample_masked(values, mask)
+        assert coarse.tobytes() == ref.tobytes()
+        assert np.array_equal(coarse_mask, ref_mask)
+        assert np.array_equal(np.maximum(counts, 1), np.maximum(ref_counts, 1))
+
+    @pytest.mark.parametrize("w2", [1, 320])
+    def test_inputs_tell_the_orders_apart(self, w2):
+        """The pins have power: on the 240-row inputs above, the pairwise and
+        the sequential order give different bits, so either one taken for the
+        other fails them."""
+        values, _ = _order_input(480, 2 * w2, 1000 * 240 + w2)
+        a, b = values[0::2, 0::2], values[0::2, 1::2]
+        c, d = values[1::2, 0::2], values[1::2, 1::2]
+        assert ((a + b) + (c + d)).tobytes() != (((a + b) + c) + d).tobytes()
+
+
 # --- public kernels ----------------------------------------------------------
 
 
@@ -317,6 +361,28 @@ class TestLossKernels:
         assert _bits(report.total) == _bits(si_value + lam * reg_value)
         assert grad.tobytes() == (si_grad + lam * reg_grad).tobytes()
         assert report.empty_scales == empty
+
+
+class TestOffMaskWarnings:
+    """Non-finite values off the mask never count, so they must not make
+    numpy warn either (an ``inf - inf`` in the residual used to)."""
+
+    @pytest.mark.parametrize("shape", [(20, 27), (48, 64)])
+    @pytest.mark.parametrize("affine", [None, AffineParams(-0.5, 0.25)])
+    def test_loss_reg_and_loss_total_stay_silent(self, shape, affine):
+        pred, target, mask = _pair(*shape, "random", 13)
+        assert not np.isfinite(pred[~mask]).all() and not np.isfinite(target[~mask]).all()
+        aff = affine or ref_lstsq_align(pred, target, mask)
+        ref_value, ref_grad, _ = ref_loss_reg(pred, target, mask, 4, aff)
+        _, si_grad = ref_loss_si(pred, target, mask, aff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reg = loss_reg(pred, target, mask, 4, affine=affine)
+            report, grad = loss_total(pred, target, mask, 0.25, 4, affine=affine)
+        assert _bits(reg.value) == _bits(ref_value)
+        assert reg.grad.tobytes() == ref_grad.tobytes()
+        assert _bits(report.l_reg) == _bits(ref_value)
+        assert grad.tobytes() == (si_grad + 0.25 * ref_grad).tobytes()
 
 
 class TestEvaluateKernel:
