@@ -14,10 +14,10 @@ benchmark hash float32 and cannot see one.
 Prints one JSON object: per probe the two hashes and whether they are equal,
 and for a probe that differs the first seed and item index (the position in
 the list the probe returns) whose bytes differ. Exits 0 when every probe is
-equal, 1 when any differs, 2 on a bad argument
-or a tree that cannot be exported or run. GEMM and SIMD reductions may sum
-differently on another CPU or BLAS build, so compare two trees on one
-machine; the hashes themselves are not portable.
+equal, 1 when any differs, 2 on a bad argument or a tree that cannot be
+exported or run. GEMM and SIMD reductions may sum differently on another CPU
+or BLAS build, so compare two trees on one machine; the hashes themselves are
+not portable.
 """
 
 from __future__ import annotations

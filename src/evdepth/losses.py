@@ -299,7 +299,7 @@ def loss_reg(
     aff = _resolve_affine(pred, target, mask, align, affine)
     off_mask = ~mask
     # On the mask both operands are checked finite, so an invalid operation
-    # (inf - inf, nan) can only come from pixels off the mask, zeroed next.
+    # (inf - inf, 0 * inf) can only come from pixels off the mask, zeroed next.
     with np.errstate(invalid="ignore"):
         residual = np.multiply(pred, aff.scale, order="C")  # the helpers ravel and reshape it
         residual += aff.shift
