@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +307,99 @@ def test_round_trip_empty_stream(tmp_path, fmt):
     path = tmp_path / f"ev.{fmt}"
     write_events(stream, path)
     assert read_events(path) == stream
+
+
+# Records per chunk of the EVB reader and writer: files of 0, 1, CHUNK - 1,
+# CHUNK, CHUNK + 1 and 2 * CHUNK + 3 records end inside, at and past a chunk.
+CHUNK = 1 << 16
+CHUNK_LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+REFERENCE_RECORD = np.dtype([("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("t", "<u8")])
+
+
+def reference_evb_bytes(width, height, xs, ys, ps, ts):
+    """EVB bytes as one whole-stream record array copied out by tobytes()."""
+    rec = np.empty(len(ts), dtype=REFERENCE_RECORD)
+    rec["x"] = xs
+    rec["y"] = ys
+    rec["p"] = ps
+    rec["t"] = ts
+    return struct.pack("<4sHHQ", b"EVB1", width, height, len(ts)) + rec.tobytes()
+
+
+def chunk_columns(n, seed=0):
+    """Valid columns of a 40x30 stream with repeated timestamps."""
+    rng = np.random.default_rng([seed, n])
+    xs = rng.integers(0, 40, n).astype(np.int32)
+    ys = rng.integers(0, 30, n).astype(np.int32)
+    ps = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    ts = np.cumsum(rng.integers(0, 3, n)).astype(np.int64) + 2**40
+    return xs, ys, ps, ts
+
+
+class TestEvbChunks:
+    @pytest.mark.parametrize("n", CHUNK_LENGTHS)
+    def test_round_trip_matches_reference_bytes(self, tmp_path, n):
+        cols = chunk_columns(n)
+        stream = EventStream(40, 30, *cols)
+        path = tmp_path / "ev.evb"
+        write_events(stream, path)
+        assert path.read_bytes() == reference_evb_bytes(40, 30, *cols)
+        back = read_events(path)
+        assert back == stream
+        for name, dtype in (("xs", np.int32), ("ys", np.int32), ("ps", np.int8), ("ts", np.int64)):
+            a = getattr(back, name)
+            assert a.dtype == dtype
+            assert a.flags.c_contiguous and not a.flags.writeable
+
+    def _read_edited(self, tmp_path, n, edits):
+        cols = dict(zip(("xs", "ys", "ps", "ts"), chunk_columns(n)))
+        cols["ts"] = cols["ts"].astype(np.uint64)
+        for name, changes in edits.items():
+            for i, value in changes.items():
+                cols[name][i] = value
+        path = tmp_path / "ev.evb"
+        path.write_bytes(reference_evb_bytes(40, 30, **cols))
+        with pytest.raises((FormatError, OrderingError)) as info:
+            read_events(path)
+        return path, cols, info
+
+    def test_bad_polarity_past_the_first_chunk(self, tmp_path):
+        path, _, info = self._read_edited(
+            tmp_path, 2 * CHUNK + 3, {"ps": {CHUNK + 5: 0, 2 * CHUNK + 1: 3}})
+        assert type(info.value) is FormatError
+        assert str(info.value) == f"{path}: record {CHUNK + 5}: polarity must be -1 or +1, got 0"
+
+    def test_regressing_timestamp_at_a_chunk_start(self, tmp_path):
+        n = 2 * CHUNK + 3
+        t_prev = int(chunk_columns(n)[3][CHUNK - 1])
+        path, _, info = self._read_edited(tmp_path, n, {"ts": {CHUNK: t_prev - 1}})
+        assert type(info.value) is OrderingError
+        assert str(info.value) == (
+            f"{path}: record {CHUNK}: timestamp {t_prev - 1} < previous {t_prev}")
+
+    def test_timestamp_past_int64_in_the_last_chunk(self, tmp_path):
+        # as int64, 2**63 would be a regressing timestamp; the range check
+        # runs first, before the polarity check too
+        path, _, info = self._read_edited(
+            tmp_path, 2 * CHUNK + 3, {"ps": {3: 0}, "ts": {2 * CHUNK + 2: 2**63}})
+        assert type(info.value) is FormatError
+        assert str(info.value) == f"{path}: timestamp exceeds signed 64-bit range"
+
+    def test_oversized_header_is_a_size_mismatch_without_allocation(self, tmp_path):
+        path = tmp_path / "ev.evb"
+        one = reference_evb_bytes(8, 8, [1], [2], [1], [5])
+        path.write_bytes(struct.pack("<4sHHQ", b"EVB1", 8, 8, 2**60) + one[16:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                read_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"{path}: size mismatch, header declares {2**60} records "
+            f"({16 + 13 * 2**60} bytes) but file has 29 bytes")
+        assert peak < 1 << 20
 
 
 def test_format_inference_requires_known_suffix(tmp_path):

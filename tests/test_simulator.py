@@ -164,6 +164,15 @@ class TestThresholdModel:
         assert (np.diff(a.ts) >= 0).all()
         assert a == b
 
+    def test_output_arrays_are_frozen_contiguous_columns(self):
+        rng = np.random.default_rng(16)
+        stream = simulate(ramp_frames(rng.uniform(-0.8, 0.8, (3, 10, 10))), SimConfig(0.06))
+        assert len(stream) > 0
+        for name, dtype in (("xs", np.int32), ("ys", np.int32), ("ps", np.int8), ("ts", np.int64)):
+            a = getattr(stream, name)
+            assert a.dtype == dtype
+            assert a.flags.c_contiguous and not a.flags.writeable
+
 
 class TestSimulatorErrors:
     def test_single_frame(self):
