@@ -206,13 +206,16 @@ def probe_simulate(seed):
 
 
 def probe_evb_roundtrip(seed):
+    """The columns read back and the file's bytes, so a writer change that
+    alters the bytes but still round-trips shows too."""
     from evdepth.events import read_events, write_events
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "e.evb"
         write_events(_stream(seed), path)
         s = read_events(path)
-    return [s.xs, s.ys, s.ps, s.ts]
+        raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    return [s.xs, s.ys, s.ps, s.ts, raw]
 
 
 def probe_encode(seed):

@@ -10,15 +10,20 @@ On-disk formats:
   EVB  little-endian: magic ``EVB1``, u16 W, u16 H, u64 count, then
        13-byte records (u16 x, u16 y, i8 p, u64 t).
 
-Out-of-order input files are rejected, never silently sorted.
+Out-of-order input files are rejected, never silently sorted. EVB files
+are read and written through one chunk-sized record buffer, so no
+whole-file byte copy is made; files are written to a temporary name in the
+target's directory and renamed over the target.
 """
 
 from __future__ import annotations
 
 import enum
 import io
+import os
 import re
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -35,6 +40,7 @@ from .errors import (
 EVB_MAGIC = b"EVB1"
 _EVB_HEADER = struct.Struct("<4sHHQ")
 _EVB_RECORD_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("t", "<u8")])
+_EVB_CHUNK = 1 << 16  # records per read/write buffer: 832 KiB, about an L2 cache
 _CSV_HEADER_RE = re.compile(r"#\s*evcsv\s+v1\s+width=(\d+)\s+height=(\d+)\s*$")
 
 MAX_SENSOR_DIM = 65535  # u16 on disk
@@ -113,10 +119,26 @@ class EventStream:
     def __init__(self, width, height, xs, ys, ps, ts, validate=True):
         # always copy: the arrays get frozen, and freezing a caller's array
         # (or a buffer-backed view) in place would be a surprising side effect
-        xs = np.array(xs, dtype=np.int32, order="C", copy=True)
-        ys = np.array(ys, dtype=np.int32, order="C", copy=True)
-        ps = np.array(ps, dtype=np.int8, order="C", copy=True)
-        ts = np.array(ts, dtype=np.int64, order="C", copy=True)
+        self._bind(
+            width,
+            height,
+            np.array(xs, dtype=np.int32, order="C", copy=True),
+            np.array(ys, dtype=np.int32, order="C", copy=True),
+            np.array(ps, dtype=np.int8, order="C", copy=True),
+            np.array(ts, dtype=np.int64, order="C", copy=True),
+            validate,
+        )
+
+    @classmethod
+    def _adopt(cls, width, height, xs, ys, ps, ts) -> "EventStream":
+        """Validate and freeze, without copying, C-contiguous int32/int32/int8/
+        int64 columns that the caller has just built and holds no other
+        reference to."""
+        stream = cls.__new__(cls)
+        stream._bind(width, height, xs, ys, ps, ts, True)
+        return stream
+
+    def _bind(self, width, height, xs, ys, ps, ts, validate):
         if validate:
             _validate_arrays(width, height, xs, ys, ps, ts)
         object.__setattr__(self, "width", int(width))
@@ -285,13 +307,22 @@ def read_events(path, fmt: str | None = None) -> EventStream:
 
 
 def write_events(stream: EventStream, path, fmt: str | None = None) -> None:
-    """Write a stream so that read_events round-trips bit-exactly."""
+    """Write a stream so that read_events round-trips bit-exactly.
+
+    The file is written under a temporary name next to the target (through
+    symlinks) and renamed over it, so a write that fails leaves the old file
+    as it was and no temporary file behind.
+    """
     path = Path(path)
-    f = _infer_format(path, fmt)
-    if f == "csv":
-        _write_csv(stream, path)
-    else:
-        _write_evb(stream, path)
+    writer = _write_csv if _infer_format(path, fmt) == "csv" else _write_evb
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        writer(stream, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_csv(path: Path) -> EventStream:
@@ -333,7 +364,7 @@ def _rescan_csv_body(path: Path, body: str) -> None:
 
 
 def _write_csv(stream: EventStream, path: Path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "x", encoding="ascii", newline="\n") as fh:
         fh.write(f"# evcsv v1 width={stream.width} height={stream.height}\n")
         if len(stream):
             cols = np.column_stack(
@@ -348,34 +379,55 @@ def _write_csv(stream: EventStream, path: Path) -> None:
 
 
 def _read_evb(path: Path) -> EventStream:
-    raw = Path(path).read_bytes()
-    if len(raw) < _EVB_HEADER.size:
-        raise FormatError(f"{path}: truncated EVB header")
-    magic, width, height, count = _EVB_HEADER.unpack_from(raw, 0)
-    if magic != EVB_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {EVB_MAGIC!r}")
-    expected = _EVB_HEADER.size + count * _EVB_RECORD_DTYPE.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: size mismatch, header declares {count} records "
-            f"({expected} bytes) but file has {len(raw)} bytes"
-        )
-    rec = np.frombuffer(raw, dtype=_EVB_RECORD_DTYPE, count=count, offset=_EVB_HEADER.size)
-    if count and rec["t"].max() > np.iinfo(np.int64).max:
+    with open(path, "rb") as fh:
+        head = fh.read(_EVB_HEADER.size)
+        if len(head) < _EVB_HEADER.size:
+            raise FormatError(f"{path}: truncated EVB header")
+        magic, width, height, count = _EVB_HEADER.unpack(head)
+        if magic != EVB_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {EVB_MAGIC!r}")
+        expected = _EVB_HEADER.size + count * _EVB_RECORD_DTYPE.itemsize
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:  # before anything sized by count is allocated
+            raise FormatError(
+                f"{path}: size mismatch, header declares {count} records "
+                f"({expected} bytes) but file has {size} bytes"
+            )
+        xs = np.empty(count, dtype=np.int32)
+        ys = np.empty(count, dtype=np.int32)
+        ps = np.empty(count, dtype=np.int8)
+        ts = np.empty(count, dtype=np.int64)
+        buf = np.empty(min(count, _EVB_CHUNK), dtype=_EVB_RECORD_DTYPE)
+        for lo in range(0, count, _EVB_CHUNK):
+            hi = min(lo + _EVB_CHUNK, count)
+            rec = buf[: hi - lo]
+            got = fh.readinto(rec)
+            if got != rec.nbytes:  # the file shrank after the size check
+                raise FormatError(
+                    f"{path}: EVB payload ended at record {lo + got // rec.itemsize} of {count}"
+                )
+            xs[lo:hi] = rec["x"]
+            ys[lo:hi] = rec["y"]
+            ps[lo:hi] = rec["p"]
+            ts[lo:hi] = rec["t"]  # u64 -> i64 wraps past 2**63 - 1 to a negative value
+    if count and ts.min() < 0:
         raise FormatError(f"{path}: timestamp exceeds signed 64-bit range")
     try:
-        # EventStream's own copy converts u64 to i64, exact below the check above
-        return EventStream(width, height, rec["x"], rec["y"], rec["p"], rec["t"])
+        return EventStream._adopt(width, height, xs, ys, ps, ts)
     except (FormatError, OrderingError, BoundsError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write_evb(stream: EventStream, path: Path) -> None:
-    rec = np.empty(len(stream), dtype=_EVB_RECORD_DTYPE)
-    rec["x"] = stream.xs
-    rec["y"] = stream.ys
-    rec["p"] = stream.ps
-    rec["t"] = stream.ts
-    with open(path, "wb") as fh:
-        fh.write(_EVB_HEADER.pack(EVB_MAGIC, stream.width, stream.height, len(stream)))
-        fh.write(rec.tobytes())
+    n = len(stream)
+    buf = np.empty(min(n, _EVB_CHUNK), dtype=_EVB_RECORD_DTYPE)
+    with open(path, "xb") as fh:
+        fh.write(_EVB_HEADER.pack(EVB_MAGIC, stream.width, stream.height, n))
+        for lo in range(0, n, _EVB_CHUNK):
+            hi = min(lo + _EVB_CHUNK, n)
+            rec = buf[: hi - lo]
+            rec["x"] = stream.xs[lo:hi]
+            rec["y"] = stream.ys[lo:hi]
+            rec["p"] = stream.ps[lo:hi]
+            rec["t"] = stream.ts[lo:hi]
+            fh.write(rec.data)

@@ -83,12 +83,13 @@ def write_pfm(path, values: np.ndarray) -> None:
     else:
         raise ParameterError(f"PFM writer takes (H, W) or (H, W, 3), got {values.shape}")
     h, w = values.shape[:2]
-    data = np.flipud(values).astype("<f4")  # PFM scanlines run bottom-to-top
+    # PFM scanlines run bottom-to-top; a C-order copy is written as it is
+    data = np.flipud(values).astype("<f4", order="C")
     with open(path, "wb") as fh:
         fh.write(ident + b"\n")
         fh.write(f"{w} {h}\n".encode("ascii"))
         fh.write(b"-1.0\n")
-        fh.write(data.tobytes())
+        fh.write(data.data)
 
 
 def read_pfm(path) -> np.ndarray:

@@ -16,7 +16,10 @@ the regularization term it is a deliberate approximation, so finite
 difference checks must also hold (s, t) fixed — pass ``affine=`` for that.
 The |.| subgradient at 0 is taken as 0. Masked-out pixels never influence
 values or gradients. A prediction or target that is not finite on the mask
-is a DomainError, since it would turn every value and gradient into nan.
+is a DomainError, since it would turn every value and gradient into nan;
+so is a finite value on the mask whose aligned residual overflows float64,
+found by testing the finished loss values (an overflow off the mask is
+zeroed with the rest of what lies there, silently).
 Each public call checks that once: calls made inside this module (and by
 ``metrics.evaluate``) on arrays already checked pass ``_checked=True``.
 
@@ -42,6 +45,7 @@ reduction on the numpy in use, with values where 1e16 + 1 rounds back to 1e16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,7 @@ from .config import LOSS_DEFAULTS
 from .errors import ContractError, DomainError, InsufficientSupportError, ParameterError
 
 _DEGENERATE_REL_TOL = 1e-12
+_OVERFLOW = "aligned residual overflows float64 on the valid mask"
 
 
 @dataclass(frozen=True)
@@ -156,11 +161,14 @@ def loss_si(pred, target, mask=None, *, align=True, affine=None, _checked=False)
     if m < 2:
         raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
     aff = _resolve_affine(pred, target, mask, align, affine)
-    residual = pred[mask]
-    residual *= aff.scale
-    residual += aff.shift
-    residual -= target[mask]
-    value = float((residual * residual).sum() / (2.0 * m))
+    with np.errstate(over="ignore"):  # an overflow makes the value inf, tested next
+        residual = pred[mask]
+        residual *= aff.scale
+        residual += aff.shift
+        residual -= target[mask]
+        value = float((residual * residual).sum() / (2.0 * m))
+    if not math.isfinite(value):
+        raise DomainError(_OVERFLOW)
     residual *= aff.scale / m
     grad = np.zeros(pred.shape, dtype=np.float64)
     grad[mask] = residual
@@ -299,31 +307,35 @@ def loss_reg(
     aff = _resolve_affine(pred, target, mask, align, affine)
     off_mask = ~mask
     # On the mask both operands are checked finite, so an invalid operation
-    # (inf - inf, 0 * inf) can only come from pixels off the mask, zeroed next.
-    with np.errstate(invalid="ignore"):
+    # (inf - inf, 0 * inf) or an overflow of a finite value off the mask is
+    # zeroed next; an overflow on the mask carries inf (or nan, from inf - inf)
+    # into the value, which is tested once it is summed.
+    with np.errstate(invalid="ignore", over="ignore"):
         residual = np.multiply(pred, aff.scale, order="C")  # the helpers ravel and reshape it
         residual += aff.shift
         residual -= target
-    np.copyto(residual, 0.0, where=off_mask)
+        np.copyto(residual, 0.0, where=off_mask)
 
-    values, masks, counts = [residual], [mask], []
-    for _ in range(k_scales - 1):
-        coarse, coarse_mask, cnt = _downsample_masked(values[-1], masks[-1])
-        values.append(coarse)
-        masks.append(coarse_mask)
-        counts.append(cnt)
-    del residual
+        values, masks, counts = [residual], [mask], []
+        for _ in range(k_scales - 1):
+            coarse, coarse_mask, cnt = _downsample_masked(values[-1], masks[-1])
+            values.append(coarse)
+            masks.append(coarse_mask)
+            counts.append(cnt)
+        del residual
 
-    value = 0.0
-    empty = []
-    level_grads = []
-    for k in range(k_scales):
-        term, grad_k, n_valid = _tv_term(values[k], masks[k])
-        values[k] = None  # free each level once its term is taken
-        if n_valid == 0:
-            empty.append(k + 1)
-        value += term
-        level_grads.append(grad_k)
+        value = 0.0
+        empty = []
+        level_grads = []
+        for k in range(k_scales):
+            term, grad_k, n_valid = _tv_term(values[k], masks[k])
+            values[k] = None  # free each level once its term is taken
+            if n_valid == 0:
+                empty.append(k + 1)
+            value += term
+            level_grads.append(grad_k)
+    if not math.isfinite(value):
+        raise DomainError(_OVERFLOW)
 
     # coarse to fine: level k's gradient plus the adjoint of level k+1's
     grad = level_grads.pop()
@@ -352,6 +364,8 @@ def loss_total(
     si = loss_si(pred, target, mask, affine=aff, _checked=True)
     reg = loss_reg(pred, target, mask, k_scales, affine=aff, _checked=True)
     total = si.value + lam * reg.value
+    if not math.isfinite(total):
+        raise DomainError("total loss overflows float64")
     grad = reg.grad
     grad *= lam
     grad += si.grad

@@ -185,4 +185,4 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     if not sort_per_pair:
         order = np.argsort(ts, kind="stable")
         xs, ys, ps, ts = xs[order], ys[order], ps[order], ts[order]
-    return EventStream(width, height, xs, ys, ps, ts)
+    return EventStream._adopt(width, height, xs, ys, ps, ts)  # fresh arrays, no copy

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_stream
+from evdepth import events
 from evdepth.errors import BoundsError, FormatError, OrderingError, ParameterError
 from evdepth.events import (
     Event,
@@ -311,7 +312,7 @@ def test_round_trip_empty_stream(tmp_path, fmt):
 
 # Records per chunk of the EVB reader and writer: files of 0, 1, CHUNK - 1,
 # CHUNK, CHUNK + 1 and 2 * CHUNK + 3 records end inside, at and past a chunk.
-CHUNK = 1 << 16
+CHUNK = events._EVB_CHUNK
 CHUNK_LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
 REFERENCE_RECORD = np.dtype([("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("t", "<u8")])
 
@@ -400,6 +401,83 @@ class TestEvbChunks:
             f"{path}: size mismatch, header declares {2**60} records "
             f"({16 + 13 * 2**60} bytes) but file has 29 bytes")
         assert peak < 1 << 20
+
+
+class _FailPastFirstChunk:
+    """A stream's column whose slices past the first chunk raise ``error``."""
+
+    def __init__(self, column, error):
+        self.column, self.error = column, error
+
+    def __getitem__(self, key):
+        if key.start >= CHUNK:
+            raise self.error
+        return self.column[key]
+
+
+class _StreamFailingMidWrite:
+    def __init__(self, stream, error):
+        self.width, self.height, self._n = stream.width, stream.height, len(stream)
+        self.xs, self.ys, self.ps = stream.xs, stream.ys, stream.ps
+        self.ts = _FailPastFirstChunk(stream.ts, error)
+
+    def __len__(self):
+        return self._n
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "interrupt"])
+    def test_failed_evb_write_keeps_the_old_file(self, tmp_path, error):
+        path = tmp_path / "ev.evb"
+        write_events(small_stream(), path)
+        old = path.read_bytes()
+        stream = _StreamFailingMidWrite(EventStream(40, 30, *chunk_columns(2 * CHUNK + 3)), error)
+        with pytest.raises(type(error)):
+            write_events(stream, path)
+        assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ev.csv"
+        write_events(small_stream(), path)
+        old = path.read_bytes()
+
+        def savetxt_then_fail(fh, *args, **kwargs):
+            fh.write("1,2,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(events.np, "savetxt", savetxt_then_fail)
+        with pytest.raises(OSError):
+            write_events(make_random_stream(np.random.default_rng(3)), path)
+        assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("fmt", ["csv", "evb"])
+    def test_replaces_the_target_and_leaves_nothing_else(self, tmp_path, fmt):
+        path = tmp_path / f"ev.{fmt}"
+        write_events(small_stream(), path)
+        stream = make_random_stream(np.random.default_rng(4))
+        write_events(stream, path)
+        assert read_events(path) == stream
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "ev.evb"
+        write_events(small_stream(), real)
+        link = tmp_path / "link.evb"
+        link.symlink_to(real)
+        stream = make_random_stream(np.random.default_rng(5))
+        write_events(stream, link)
+        assert link.is_symlink()
+        assert read_events(real) == stream
+        assert sorted((tmp_path / "data").iterdir()) == [real]
+
+    def test_missing_directory_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_events(small_stream(), tmp_path / "nowhere" / "ev.evb")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_format_inference_requires_known_suffix(tmp_path):

@@ -52,6 +52,24 @@ class TestPfm:
         first_row = np.frombuffer(body[:8], dtype="<f4")
         assert list(first_row) == [3.0, 4.0]
 
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "float32", "color-t"])
+    def test_any_memory_layout_writes_row_major_bytes(self, tmp_path, layout):
+        rng = np.random.default_rng(2)
+        base = rng.uniform(-5.0, 5.0, (12, 10, 3))
+        values = {
+            "c": base[:, :, 0],
+            "fortran": np.asfortranarray(base[:, :, 1]),
+            "strided": base[::2, ::-3, 2],
+            "float32": base[:, :, 0].astype(np.float32),
+            "color-t": base.transpose(1, 0, 2),
+        }[layout]
+        p = tmp_path / "d.pfm"
+        write_pfm(p, values)
+        h, w = values.shape[:2]
+        ident = b"Pf" if values.ndim == 2 else b"PF"
+        expected = ident + f"\n{w} {h}\n-1.0\n".encode() + np.flipud(values).astype("<f4").tobytes()
+        assert p.read_bytes() == expected
+
     def test_rejects_bad_identifier(self, tmp_path):
         p = tmp_path / "d.pfm"
         p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))

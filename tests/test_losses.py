@@ -424,6 +424,39 @@ class TestNonFinite:
         assert tampered == report
         assert np.array_equal(tampered_grad, grad)
 
+    @pytest.mark.parametrize("name", ["total", "reg", "si"])
+    def test_overflow_once_scaled(self, name):
+        # 1e308 is finite, 10 * 1e308 is not: off the mask it is ignored like
+        # any other value there (no RuntimeWarning, which fails this suite),
+        # on the mask the loss is a DomainError rather than inf
+        scaled = losses.AffineParams(10.0, 0.0)
+
+        def value_and_grad(p, t, m):
+            if name == "total":
+                report, grad = loss_total(p, t, m, affine=scaled)
+                return report.total, grad
+            out = (loss_reg if name == "reg" else loss_si)(p, t, m, affine=scaled)
+            return out.value, out.grad
+
+        pred, target, mask = make_depth_pair(np.random.default_rng(33), (8, 8))
+        value, grad = value_and_grad(pred, target, mask)
+        (y_off, x_off), (y_on, x_on) = np.argwhere(~mask)[0], np.argwhere(mask)[3]
+        pred[y_off, x_off] = 1e308
+        tampered_value, tampered_grad = value_and_grad(pred, target, mask)
+        assert tampered_value == value
+        assert np.array_equal(tampered_grad, grad)
+        pred[y_on, x_on] = 1e308
+        with pytest.raises(DomainError) as info:
+            value_and_grad(pred, target, mask)
+        assert str(info.value) == "aligned residual overflows float64 on the valid mask"
+
+    def test_total_overflow_is_domain_error(self):
+        pred, target, mask = make_depth_pair(np.random.default_rng(34), (8, 8))
+        report, _ = loss_total(pred, target, mask, lam=1.0)
+        assert report.l_reg > 1.0
+        with pytest.raises(DomainError, match="total loss overflows float64"):
+            loss_total(pred, target, mask, lam=1e308)
+
     def test_loss_total_checks_once(self, monkeypatch):
         finite_flags = []
         check = losses._check_pair
