@@ -256,8 +256,6 @@ def cmd_dataset_export(args) -> tuple[dict, str]:
 
 def cmd_fusion_run(args) -> tuple[dict, str]:
     stacks_dir = Path(args.stacks)
-    if not stacks_dir.is_dir():
-        raise FileNotFoundError(f"not a directory: {stacks_dir}")
     stacks = load_stack_pfms(stacks_dir)
     if not stacks:
         raise ParameterError(f"no .pfm stacks under {stacks_dir}")

@@ -26,7 +26,7 @@ import struct
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class EventStream:
 
     __slots__ = ("width", "height", "xs", "ys", "ps", "ts")
 
-    def __init__(self, width, height, xs, ys, ps, ts, validate=True):
+    def __init__(self, width, height, xs, ys, ps, ts):
         # always copy: the arrays get frozen, and freezing a caller's array
         # (or a buffer-backed view) in place would be a surprising side effect
         self._bind(
@@ -126,7 +126,6 @@ class EventStream:
             np.array(ys, dtype=np.int32, order="C", copy=True),
             np.array(ps, dtype=np.int8, order="C", copy=True),
             np.array(ts, dtype=np.int64, order="C", copy=True),
-            validate,
         )
 
     @classmethod
@@ -135,12 +134,11 @@ class EventStream:
         int64 columns that the caller has just built and holds no other
         reference to."""
         stream = cls.__new__(cls)
-        stream._bind(width, height, xs, ys, ps, ts, True)
+        stream._bind(width, height, xs, ys, ps, ts)
         return stream
 
-    def _bind(self, width, height, xs, ys, ps, ts, validate):
-        if validate:
-            _validate_arrays(width, height, xs, ys, ps, ts)
+    def _bind(self, width, height, xs, ys, ps, ts):
+        _validate_arrays(width, height, xs, ys, ps, ts)
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
         object.__setattr__(self, "xs", xs)
@@ -152,15 +150,6 @@ class EventStream:
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("EventStream is immutable")
-
-    @classmethod
-    def from_events(cls, width: int, height: int, events: Iterable[Event]) -> "EventStream":
-        evs = list(events)
-        xs = np.array([e.x for e in evs], dtype=np.int32)
-        ys = np.array([e.y for e in evs], dtype=np.int32)
-        ps = np.array([e.polarity for e in evs], dtype=np.int8)
-        ts = np.array([e.timestamp for e in evs], dtype=np.int64)
-        return cls(width, height, xs, ys, ps, ts)
 
     @classmethod
     def empty(cls, width: int, height: int) -> "EventStream":
@@ -221,9 +210,7 @@ class EventSlice:
             yield Event(int(self.xs[i]), int(self.ys[i]), int(self.ps[i]), int(self.ts[i]))
 
     def to_stream(self) -> EventStream:
-        return EventStream(
-            self.width, self.height, self.xs, self.ys, self.ps, self.ts, validate=False
-        )
+        return EventStream(self.width, self.height, self.xs, self.ys, self.ps, self.ts)
 
 
 def slice_sbt(stream: EventStream, t_d: int, window_us: int) -> EventSlice:

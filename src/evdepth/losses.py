@@ -8,7 +8,9 @@ array (None means fully valid). The alignment solves
 through the 2x2 normal equations. The scale-invariant loss averages the
 squared aligned residual with a 1/2 factor; the regularization term sums,
 over a dyadic pyramid of the aligned residual, the mean absolute forward
-differences over valid pixel pairs.
+differences over valid pixel pairs. Each loss takes ``affine``: None solves
+for (s, t), and a given pair is used as it is, ``IDENTITY_AFFINE`` (s = 1,
+t = 0) for metric depth.
 
 Gradients are taken with (s, t) frozen at their solved values. For the
 scale-invariant term that is exact (the solve is at its own optimum); for
@@ -17,11 +19,13 @@ difference checks must also hold (s, t) fixed — pass ``affine=`` for that.
 The |.| subgradient at 0 is taken as 0. Masked-out pixels never influence
 values or gradients. A prediction or target that is not finite on the mask
 is a DomainError, since it would turn every value and gradient into nan;
-so is a finite value on the mask whose aligned residual overflows float64,
-found by testing the finished loss values (an overflow off the mask is
-zeroed with the rest of what lies there, silently).
-Each public call checks that once: calls made inside this module (and by
-``metrics.evaluate``) on arrays already checked pass ``_checked=True``.
+so is a finite value on the mask whose alignment sums or aligned residual
+overflow float64, found by testing the solved (s, t) and the finished loss
+values (an overflow off the mask is zeroed with the rest of what lies
+there, silently).
+``_check_pair`` is the one check of the (pred, target, mask) contract, for
+this module and for ``metrics.evaluate``. Each public call runs it once:
+calls made on arrays already checked pass ``_checked=True``.
 
 The kernels work in place on arrays they allocate, never on an argument,
 and keep nothing between calls. Each sum runs over the gathered valid pixels
@@ -121,7 +125,9 @@ def lstsq_align(pred, target, mask=None, *, _checked=False) -> AffineParams:
     """Least-squares scale/shift of pred onto target over the valid pixels.
 
     A (numerically) constant prediction has no usable scale; the fallback is
-    s = 1 with t the mean valid difference, flagged as degenerate.
+    s = 1 with t the mean valid difference, flagged as degenerate. Finite
+    values whose sums overflow float64 give a scale or shift that is not
+    finite: a DomainError.
     """
     pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
     m = int(np.count_nonzero(mask))
@@ -129,38 +135,35 @@ def lstsq_align(pred, target, mask=None, *, _checked=False) -> AffineParams:
         raise InsufficientSupportError(f"alignment needs >= 2 valid pixels, got {m}")
     p = pred[mask]
     g = target[mask]
-    sp = p.sum()
-    sg = g.sum()
-    spg = np.multiply(g, p, out=g).sum()
-    spp = np.multiply(p, p, out=p).sum()
-    det = m * spp - sp * sp
-    if det <= _DEGENERATE_REL_TOL * m * spp:
-        # p and g now hold products: gather the differences afresh (rare path)
-        return AffineParams(1.0, float((target[mask] - pred[mask]).mean()), degenerate=True)
-    s = (m * spg - sp * sg) / det
-    t = (spp * sg - sp * spg) / det
-    return AffineParams(float(s), float(t))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite solve is tested next
+        sp = p.sum()
+        sg = g.sum()
+        spg = np.multiply(g, p, out=g).sum()
+        spp = np.multiply(p, p, out=p).sum()
+        det = m * spp - sp * sp
+        if det <= _DEGENERATE_REL_TOL * m * spp:
+            # p and g now hold products: gather the differences afresh (rare path)
+            aff = AffineParams(1.0, float((target[mask] - pred[mask]).mean()), degenerate=True)
+        else:
+            s = (m * spg - sp * sg) / det
+            t = (spp * sg - sp * spg) / det
+            aff = AffineParams(float(s), float(t))
+    if not (math.isfinite(aff.scale) and math.isfinite(aff.shift)):
+        raise DomainError("alignment overflows float64 on the valid mask")
+    return aff
 
 
-def _resolve_affine(pred, target, mask, align, affine) -> AffineParams:
-    if affine is not None:
-        return affine
-    if align:
-        return lstsq_align(pred, target, mask, _checked=True)
-    return IDENTITY_AFFINE
-
-
-def loss_si(pred, target, mask=None, *, align=True, affine=None, _checked=False) -> SiLoss:
+def loss_si(pred, target, mask=None, *, affine=None, _checked=False) -> SiLoss:
     """Scale-invariant loss: 1/(2|M|) * sum_M (s*pred + t - target)^2.
 
-    ``align=False`` evaluates at s=1, t=0 (metric-depth use); an explicit
-    ``affine`` overrides both.
+    ``affine=None`` solves for (s, t); a given ``affine`` is used as it is,
+    ``IDENTITY_AFFINE`` (s=1, t=0) for metric depth.
     """
     pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
     m = int(np.count_nonzero(mask))
     if m < 2:
         raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
-    aff = _resolve_affine(pred, target, mask, align, affine)
+    aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
     with np.errstate(over="ignore"):  # an overflow makes the value inf, tested next
         residual = pred[mask]
         residual *= aff.scale
@@ -286,7 +289,6 @@ def loss_reg(
     mask=None,
     k_scales=LOSS_DEFAULTS.k_scales,
     *,
-    align=True,
     affine=None,
     _checked=False,
 ) -> RegLoss:
@@ -296,7 +298,7 @@ def loss_reg(
     levels (masked 2x2 averaging); each level contributes the mean |forward
     difference| over pairs of valid pixels, normalized by that level's valid
     pixel count. Levels with no valid pixels contribute 0 and are reported
-    in ``empty_scales``.
+    in ``empty_scales``. ``affine`` is as for ``loss_si``.
     """
     pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
     if k_scales < 1:
@@ -304,7 +306,7 @@ def loss_reg(
     m = int(np.count_nonzero(mask))
     if m < 2:
         raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
-    aff = _resolve_affine(pred, target, mask, align, affine)
+    aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
     off_mask = ~mask
     # On the mask both operands are checked finite, so an invalid operation
     # (inf - inf, 0 * inf) or an overflow of a finite value off the mask is
@@ -355,12 +357,12 @@ def loss_total(
     lam: float = LOSS_DEFAULTS.lam,
     k_scales: int = LOSS_DEFAULTS.k_scales,
     *,
-    align=True,
     affine=None,
 ) -> tuple[LossReport, np.ndarray]:
-    """Combined loss l_si + lam * l_reg with a single shared alignment."""
+    """Combined loss l_si + lam * l_reg with a single shared alignment
+    (``affine`` as for ``loss_si``)."""
     pred, target, mask = _check_pair(pred, target, mask)
-    aff = _resolve_affine(pred, target, mask, align, affine)
+    aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
     si = loss_si(pred, target, mask, affine=aff, _checked=True)
     reg = loss_reg(pred, target, mask, k_scales, affine=aff, _checked=True)
     total = si.value + lam * reg.value

@@ -8,7 +8,8 @@ Conventions fixed here because the usual write-ups leave them open:
     metrics; alignment can push values non-positive.
   - Delta thresholds compare strictly (ratio < 1.25^n).
   - A prediction that is not finite on the valid mask is a DomainError, as
-    is ground truth that is not finite and positive there.
+    is ground truth that is not finite and positive there; the shape and
+    finiteness checks are those of ``losses._check_pair``.
 
 Each report can carry its pixel-level accumulators so a set of frames can be
 re-aggregated exactly as if all pixels had been evaluated at once.
@@ -19,13 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import DEFAULT_CLAMP_MIN
-from .errors import ContractError, DomainError, InsufficientSupportError, ParameterError
-from .losses import lstsq_align
+from .errors import DomainError, InsufficientSupportError, ParameterError
+from .losses import _check_pair, lstsq_align
 
 REPORT_FIELDS = (
     "abs_rel",
@@ -102,26 +103,14 @@ def evaluate(
     ground truth first. The clamp is applied to the (aligned) prediction
     before any metric; pass ``(-inf, inf)`` to disable it.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 2:
-        raise ContractError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-    if mask is None:
-        mask = np.ones(pred.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != pred.shape:
-            raise ContractError(f"mask shape {mask.shape} does not match {pred.shape}")
+    pred, gt, mask = _check_pair(pred, gt, mask, finite=False)
     n = int(np.count_nonzero(mask))
     if n < 1 or (align and n < 2):
         raise InsufficientSupportError(f"evaluation needs {2 if align else 1}+ valid pixels, got {n}")
-    ok = np.isfinite(gt)
-    ok &= gt > 0
-    if not np.less_equal(mask, ok, out=ok).all():  # valid implies finite and > 0
-        raise DomainError("ground truth must be finite and > 0 on the valid mask")
-    np.isfinite(pred, out=ok)
-    if not np.less_equal(mask, ok, out=ok).all():
-        raise DomainError("prediction must be finite on the valid mask")
+    _check_pair(pred, gt, mask)  # finiteness after the count, so too few pixels is reported first
+    ok = np.greater(gt, 0.0)
+    if not np.less_equal(mask, ok, out=ok).all():  # valid implies > 0
+        raise DomainError("ground truth must be > 0 on the valid mask")
     lo, hi = clamp
     if not lo <= hi:
         raise ParameterError(f"clamp bounds out of order: {clamp}")
@@ -178,29 +167,19 @@ def aggregate(reports, weights: str = "uniform") -> MetricsReport:
     aligned = all(r.aligned for r in reports)
     if weights == "uniform":
         n = len(reports)
-        fields = {
+        means = {
             name: sum(getattr(r, name) for r in reports) / n
             for name in REPORT_FIELDS
             if name not in ("n_valid", "aligned")
         }
         return MetricsReport(
-            n_valid=sum(r.n_valid for r in reports), aligned=aligned, pool=None, **fields
+            n_valid=sum(r.n_valid for r in reports), aligned=aligned, pool=None, **means
         )
     if weights == "per-pixel":
         if any(r.pool is None for r in reports):
             raise ParameterError("per-pixel aggregation needs reports carrying accumulators")
         pools = [r.pool for r in reports]
-        merged = PixelPool(
-            n=sum(p.n for p in pools),
-            sum_abs_rel=sum(p.sum_abs_rel for p in pools),
-            sum_sq_rel=sum(p.sum_sq_rel for p in pools),
-            sum_sq_err=sum(p.sum_sq_err for p in pools),
-            sum_log_diff=sum(p.sum_log_diff for p in pools),
-            sum_sq_log_diff=sum(p.sum_sq_log_diff for p in pools),
-            n_delta1=sum(p.n_delta1 for p in pools),
-            n_delta2=sum(p.n_delta2 for p in pools),
-            n_delta3=sum(p.n_delta3 for p in pools),
-        )
+        merged = PixelPool(**{f.name: sum(getattr(p, f.name) for p in pools) for f in fields(PixelPool)})
         return _report_from_pool(merged, aligned=aligned)
     raise ParameterError(f"unknown aggregation mode {weights!r}")
 

@@ -29,6 +29,7 @@ from .config import ENCODER_DEFAULTS
 from .errors import DegenerateIntervalError, FormatError, ParameterError
 from .events import EventSlice
 from .imgio import read_pfm, write_pfm, write_ppm
+from .naming import files_by_stem
 
 
 class StackLayout(enum.Enum):
@@ -151,12 +152,13 @@ _CHANNEL_STEM = re.compile(r"(.+)\.c(0|[1-9][0-9]*)")
 def load_stack_pfms(directory) -> list[tuple[str, np.ndarray]]:
     """Inverse of save_stack_pfm over a directory: one (stem, (H, W, C)
     array) per stack, in stem order. The ``<stem>.c<k>.pfm`` files of one
-    stem are its channels; any other PFM is a whole stack."""
+    stem are its channels; any other PFM is a whole stack. Two files whose
+    names differ only in the suffix's case are ambiguous (BuildError)."""
+    if not Path(directory).is_dir():
+        raise FileNotFoundError(f"not a directory: {directory}")
     whole: dict[str, np.ndarray] = {}
     split: dict[str, dict[int, np.ndarray]] = {}
-    for path in Path(directory).iterdir():
-        if path.suffix.lower() != ".pfm":
-            continue
+    for path in files_by_stem(directory, (".pfm",), "stack").values():
         values = read_pfm(path)
         match = _CHANNEL_STEM.fullmatch(path.stem)
         if match is None:

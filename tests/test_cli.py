@@ -168,6 +168,16 @@ class TestAlignEvaluate:
         assert payload["scale"] == pytest.approx(2.0, abs=1e-6)
         assert payload["shift"] == pytest.approx(3.0, abs=1e-6)
 
+    def test_overflowing_alignment_is_data_error(self, tmp_path, capsys):
+        # a 16-bit depth PGM is scaled by its sidecar's factor, so a stored
+        # depth can be finite and still overflow float64 once squared
+        target = np.random.default_rng(3).uniform(1, 10, (12, 12))
+        save_depth_pfm(tmp_path / "target.pfm", target)
+        save_depth_pgm16(tmp_path / "pred.pgm", target * 1e290)
+        assert main(["align", "--pred", str(tmp_path / "pred.pgm"),
+                     "--target", str(tmp_path / "target.pfm")]) == 2
+        assert "alignment overflows float64 on the valid mask" in capsys.readouterr().err
+
     def _make_eval_dirs(self, tmp_path, scale=1.0, shift=0.0):
         rng = np.random.default_rng(2)
         pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
@@ -394,6 +404,18 @@ class TestDatasetAndFusion:
         assert main(["fusion", "run", "--stacks", str(stacks_dir),
                      "--out", str(tmp_path / "depth")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_fusion_run_on_stem_in_two_suffix_cases_is_data_error(self, tmp_path, capsys):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / "000.pfm", np.zeros((32, 32, 3)))
+        write_pfm(stacks_dir / "000.PFM", np.ones((32, 32, 3)))
+        assert main(["fusion", "run", "--stacks", str(stacks_dir),
+                     "--out", str(tmp_path / "depth")]) == 2
+        err = capsys.readouterr().err
+        assert "ambiguous stack files for '000'" in err
+        assert "000.PFM" in err and "000.pfm" in err
+        assert not (tmp_path / "depth").exists()
 
     @pytest.mark.parametrize(
         "mutation",

@@ -222,7 +222,7 @@ class TestLossSi:
     def test_align_off_uses_identity(self):
         rng = np.random.default_rng(8)
         pred, target, mask = make_depth_pair(rng, (8, 8))
-        out = loss_si(pred, target, mask, align=False)
+        out = loss_si(pred, target, mask, affine=losses.IDENTITY_AFFINE)
         assert out.affine.scale == 1.0 and out.affine.shift == 0.0
         assert out.value == pytest.approx(si_oracle(pred, target, mask, 1.0, 0.0), rel=1e-12)
 
@@ -269,7 +269,7 @@ class TestLossReg:
         # small integers keep target + 5 exact, so R really is constant
         rng = np.random.default_rng(13)
         target = rng.integers(1, 9, (16, 16)).astype(np.float64)
-        out = loss_reg(target + 5.0, target, k_scales=4, align=False)
+        out = loss_reg(target + 5.0, target, k_scales=4, affine=losses.IDENTITY_AFFINE)
         assert out.value == 0.0
         assert not out.grad.any()
 
@@ -402,7 +402,7 @@ class TestNonFinite:
         [
             lambda p, t, m: loss_total(p, t, m),
             lambda p, t, m: loss_total(p, t, m, affine=losses.IDENTITY_AFFINE),
-            lambda p, t, m: loss_si(p, t, m, align=False),
+            lambda p, t, m: loss_si(p, t, m, affine=losses.IDENTITY_AFFINE),
             lambda p, t, m: loss_reg(p, t, m),
             lambda p, t, m: lstsq_align(p, t, m),
         ],
@@ -469,3 +469,29 @@ class TestNonFinite:
         loss_total(*make_depth_pair(np.random.default_rng(32), (8, 8)))
         # loss_total itself, then lstsq_align, loss_si and loss_reg unchecked
         assert finite_flags == [True, False, False, False]
+
+    @pytest.mark.parametrize(
+        "fn", [lstsq_align, loss_total, loss_si, loss_reg], ids=["align", "total", "si", "reg"]
+    )
+    def test_alignment_overflow_is_domain_error(self, fn):
+        # 1e200 is finite, its square is not: the normal-equation sums and so
+        # the solved (s, t) are not finite, without a RuntimeWarning on the way
+        pred, target, mask = make_depth_pair(np.random.default_rng(35), (8, 8))
+        y, x = np.argwhere(mask)[3]
+        pred[y, x] = 1e200
+        with pytest.raises(DomainError) as info:
+            fn(pred, target, mask)
+        assert str(info.value) == "alignment overflows float64 on the valid mask"
+
+    @pytest.mark.parametrize("case", ["scale", "degenerate"])
+    def test_one_overflowing_solve_is_domain_error(self, case):
+        # tiny predictions against huge targets overflow the scale alone (the
+        # shift stays finite); a constant prediction takes the fallback, whose
+        # mean difference overflows
+        rng = np.random.default_rng(36)
+        if case == "scale":
+            pred, target = 1e-20 * rng.uniform(1, 2, (8, 8)), 1e290 * rng.uniform(1, 2, (8, 8))
+        else:
+            pred, target = np.ones((8, 8)), np.full((8, 8), 1e308)
+        with pytest.raises(DomainError, match="alignment overflows float64"):
+            lstsq_align(pred, target)

@@ -82,6 +82,28 @@ class TestEvaluate:
             evaluate(np.ones((2, 2)), gt)
 
     @pytest.mark.parametrize("align", [True, False])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, -np.inf, np.nan, np.inf])
+    def test_bad_ground_truth_is_domain_error_only_on_mask(self, align, bad):
+        pred, gt, mask = make_depth_pair(np.random.default_rng(42), (8, 8))
+        base = evaluate(pred, gt, mask, align=align)
+        (y_off, x_off), (y_on, x_on) = np.argwhere(~mask)[0], np.argwhere(mask)[2]
+        gt[y_off, x_off] = bad
+        r = evaluate(pred, gt, mask, align=align)
+        assert r == base
+        assert all(math.isfinite(v) for v in r.to_dict().values())
+        gt[y_on, x_on] = bad
+        with pytest.raises(DomainError):
+            evaluate(pred, gt, mask, align=align)
+
+    def test_overflowing_alignment_is_domain_error(self):
+        # finite, but squared past float64: the solve is not finite
+        pred, gt, mask = make_depth_pair(np.random.default_rng(43), (8, 8))
+        y, x = np.argwhere(mask)[2]
+        pred[y, x] = 1e200
+        with pytest.raises(DomainError, match="alignment overflows float64"):
+            evaluate(pred, gt, mask, align=True)
+
+    @pytest.mark.parametrize("align", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_prediction_on_mask_is_domain_error(self, align, bad):
         pred, gt, mask = make_depth_pair(np.random.default_rng(40), (8, 8))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_stream
-from evdepth.errors import DegenerateIntervalError, FormatError, ParameterError
+from evdepth.errors import BuildError, DegenerateIntervalError, FormatError, ParameterError
 from evdepth.events import EventStream, slice_sbt
 from evdepth.imgio import read_pfm, read_ppm, write_pfm
 from evdepth.stacks import (
@@ -322,6 +322,13 @@ class TestExport:
         save_stack_pfm(encode_voxel(slice_sbt(stream, 1_000_000, 1_000_000), 5), tmp_path / "v.pfm")
         damage(tmp_path)
         with pytest.raises(FormatError):
+            load_stack_pfms(tmp_path)
+
+    @pytest.mark.parametrize("stem, shape", [("000", (4, 4, 3)), ("000.c0", (4, 4))])
+    def test_load_stack_pfms_rejects_a_stem_in_two_suffix_cases(self, tmp_path, stem, shape):
+        write_pfm(tmp_path / f"{stem}.pfm", np.zeros(shape))
+        write_pfm(tmp_path / f"{stem}.PFM", np.ones(shape))
+        with pytest.raises(BuildError, match=f"ambiguous stack files for '{stem}'"):
             load_stack_pfms(tmp_path)
 
     def test_dispatcher(self):
