@@ -274,6 +274,29 @@ def probe_convlstm_step(seed):
     return out
 
 
+def probe_fuse(seed):
+    """``bilinear_up2`` and ``fuse`` on the pyramid ``run_sequence`` fuses
+    (its s16 -> s8 and s8 -> s4 steps) and on two-scale pyramids whose coarse
+    map is 1xN, Nx1 or 3x5. Every input comes in two layouts with the same
+    values: C-order and channel-major, the layout ``convlstm_step`` returns."""
+    from evdepth.fusion import FeaturePyramid, bilinear_up2, fuse
+
+    _, params = _fusion_setup(seed)
+    rng = np.random.default_rng([seed, 8])
+    shapes = [[(FUSION_SHAPE[0] // s, FUSION_SHAPE[1] // s) for s in params.scales]]
+    shapes += [[(2 * h, 2 * w), (h, w)] for h, w in ((1, 7), (7, 1), (3, 5))]
+    out = []
+    for dims in shapes:
+        maps = [rng.uniform(-1, 1, dim + (c,)) for dim, c in zip(dims, params.channels)]
+        channel_major = [np.ascontiguousarray(m.transpose(2, 0, 1)).transpose(1, 2, 0)
+                         for m in maps]
+        scales = params.scales[: len(maps)]
+        for layout in (maps, channel_major):
+            out += [bilinear_up2(m) for m in layout[1:]]
+            out.append(fuse(FeaturePyramid(scales, tuple(layout)), params.projections))
+    return out
+
+
 def probe_run_sequence(seed):
     from evdepth import fusion
 
@@ -308,6 +331,7 @@ PROBES = {
     "stacks.encode": probe_encode,
     "fusion.conv2d_same": probe_conv2d_same,
     "fusion.convlstm_step": probe_convlstm_step,
+    "fusion.fuse": probe_fuse,
     "fusion.run_sequence": probe_run_sequence,
     "losses.lstsq_align": probe_lstsq_align,
     "losses.loss_total": probe_loss_total,

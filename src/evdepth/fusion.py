@@ -59,25 +59,60 @@ class ModelParams:
     head_bias: float
 
 
-def _sigmoid(x):
-    # Branch-free 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below zero:
-    # both sides divide by one plus the same exp(-|x|), which never overflows.
-    # min(x, -x) is -|x| that also keeps the sign bit of a NaN input.
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid_inplace(x):
+    """Overwrite ``x`` with its logistic sigmoid and return it.
+
+    Branch-free 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below zero:
+    both sides divide by one plus the same exp(-|x|), which never overflows.
+    min(x, -x) is -|x| that also keeps the sign bit of a NaN input. The
+    numerator max(e, x >= 0) is 1 where x >= 0 (there e <= 1) and e
+    elsewhere, NaN included: the bits of a select, without its branches.
+    """
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    np.maximum(e, x >= 0, out=x)
+    e += 1.0
+    x /= e
+    return x
+
+
+def _padded(parts, ph: int, pw: int) -> np.ndarray:
+    """The (H, W, C_i) maps of ``parts`` side by side along channels, in one
+    zero-filled buffer padded by ``ph`` rows and ``pw`` columns on each side."""
+    h, w = parts[0].shape[:2]
+    n_ch = sum(part.shape[2] for part in parts)
+    out = np.zeros((h + 2 * ph, w + 2 * pw, n_ch), dtype=np.result_type(*parts))
+    start = 0
+    for part in parts:
+        out[ph : ph + h, pw : pw + w, start : start + part.shape[2]] = part
+        start += part.shape[2]
+    return out
+
+
+def _conv_rows(padded: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The convolution of the (H, W) map inside ``padded`` as (Cout, H*W) rows.
+
+    im2col with taps in the kernel's own (kh, kw, Cin) order, then one GEMM
+    run as (Cout, K) @ (K, H*W): the GEMM numpy's einsum reduces this
+    convolution to, so its sums and its Cout-major result layout are kept.
+    Another tap or operand order sums differently and moves the last bits.
+    The columns are one C-order copy of a read-only window view.
+    """
+    kh, kw, _, c_out = kernel.shape
+    s_row, s_col, s_ch = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (h, w, kh, kw, padded.shape[2]), (s_row, s_col, s_row, s_col, s_ch),
+        writeable=False,
+    )
+    return kernel.reshape(-1, c_out).T @ windows.reshape(h * w, -1).T
 
 
 def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Zero-padded 'same' 2-D convolution; x (H, W, Cin), kernel (k, k, Cin, Cout)."""
     kh, kw, _, c_out = kernel.shape
     h, w = x.shape[:2]
-    padded = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
-    # im2col with taps in the kernel's own (kh, kw, Cin) order, then one GEMM
-    # run as (Cout, K) @ (K, H*W): the GEMM numpy's einsum reduces this
-    # convolution to, so its sums and its Cout-major result layout are kept.
-    # Another tap or operand order sums differently and moves the last bits.
-    cols = np.stack([padded[i : i + h, j : j + w] for i in range(kh) for j in range(kw)], axis=2)
-    out = kernel.reshape(-1, c_out).T @ cols.reshape(h * w, -1).T
+    out = _conv_rows(_padded([x], kh // 2, kw // 2), kernel, h, w)
     return out.T.reshape(h, w, c_out)
 
 
@@ -85,7 +120,8 @@ def convlstm_step(features, hidden, cell, kernel, bias):
     """One ConvLSTM update; returns (new_hidden, new_cell).
 
     The enhanced feature map is the new hidden state: every entry is a
-    sigmoid times a tanh, hence strictly inside (-1, 1).
+    sigmoid times a tanh, hence strictly inside (-1, 1). Both returned maps
+    are (H, W, C) views of fresh channel-major (C, H*W) arrays.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 3:
@@ -94,19 +130,26 @@ def convlstm_step(features, hidden, cell, kernel, bias):
         raise ContractError(
             f"state shape {hidden.shape}/{cell.shape} does not match features {features.shape}"
         )
-    c = features.shape[2]
+    h, w, c = features.shape
     odd_k = kernel.ndim == 4 and kernel.shape[0] % 2 == kernel.shape[1] % 2 == 1
     if not odd_k or kernel.shape[2:] != (2 * c, 4 * c):
         raise ContractError(f"kernel shape {kernel.shape} incompatible with {c} channels")
     if bias.shape != (4 * c,):
         raise ContractError(f"bias shape {bias.shape}, expected ({4 * c},)")
-    gates = conv2d_same(np.concatenate([features, hidden], axis=2), kernel) + bias
-    ifo = _sigmoid(gates[:, :, : 3 * c])
-    i, f, o = ifo[:, :, :c], ifo[:, :, c : 2 * c], ifo[:, :, 2 * c :]
-    g = np.tanh(gates[:, :, 3 * c :])
-    new_cell = f * cell + i * g
-    new_hidden = o * np.tanh(new_cell)
-    return new_hidden, new_cell
+    # Gates stay in the GEMM's (4C, H*W) rows, so each gate block is
+    # contiguous and every step below runs in place on it.
+    padded = _padded([features, hidden], kernel.shape[0] // 2, kernel.shape[1] // 2)
+    gates = _conv_rows(padded, kernel, h, w)
+    gates += bias[:, None]
+    _sigmoid_inplace(gates[: 3 * c])
+    np.tanh(gates[3 * c :], out=gates[3 * c :])
+    i, f, o, g = gates.reshape(4, c, h * w)
+    i *= g
+    new_cell = np.multiply(f, cell.reshape(h * w, c).T, order="C")
+    new_cell += i
+    new_hidden = np.tanh(new_cell)
+    new_hidden *= o
+    return new_hidden.T.reshape(h, w, c), new_cell.T.reshape(h, w, c)
 
 
 def bilinear_up2(x: np.ndarray) -> np.ndarray:
@@ -123,11 +166,21 @@ def bilinear_up2(x: np.ndarray) -> np.ndarray:
     r0, r1, fr = axis_weights(x.shape[0])
     c0, c1, fc = axis_weights(x.shape[1])
     # Columns first, on the input rows only; then rows. Each output element
-    # sees the same products and sums as a full-size lerp in both axes.
+    # sees the same products and sums as a full-size lerp in both axes, here
+    # formed in place in one gathered buffer and one scratch buffer per pass.
     fc = np.ascontiguousarray(np.broadcast_to(fc[:, None], (fc.size, x.shape[2])))
-    cols = x[:, c0] * (1 - fc) + x[:, c1] * fc
+    cols = np.take(x, c0, axis=1)
+    cols *= 1 - fc
+    scratch = np.take(x, c1, axis=1)
+    scratch *= fc
+    cols += scratch
     fr = fr[:, None, None]
-    return cols[r0] * (1 - fr) + cols[r1] * fr
+    out = np.take(cols, r0, axis=0)
+    out *= 1 - fr
+    scratch = np.take(cols, r1, axis=0)
+    scratch *= fr
+    out += scratch
+    return out
 
 
 def fuse(pyramid: FeaturePyramid, projections: dict[int, np.ndarray]) -> np.ndarray:

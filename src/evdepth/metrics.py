@@ -9,7 +9,8 @@ Conventions fixed here because the usual write-ups leave them open:
   - Delta thresholds compare strictly (ratio < 1.25^n).
   - A prediction that is not finite on the valid mask is a DomainError, as
     is ground truth that is not finite and positive there; the shape and
-    finiteness checks are those of ``losses._check_pair``.
+    finiteness checks are those of ``losses._check_pair``. So is a finite
+    prediction whose error overflows float64 there.
 
 Each report can carry its pixel-level accumulators so a set of frames can be
 re-aggregated exactly as if all pixels had been evaluated at once.
@@ -124,12 +125,15 @@ def evaluate(
 
     # One scratch vector serves every per-pixel term (err is recomputed rather
     # than kept); each sum is still over the gathered valid pixels, in order.
-    buf = np.subtract(p, g)
-    np.abs(buf, out=buf)
-    sum_abs_rel = float(np.divide(buf, g, out=buf).sum())
-    np.subtract(p, g, out=buf)
-    sum_sq_err = float(np.multiply(buf, buf, out=buf).sum())
-    sum_sq_rel = float(np.divide(buf, g, out=buf).sum())
+    with np.errstate(over="ignore"):  # an overflow makes a sum inf, tested next
+        buf = np.subtract(p, g)
+        np.abs(buf, out=buf)
+        sum_abs_rel = float(np.divide(buf, g, out=buf).sum())
+        np.subtract(p, g, out=buf)
+        sum_sq_err = float(np.multiply(buf, buf, out=buf).sum())
+        sum_sq_rel = float(np.divide(buf, g, out=buf).sum())
+    if not all(map(math.isfinite, (sum_abs_rel, sum_sq_err, sum_sq_rel))):
+        raise DomainError("prediction error overflows float64 on the valid mask")
     # ratio = max(p/g, g/p) < t  <=>  p/g < t and g/p < t
     np.divide(p, g, out=buf)
     within = [buf < 1.25**k for k in (1, 2, 3)]

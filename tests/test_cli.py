@@ -225,6 +225,18 @@ class TestAlignEvaluate:
         assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
         assert "f0.pgm.json" in capsys.readouterr().err
 
+    def test_overflowing_gt_sidecar_scale_is_data_error(self, tmp_path, capsys):
+        # the scaled ground truth (up to 65535e299) is finite, its error squared
+        # is not; aligned, the same file overflows the alignment first
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        gt = read_pfm(gt_dir / "f0.pfm")
+        (gt_dir / "f0.pfm").unlink()
+        save_depth_pgm16(gt_dir / "f0.pgm", gt)
+        (gt_dir / "f0.pgm.json").write_text('{"scale_m_per_unit": 1e299}\n')
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--no-align"]) == 2
+        assert "prediction error overflows float64" in capsys.readouterr().err
+
     def test_non_finite_prediction_is_data_error(self, tmp_path, capsys):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
         pred = read_pfm(pred_dir / "f1.pfm")

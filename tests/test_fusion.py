@@ -35,6 +35,36 @@ def zero_params(scales=(4, 8, 16), channels=(16, 32, 64)) -> ModelParams:
     )
 
 
+def naive_conv(x, kernel):
+    """Scalar oracle: zero-padded 'same' convolution, one tap at a time."""
+    kh, kw, c_in, c_out = kernel.shape
+    h, w = x.shape[:2]
+    padded = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    out = np.zeros((h, w, c_out))
+    for y in range(h):
+        for xx in range(w):
+            for i in range(kh):
+                for j in range(kw):
+                    for c in range(c_in):
+                        out[y, xx] += padded[y + i, xx + j, c] * kernel[i, j, c]
+    return out
+
+
+def naive_convlstm_step(features, hidden, cell, kernel, bias):
+    """Scalar oracle: the ConvLSTM update, pixel by pixel and channel by channel."""
+    h, w, c = features.shape
+    gates = naive_conv(np.concatenate([features, hidden], axis=2), kernel) + bias
+    new_hidden, new_cell = np.empty((h, w, c)), np.empty((h, w, c))
+    for y in range(h):
+        for x in range(w):
+            for k in range(c):
+                i, f, o = (sigmoid_two_branch(gates[y, x, n * c + k]) for n in range(3))
+                g = math.tanh(gates[y, x, 3 * c + k])
+                new_cell[y, x, k] = f * cell[y, x, k] + i * g
+                new_hidden[y, x, k] = o * math.tanh(new_cell[y, x, k])
+    return new_hidden, new_cell
+
+
 def sigmoid_two_branch(v):
     """Scalar oracle: the overflow-free form on each side of zero."""
     if v >= 0:
@@ -48,7 +78,7 @@ class TestSigmoid:
         special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0, math.nan]
         x = np.concatenate([special, np.random.default_rng(12).normal(0.0, 20.0, 2000)])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            out = fusion._sigmoid(x)
+            out = fusion._sigmoid_inplace(x.copy())
         assert math.isnan(out[len(special) - 1])
         for v, got in zip(x, out):
             if not math.isnan(v):
@@ -98,6 +128,48 @@ class TestConvLstmStep:
             h, c = convlstm_step(features, h, c, kernel, bias)
             assert (np.abs(h) < 1.0).all()
 
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (3, 5)])
+    def test_matches_naive_loop(self, shape):
+        rng = np.random.default_rng(18)
+        c = 2
+        features = rng.standard_normal(shape + (c,))
+        hidden, cell = rng.uniform(-1, 1, shape + (c,)), rng.standard_normal(shape + (c,))
+        kernel = rng.standard_normal((3, 3, 2 * c, 4 * c))
+        bias = rng.standard_normal(4 * c)
+        got = convlstm_step(features, hidden, cell, kernel, bias)
+        want = naive_convlstm_step(features, hidden, cell, kernel, bias)
+        for g, wt in zip(got, want):
+            assert np.allclose(g, wt, rtol=0, atol=1e-12)
+
+    def test_read_only_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(19)
+        c = 3
+        inputs = [rng.standard_normal((4, 6, c)) for _ in range(3)]
+        kernel = rng.standard_normal((3, 3, 2 * c, 4 * c))
+        bias = rng.standard_normal(4 * c)
+        kept = [a.copy() for a in inputs]
+        for a in inputs + [kernel, bias]:
+            a.flags.writeable = False
+        h2, c2 = convlstm_step(*inputs, kernel, bias)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
+        assert h2.flags.writeable and c2.flags.writeable
+
+    @pytest.mark.parametrize("channel_major_state", [False, True])
+    def test_state_is_channel_major_and_owns_only_its_values(self, channel_major_state):
+        # hidden and cell are (H, W, C) views of fresh (C, H*W) arrays, never
+        # of the (4C, H*W) gate buffer, which would stay alive with them
+        rng = np.random.default_rng(20)
+        h, w, c = 5, 7, 4
+        features, hidden, cell = (rng.standard_normal((h, w, c)) for _ in range(3))
+        if channel_major_state:
+            hidden, cell = (np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+                            for a in (hidden, cell))
+        kernel = rng.standard_normal((3, 3, 2 * c, 4 * c))
+        for out in convlstm_step(features, hidden, cell, kernel, np.zeros(4 * c)):
+            assert out.shape == (h, w, c) and out.dtype == np.float64
+            assert out.strides == (8 * w, 8, 8 * h * w)
+            assert out.base is not None and out.base.nbytes == 8 * c * h * w
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             convlstm_step(
@@ -138,17 +210,16 @@ class TestConv2dSame:
         h, w, c_in, c_out = 6, 7, 3, 5
         x = rng.standard_normal((h, w, c_in))
         kernel = rng.standard_normal((k, k, c_in, c_out))
-        padded = np.pad(x, ((k // 2, k // 2), (k // 2, k // 2), (0, 0)))
-        want = np.zeros((h, w, c_out))
-        for y in range(h):
-            for xx in range(w):
-                for i in range(k):
-                    for j in range(k):
-                        for c in range(c_in):
-                            want[y, xx] += padded[y + i, xx + j, c] * kernel[i, j, c]
         got = conv2d_same(x, kernel)
         assert got.shape == (h, w, c_out)
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(got, naive_conv(x, kernel), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
+    def test_single_row_or_column_matches_naive_loop(self, shape):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(shape + (3,))
+        kernel = rng.standard_normal((3, 3, 3, 4))
+        assert np.allclose(conv2d_same(x, kernel), naive_conv(x, kernel), rtol=0, atol=1e-12)
 
 
 class TestBilinearUp2:

@@ -103,6 +103,23 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="alignment overflows float64"):
             evaluate(pred, gt, mask, align=True)
 
+    def test_overflowing_error_is_domain_error(self):
+        # the alignment is skipped, the squared error of one pixel is not finite
+        pred, gt, mask = make_depth_pair(np.random.default_rng(43), (8, 8))
+        y, x = np.argwhere(mask)[2]
+        pred[y, x] = 1e200
+        with pytest.raises(DomainError, match="prediction error overflows float64"):
+            evaluate(pred, gt, mask, align=False)
+
+    def test_overflowing_aligned_error_is_domain_error(self):
+        # ground truth near 1e300: the alignment is finite, its error squared is not
+        pred, gt, mask = make_depth_pair(np.random.default_rng(44), (8, 8))
+        gt *= 1e299
+        aff = losses.lstsq_align(pred, gt, mask)
+        assert math.isfinite(aff.scale) and math.isfinite(aff.shift)
+        with pytest.raises(DomainError, match="prediction error overflows float64"):
+            evaluate(pred, gt, mask, align=True)
+
     @pytest.mark.parametrize("align", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_prediction_on_mask_is_domain_error(self, align, bad):
