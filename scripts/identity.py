@@ -50,6 +50,14 @@ FUSION_STEPS = 4
 SUPERVISE_SHAPE = (480, 640)
 ODD_CROP = (479, 637)
 NARROW_CROP = (479, 5)  # widths 5, 3, 2, 1: the pyramid's width-1 block sums
+# Frame times for the simulate probe besides the prep cadence, whose per-pair
+# sort keys are uint16: gaps whose keys are uint8 and uint32, and times past
+# 2**53 us, where one global sort orders the stream.
+SIM_TIMES = {
+    "uint8": np.cumsum([0, 200, 3, 255, 3, 100]),
+    "uint32": np.cumsum([0, 70_000, 3, 300_000, 3, 65_536]),
+    "past-2**53": 2**62 + np.cumsum([0, 1000, 3, 1000, 3, 1000]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +209,21 @@ def _stream(seed):
 
 
 def probe_simulate(seed):
-    s = _stream(seed)
-    return [s.xs, s.ys, s.ps, s.ts]
+    """The prep-cadence stream, then the same frames at each of ``SIM_TIMES``
+    and at the prep cadence with a static pair (frame 3 repeats frame 2)."""
+    from evdepth.simulator import IntensityFrame, SimConfig, simulate
+
+    frames = _frames(seed)
+    cases = [frames]
+    cases += [[IntensityFrame(t, f.values) for t, f in zip(times, frames)]
+              for times in SIM_TIMES.values()]
+    cases.append(frames[:3] + [IntensityFrame(frames[3].timestamp_us, frames[2].values)]
+                 + frames[4:])
+    out = []
+    for case in cases:
+        s = simulate(case, SimConfig(0.15))
+        out += [s.xs, s.ys, s.ps, s.ts]
+    return out
 
 
 def probe_evb_roundtrip(seed):

@@ -102,7 +102,9 @@ def evaluate(
 
     With ``align`` the prediction is least-squares scale/shift aligned to the
     ground truth first. The clamp is applied to the (aligned) prediction
-    before any metric; pass ``(-inf, inf)`` to disable it.
+    before any metric. The log and ratio metrics need a positive prediction:
+    with a lower bound <= 0 (``-inf`` leaves the floor off) a clamped
+    prediction <= 0 on the mask raises ``DomainError``.
     """
     pred, gt, mask = _check_pair(pred, gt, mask, finite=False)
     n = int(np.count_nonzero(mask))
@@ -122,6 +124,8 @@ def evaluate(
         p *= aff.scale
         p += aff.shift
     np.clip(p, lo, hi, out=p)
+    if lo <= 0 and not (p > 0).all():
+        raise DomainError("clamped prediction must be > 0 on the valid mask")
 
     # One scratch vector serves every per-pixel term (err is recomputed rather
     # than kept); each sum is still over the gathered valid pixels, in order.

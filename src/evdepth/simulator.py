@@ -98,6 +98,114 @@ def frames_from_dir(dirpath) -> list[IntensityFrame]:
     return [frame_from_pgm(path, t) for t, path in pairs]
 
 
+def _crossings(frames: Sequence[IntensityFrame], c: float):
+    """The threshold recurrence, one frame pair at a time.
+
+    Yields ``(t_a, t_b, ref, log_prev, log_cur, steps)`` per pair: the two
+    frame times, the reference levels entering the pair, both frames' log
+    intensities (raveled) and, per pixel, the signed crossing count
+    n_pos - n_neg, where n_pos = max(floor(y), 0), n_neg = max(floor(-y), 0)
+    and y = (log_cur - ref) / C. Both passes of ``simulate`` read this one
+    recurrence, so they cannot disagree.
+    """
+    ref = np.log(frames[0].values).ravel()
+    log_prev = ref
+    for prev, cur in zip(frames, frames[1:]):
+        log_cur = np.log(cur.values).ravel()
+        y = log_cur - ref
+        y /= c
+        # (ref - log_cur) / C is exactly -y, so n_pos and n_neg are never
+        # both positive, and n_pos - n_neg is y truncated toward zero
+        try:
+            with np.errstate(invalid="raise"):
+                steps = y.astype(np.int64)
+        except FloatingPointError:
+            raise ParameterError(
+                f"contrast threshold {c} is too small: a pixel crosses 2**63 levels or more"
+            ) from None
+        yield prev.timestamp_us, cur.timestamp_us, ref, log_prev, log_cur, steps
+        ref = ref + steps * c
+        log_prev = log_cur
+
+
+def _fractions(j, c, ref, log_prev, span, index):
+    """Per event, (ref + j * C - log_prev) / span of its pixel ``index``: where
+    the crossing level sits between the pair's two log intensities."""
+    frac = j * c
+    frac += ref[index]
+    frac -= log_prev[index]
+    frac /= span[index]
+    return frac
+
+
+def _write_pair(cols, at, n, width, c, sort, t_a, t_b, ref, log_prev, log_cur, steps):
+    """Write one frame pair's ``n`` events into ``cols[at:at + n]``.
+
+    Events come in the crossing model's order: the pixels with positive
+    crossings, then those with negative ones, each group in pixel order and
+    each pixel's crossings in level order. With ``sort`` they are then stably
+    sorted by time. Per-pixel values are computed once per active pixel and
+    gathered per event.
+    """
+    xs, ys, ps, ts = (col[at : at + n] for col in cols)
+    up = np.flatnonzero(steps > 0)
+    n_up = up.size
+    pixels = np.concatenate((up, np.flatnonzero(steps < 0)))
+    counts = np.abs(steps[pixels])
+
+    # per active pixel
+    y = pixels // width
+    x = (pixels - y * width).astype(np.int32)
+    y = y.astype(np.int32)
+    sign = np.full(pixels.size, -1, dtype=np.int8)
+    sign[:n_up] = 1
+    ref, log_prev = ref[pixels], log_prev[pixels]
+    span = log_cur[pixels] - log_prev
+    stops = np.cumsum(counts)
+
+    # per event: its pixel's position in ``pixels`` and its signed crossing
+    # index j (1, 2, ... within the pixel; negated for negative crossings)
+    index = np.repeat(np.arange(pixels.size), counts)
+    j = np.arange(1.0, n + 1.0)
+    j -= (stops - counts).astype(np.float64)[index]
+    n_up_events = int(stops[n_up - 1]) if n_up else 0
+    np.negative(j[n_up_events:], out=j[n_up_events:])
+    # A non-finite fraction raises a floating-point flag on its way (finite
+    # inputs), so the common case needs only the clip. Roundoff can put a
+    # crossing on a pixel whose log intensity did not move: a zero span, whose
+    # NaN or +-inf fraction means the pair's end.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            frac = _fractions(j, c, ref, log_prev, span, index)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            frac = _fractions(j, c, ref, log_prev, span, index)
+        np.nan_to_num(frac, copy=False, nan=1.0, posinf=1.0, neginf=1.0)
+    np.clip(frac, 0.0, 1.0, out=frac)
+    frac *= t_b - t_a
+    frac += t_a
+    t = np.rint(frac, out=frac)
+
+    if sort:
+        # earlier pairs win ties at t_b, so stable-sorting each pair on its
+        # own gives one global stable sort's order; the offset from t_a is
+        # exact in float64 here and fits the smallest unsigned type holding
+        # t_b - t_a, and at <= 16 bits numpy's stable sort is a radix sort
+        t -= t_a
+        key = t.astype(np.min_scalar_type(t_b - t_a))
+        order = np.argsort(key, kind="stable")
+        index = index[order]
+        ts[...] = key[order]
+        ts += t_a
+    else:
+        ts[...] = t
+    # every index is in range; "raise" would buffer the output, "wrap" is
+    # the fastest mode that writes it in place
+    np.take(x, index, out=xs, mode="wrap")
+    np.take(y, index, out=ys, mode="wrap")
+    np.take(sign, index, out=ps, mode="wrap")
+
+
 def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream:
     """Run the threshold-crossing model over a frame sequence.
 
@@ -123,65 +231,19 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     # of its pair, and only one global sort orders the stream.
     sort_per_pair = times[-1] <= 2**53
     c = float(config.contrast_threshold)
-    ref = np.log(frames[0].values).ravel()
-    log_prev = ref.copy()
-    chunks_x, chunks_y, chunks_p, chunks_t = [], [], [], []
-
-    for prev, cur in zip(frames, frames[1:]):
-        log_cur = np.log(cur.values).ravel()
-        t_a, t_b = prev.timestamp_us, cur.timestamp_us
-        pair_pix, pair_p, pair_t = [], [], []
-
-        n_pos = np.floor((log_cur - ref) / c).astype(np.int64)
-        np.maximum(n_pos, 0, out=n_pos)
-        n_neg = np.floor((ref - log_cur) / c).astype(np.int64)
-        np.maximum(n_neg, 0, out=n_neg)
-
-        for counts, sign in ((n_pos, 1), (n_neg, -1)):
-            pixels = np.flatnonzero(counts)
-            if pixels.size == 0:
-                continue
-            per_pixel = counts[pixels]
-            total = int(per_pixel.sum())
-            pix = np.repeat(pixels, per_pixel)
-            stops = np.cumsum(per_pixel)
-            j = np.arange(1, total + 1) - np.repeat(stops - per_pixel, per_pixel)
-            levels = ref[pix] + sign * j * c
-            denom = log_cur[pix] - log_prev[pix]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = (levels - log_prev[pix]) / denom
-            # roundoff guard: a crossing can sit within eps of a frame value
-            frac = np.clip(np.nan_to_num(frac, nan=1.0, posinf=1.0, neginf=1.0), 0.0, 1.0)
-            pair_pix.append(pix)
-            pair_p.append(np.full(total, sign, dtype=np.int8))
-            pair_t.append(np.rint(t_a + (t_b - t_a) * frac).astype(np.int64))
-
-        if pair_t:
-            pix = np.concatenate(pair_pix)
-            ps = np.concatenate(pair_p)
-            t_ev = np.concatenate(pair_t)
-            if sort_per_pair:
-                # earlier pairs win ties at t_b, so stable-sorting each pair
-                # on its own gives one global stable sort's order; the offset
-                # from t_a fits the smallest unsigned type holding t_b - t_a,
-                # and at <= 16 bits numpy's stable sort is a radix sort
-                key = (t_ev - t_a).astype(np.min_scalar_type(t_b - t_a))
-                order = np.argsort(key, kind="stable")
-                pix, ps, t_ev = pix[order], ps[order], t_ev[order]
-            chunks_x.append((pix % width).astype(np.int32))
-            chunks_y.append((pix // width).astype(np.int32))
-            chunks_p.append(ps)
-            chunks_t.append(t_ev)
-
-        ref = ref + (n_pos - n_neg) * c
-        log_prev = log_cur
-
-    if not chunks_t:
+    # count, then fill: the columns are allocated once at their exact size
+    totals = [int(np.abs(pair[-1]).sum()) for pair in _crossings(frames, c)]
+    n = sum(totals)
+    if n == 0:
         return EventStream.empty(width, height)
-    xs = np.concatenate(chunks_x)
-    ys = np.concatenate(chunks_y)
-    ps = np.concatenate(chunks_p)
-    ts = np.concatenate(chunks_t)
+    cols = (np.empty(n, np.int32), np.empty(n, np.int32), np.empty(n, np.int8),
+            np.empty(n, np.int64))
+    at = 0
+    for total, pair in zip(totals, _crossings(frames, c)):
+        if total:
+            _write_pair(cols, at, total, width, c, sort_per_pair, *pair)
+            at += total
+    xs, ys, ps, ts = cols
     if not sort_per_pair:
         order = np.argsort(ts, kind="stable")
         xs, ys, ps, ts = xs[order], ys[order], ps[order], ts[order]

@@ -237,6 +237,15 @@ class TestAlignEvaluate:
                      "--no-align"]) == 2
         assert "prediction error overflows float64" in capsys.readouterr().err
 
+    def test_negative_prediction_without_clamp_floor_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        pred = read_pfm(pred_dir / "f1.pfm")
+        pred[4, 5] = -3.0
+        save_depth_pfm(pred_dir / "f1.pfm", pred)
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--no-align", "--clamp-min=-inf"]) == 2
+        assert "clamped prediction must be > 0 on the valid mask" in capsys.readouterr().err
+
     def test_non_finite_prediction_is_data_error(self, tmp_path, capsys):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
         pred = read_pfm(pred_dir / "f1.pfm")

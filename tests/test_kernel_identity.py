@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evdepth import losses, metrics, pipeline
-from evdepth.errors import InsufficientSupportError
+from evdepth.errors import DomainError, InsufficientSupportError
 from evdepth.imgio import save_depth_pfm, save_depth_pgm16, save_mask_pgm
 from evdepth.losses import AffineParams, loss_reg, loss_si, loss_total, lstsq_align
 from evdepth.metrics import evaluate
@@ -131,6 +131,8 @@ def ref_evaluate_pool(pred, gt, mask, align, clamp):
     else:
         p = pred[mask].copy()
     p = np.clip(p, lo, hi)
+    if not (p > 0).all():
+        raise DomainError("the log and ratio metrics need a positive prediction")
 
     err = p - g
     d = np.log(p) - np.log(g)
@@ -399,9 +401,13 @@ class TestEvaluateKernel:
             with pytest.raises(InsufficientSupportError):
                 evaluate(pred, gt, mask, align=align, clamp=clamp)
             return
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pool = evaluate(pred, gt, mask, align=align, clamp=clamp).pool
+        try:
             ref = ref_evaluate_pool(pred, gt, mask, align, clamp)
+        except DomainError:  # only with the floor off: pred is drawn from [-1, 10)
+            with pytest.raises(DomainError, match="clamped prediction must be > 0"):
+                evaluate(pred, gt, mask, align=align, clamp=clamp)
+            return
+        pool = evaluate(pred, gt, mask, align=align, clamp=clamp).pool
         for field in ("sum_abs_rel", "sum_sq_rel", "sum_sq_err", "sum_log_diff",
                       "sum_sq_log_diff"):
             assert _bits(getattr(pool, field)) == _bits(getattr(ref, field)), field

@@ -68,6 +68,18 @@ class TestEvaluate:
         r = evaluate(pred, gt, align=False)  # default clamp floors at 1e-3
         assert math.isfinite(r.rmse_log) and math.isfinite(r.si_log)
 
+    @pytest.mark.parametrize("clamp", [(-math.inf, math.inf), (0.0, math.inf)],
+                             ids=["no-floor", "zero-floor"])
+    @pytest.mark.parametrize("bad", [-3.0, 0.0])
+    def test_non_positive_clamped_prediction_is_domain_error(self, bad, clamp):
+        gt = np.array([[1.0, 2.0, 1.0, 2.0]])
+        pred = np.array([[bad, 2.0, 1.0, 2.0]])
+        with pytest.raises(DomainError, match="clamped prediction must be > 0 on the valid mask"):
+            evaluate(pred, gt, align=False, clamp=clamp)
+        off_mask = np.array([[False, True, True, True]])
+        r = evaluate(pred, gt, off_mask, align=False, clamp=clamp)
+        assert r.delta1 == 1.0 and r.rmse_log == 0.0
+
     def test_mask_restricts_support(self):
         gt = np.array([[1.0, 1.0], [1.0, 1.0]])
         pred = np.array([[1.0, 1.0], [50.0, 50.0]])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from evdepth.errors import (
     OrderingError,
     ParameterError,
 )
+from evdepth.events import EventStream
 from evdepth.imgio import write_pgm
 from evdepth.simulator import (
     MAX_FRAME_TIME_US,
@@ -89,7 +91,9 @@ class TestThresholdModel:
             IntensityFrame(1000, np.full((3, 3), 0.5)),
             IntensityFrame(2000, np.full((3, 3), 0.5)),
         ]
-        assert len(simulate(frames, SimConfig(0.1))) == 0
+        stream = simulate(frames, SimConfig(0.1))
+        assert stream == EventStream.empty(3, 3)
+        assert stream.xs.dtype == np.int32 and stream.ps.dtype == np.int8
 
     def test_interpolated_timestamps(self):
         # crossings of 0 -> 0.35 at 0.1/0.2/0.3 over [0, 1000] us
@@ -267,10 +271,12 @@ class TestPgmInput:
         assert len(stream) == 4 * per_pixel
 
 
-def pair_frames(gaps, t0=1000, seed=16):
-    """Frames ``gaps`` apart whose log intensity moves by up to 0.9 per pair."""
+def pair_frames(gaps, t0=1000, seed=16, static=()):
+    """Frames ``gaps`` apart whose log intensity moves by up to 0.9 per pair,
+    except over the ``static`` pairs, whose two frames are equal."""
     rng = np.random.default_rng(seed)
     deltas = rng.uniform(-0.9, 0.9, (len(gaps), 6, 7))
+    deltas[list(static)] = 0.0
     times = [t0] + [t0 + int(g) for g in np.cumsum(gaps)]
     level = np.cumsum(np.concatenate([np.zeros((1, 6, 7)), deltas]), axis=0)
     return [IntensityFrame(t, np.exp(v)) for t, v in zip(times, level)]
@@ -309,3 +315,77 @@ class TestEventOrder:
         t_a = np.array([f.timestamp_us for f in frames])[expected[:, 4]]
         assert (expected[:, 3] < t_a).any()  # an event before its own pair
         assert_matches_reference(simulate(frames, SimConfig(0.05)), expected)
+
+
+def frames_from_log(levels, times):
+    return [IntensityFrame(int(t), np.exp(v)) for t, v in zip(times, levels)]
+
+
+class TestPairLayout:
+    """Each frame pair's events land in their own exact-size span of the
+    output columns; pairs without events leave no gap."""
+
+    @pytest.mark.parametrize("gaps", [[200, 255, 7], [50_000, 3, 9_000], [65_536, 3, 250_000]],
+                             ids=["uint8", "uint16", "wide"])
+    @pytest.mark.parametrize("static", [(1,), (0,), (2,), (0, 1)],
+                             ids=["middle", "first", "last", "all-but-last"])
+    def test_static_pairs_match_the_reference(self, gaps, static):
+        frames = pair_frames(gaps, seed=21, static=static)
+        expected = reference_simulate(frames, 0.05)
+        assert len(expected) > 0
+        assert not set(expected[:, 4].tolist()) & set(static)
+        assert_matches_reference(simulate(frames, SimConfig(0.05)), expected)
+
+    def test_single_event(self):
+        level = np.zeros((3, 4))
+        moved = level.copy()
+        moved[2, 1] = -0.15
+        frames = frames_from_log([level, level, moved], [0, 100, 300])
+        stream = simulate(frames, SimConfig(0.1))
+        assert stream.xs.tolist() == [1] and stream.ys.tolist() == [2]
+        assert stream.ps.tolist() == [-1] and stream.ts.tolist() == [round(100 + 200 / 1.5)]
+        assert_matches_reference(stream, reference_simulate(frames, 0.1))
+
+    @pytest.mark.parametrize(
+        "c, a, b",
+        [
+            (0.10949625377634516, 0.3265868077751034, 0.40654242686286385),
+            (0.37018589558540355, 0.11058632443463207, 1.47600988407796),
+            (0.3334169775664898, 0.3458320964712478, 0.9403050272127711),
+        ],
+        ids=["nan", "-inf", "inf"],
+    )
+    def test_crossing_on_a_pixel_that_did_not_move(self, c, a, b):
+        # after the first pair the reference sits a rounding error more than
+        # C from b, so the second, static pair fires once at that pixel: its
+        # crossing fraction is a division by a zero span and means the pair's end
+        rng = np.random.default_rng(22)
+        first, second = rng.uniform(0.2, 1.0, (2, 3, 4))
+        first[1, 2], second[1, 2] = a, b
+        third = second * rng.uniform(0.5, 1.5, (3, 4))
+        third[1, 2] = b
+        frames = [IntensityFrame(t, v) for t, v in zip((0, 1000, 2000), (first, second, third))]
+        expected = reference_simulate(frames, c)
+        static_pixel = expected[(expected[:, 0] == 2) & (expected[:, 1] == 1) & (expected[:, 4] == 1)]
+        assert static_pixel[:, 3].tolist() == [2000]
+        assert_matches_reference(simulate(frames, SimConfig(c)), expected)
+
+    def test_too_small_threshold_is_a_parameter_error(self):
+        frames = [IntensityFrame(0, np.full((2, 2), 1e-300)), IntensityFrame(10, np.full((2, 2), 1e300))]
+        with pytest.raises(ParameterError, match="contrast threshold 1e-17 is too small"):
+            simulate(frames, SimConfig(1e-17))
+
+
+def test_traced_peak_stays_near_the_output_size():
+    """The columns are allocated once; per-pair scratch is small against them."""
+    rng = np.random.default_rng(23)
+    frames = ramp_frames(rng.uniform(-0.6, 0.6, (40, 48, 64)))
+    tracemalloc.start()
+    try:
+        stream = simulate(frames, SimConfig(0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(getattr(stream, name).nbytes for name in ("xs", "ys", "ps", "ts"))
+    assert len(stream) > 100_000
+    assert peak <= 1.5 * nbytes
