@@ -317,10 +317,6 @@ class TestEventOrder:
         assert_matches_reference(simulate(frames, SimConfig(0.05)), expected)
 
 
-def frames_from_log(levels, times):
-    return [IntensityFrame(int(t), np.exp(v)) for t, v in zip(times, levels)]
-
-
 class TestPairLayout:
     """Each frame pair's events land in their own exact-size span of the
     output columns; pairs without events leave no gap."""
@@ -340,7 +336,7 @@ class TestPairLayout:
         level = np.zeros((3, 4))
         moved = level.copy()
         moved[2, 1] = -0.15
-        frames = frames_from_log([level, level, moved], [0, 100, 300])
+        frames = [IntensityFrame(t, np.exp(v)) for t, v in ((0, level), (100, level), (300, moved))]
         stream = simulate(frames, SimConfig(0.1))
         assert stream.xs.tolist() == [1] and stream.ys.tolist() == [2]
         assert stream.ps.tolist() == [-1] and stream.ts.tolist() == [round(100 + 200 / 1.5)]
@@ -366,12 +362,13 @@ class TestPairLayout:
         third[1, 2] = b
         frames = [IntensityFrame(t, v) for t, v in zip((0, 1000, 2000), (first, second, third))]
         expected = reference_simulate(frames, c)
-        static_pixel = expected[(expected[:, 0] == 2) & (expected[:, 1] == 1) & (expected[:, 4] == 1)]
-        assert static_pixel[:, 3].tolist() == [2000]
+        at_pixel = (expected[:, 0] == 2) & (expected[:, 1] == 1)
+        assert expected[at_pixel & (expected[:, 4] == 1), 3].tolist() == [2000]
         assert_matches_reference(simulate(frames, SimConfig(c)), expected)
 
     def test_too_small_threshold_is_a_parameter_error(self):
-        frames = [IntensityFrame(0, np.full((2, 2), 1e-300)), IntensityFrame(10, np.full((2, 2), 1e300))]
+        frames = [IntensityFrame(0, np.full((2, 2), 1e-300)),
+                  IntensityFrame(10, np.full((2, 2), 1e300))]
         with pytest.raises(ParameterError, match="contrast threshold 1e-17 is too small"):
             simulate(frames, SimConfig(1e-17))
 
