@@ -231,13 +231,21 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     # of its pair, and only one global sort orders the stream.
     sort_per_pair = times[-1] <= 2**53
     c = float(config.contrast_threshold)
-    # count, then fill: the columns are allocated once at their exact size
-    totals = [int(np.abs(pair[-1]).sum()) for pair in _crossings(frames, c)]
+    # count, then fill: the columns are allocated once at their exact size;
+    # float64 counts are exact below 2**53, where an int64 sum could wrap
+    totals = [np.abs(pair[-1]).sum(dtype=np.float64) for pair in _crossings(frames, c)]
     n = sum(totals)
     if n == 0:
         return EventStream.empty(width, height)
-    cols = (np.empty(n, np.int32), np.empty(n, np.int32), np.empty(n, np.int8),
-            np.empty(n, np.int64))
+    try:
+        if n >= 2**53:  # no machine holds that many, and the count may be inexact
+            raise MemoryError
+        cols = tuple(np.empty(int(n), dtype) for dtype in (np.int32, np.int32, np.int8, np.int64))
+    except MemoryError:
+        raise ParameterError(
+            f"contrast threshold {c} gives {n:.4g} events, more than fit in memory"
+        ) from None
+    totals = [int(total) for total in totals]
     at = 0
     for total, pair in zip(totals, _crossings(frames, c)):
         if total:

@@ -372,6 +372,16 @@ class TestPairLayout:
         with pytest.raises(ParameterError, match="contrast threshold 1e-17 is too small"):
             simulate(frames, SimConfig(1e-17))
 
+    @pytest.mark.parametrize("c, events", [(5e-18, "1.774e+19"), (1e-14, "8.872e+15")],
+                             ids=["past-int64", "past-memory"])
+    def test_more_events_than_fit_in_memory_is_a_parameter_error(self, c, events):
+        # 16 pixels each crossing log(256) / C levels: the first total would
+        # wrap an int64 sum; the second needs a 35 PB int32 column, more than
+        # any address space holds, so nothing is allocated either way
+        frames = [IntensityFrame(0, np.full((4, 4), 1 / 256)), IntensityFrame(10, np.ones((4, 4)))]
+        with pytest.raises(ParameterError, match=f"gives {re.escape(events)} events, more than fit"):
+            simulate(frames, SimConfig(c))
+
 
 def test_traced_peak_stays_near_the_output_size():
     """The columns are allocated once; per-pair scratch is small against them."""
