@@ -128,16 +128,6 @@ def _crossings(frames: Sequence[IntensityFrame], c: float):
         log_prev = log_cur
 
 
-def _fractions(j, c, ref, log_prev, span, index):
-    """Per event, (ref + j * C - log_prev) / span of its pixel ``index``: where
-    the crossing level sits between the pair's two log intensities."""
-    frac = j * c
-    frac += ref[index]
-    frac -= log_prev[index]
-    frac /= span[index]
-    return frac
-
-
 def _write_pair(cols, at, n, width, c, sort, t_a, t_b, ref, log_prev, log_cur, steps):
     """Write one frame pair's ``n`` events into ``cols[at:at + n]``.
 
@@ -170,16 +160,15 @@ def _write_pair(cols, at, n, width, c, sort, t_a, t_b, ref, log_prev, log_cur, s
     j -= (stops - counts).astype(np.float64)[index]
     n_up_events = int(stops[n_up - 1]) if n_up else 0
     np.negative(j[n_up_events:], out=j[n_up_events:])
-    # A non-finite fraction raises a floating-point flag on its way (finite
-    # inputs), so the common case needs only the clip. Roundoff can put a
-    # crossing on a pixel whose log intensity did not move: a zero span, whose
-    # NaN or +-inf fraction means the pair's end.
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            frac = _fractions(j, c, ref, log_prev, span, index)
-    except FloatingPointError:
-        with np.errstate(all="ignore"):
-            frac = _fractions(j, c, ref, log_prev, span, index)
+    # where the crossing level sits between the pair's two log intensities
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        frac = j * c
+        frac += ref[index]
+        frac -= log_prev[index]
+        frac /= span[index]
+    # roundoff can put a crossing on a pixel whose log intensity did not
+    # move: a zero span, whose NaN or +-inf fraction means the pair's end
+    if not np.isfinite(frac).all():
         np.nan_to_num(frac, copy=False, nan=1.0, posinf=1.0, neginf=1.0)
     np.clip(frac, 0.0, 1.0, out=frac)
     frac *= t_b - t_a
