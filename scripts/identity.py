@@ -343,6 +343,61 @@ def probe_run_sequence(seed):
     return states + depths
 
 
+def probe_files(seed):
+    """The bytes of every file evdepth writes, in file name order: grey and
+    colour PFM, 8-bit PGM, 16-bit depth PGM and its sidecar, PPM, mask, an SBT
+    and an SBN manifest, the parameter archive and its manifest, the JSON and
+    CSV reports, evcsv and EVB."""
+    from evdepth.events import EventStream, SliceMode, SliceSpec, write_events
+    from evdepth.fusion import save_model_params
+    from evdepth.imgio import save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm, write_ppm
+    from evdepth.metrics import aggregate, evaluate, write_reports_csv, write_reports_json
+    from evdepth.pipeline import (DatasetManifest, EncoderSpec, Provenance, SampleRecord,
+                                  save_manifest)
+    from evdepth.stacks import StackLayout
+
+    _, proxy, gt, mask, _ = _supervision_inputs(seed)
+    stacks, params = _fusion_setup(seed)
+    frame = np.rint(255 * _frames(seed)[0].values).astype(np.uint8)
+    s = _stream(seed)
+    head = EventStream(s.width, s.height, s.xs[:20_000], s.ys[:20_000], s.ps[:20_000],
+                       s.ts[:20_000])
+    records = tuple(
+        SampleRecord(t_d_us=k * FRAME_STEP_US, events_path="/data/e.evb",
+                     t_start_us=(k - 1) * FRAME_STEP_US, t_end_us=k * FRAME_STEP_US,
+                     proxy_path=f"/data/proxy/{k}.pfm",
+                     gt_path=f"/data/gt/{k}.pgm" if k % 2 else None,
+                     mask_path=f"/data/mask/{k}.pgm" if k == 2 else None,
+                     width=PREP_SHAPE[1], height=PREP_SHAPE[0], empty_slice=k == 3)
+        for k in range(1, PREP_FRAMES)
+    )
+    provenance = Provenance("probe", 0.25 * (seed + 1), 4)
+    sbt = EncoderSpec(StackLayout.TENCODE, SliceSpec(SliceMode.SBT, window_us=FRAME_STEP_US))
+    sbn = EncoderSpec(StackLayout.VOXEL, SliceSpec(SliceMode.SBN, count=50_000), 5)
+    frames = [(name, evaluate(p, t, m)) for name, p, t, m in _pairs(seed)]
+    agg = aggregate([r for _, r in frames])
+    writers = {
+        "grey.pfm": lambda path: write_pfm(path, proxy),
+        "colour.pfm": lambda path: write_pfm(path, stacks[0]),
+        "frame.pgm": lambda path: write_pgm(path, frame),
+        "depth.pgm": lambda path: save_depth_pgm16(path, gt),  # and depth.pgm.json
+        "stack.ppm": lambda path: write_ppm(path, stacks[1]),
+        "mask.pgm": lambda path: save_mask_pgm(path, mask),
+        "sbt.json": lambda path: save_manifest(DatasetManifest(sbt, provenance, records), path),
+        "sbn.json": lambda path: save_manifest(DatasetManifest(sbn, provenance, records), path),
+        "params.bin": lambda path: save_model_params(params, path),  # and params.json
+        "report.json": lambda path: write_reports_json(path, frames, agg),
+        "report.csv": lambda path: write_reports_csv(path, frames, agg),
+        "events.csv": lambda path: write_events(head, path),
+        "events.evb": lambda path: write_events(head, path),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in writers.items():
+            write(Path(tmp) / name)
+        return [np.frombuffer(path.read_bytes(), dtype=np.uint8)
+                for path in sorted(Path(tmp).iterdir())]
+
+
 # Upstream first: a change to a kernel moves its probe and those after it
 # that use it (training_step runs loss_total; loss_total and evaluate run
 # lstsq_align; encode reads simulate's events).
@@ -359,6 +414,7 @@ PROBES = {
     "losses.loss_deep_pyramid": probe_loss_deep_pyramid,
     "pipeline.training_step": probe_training_step,
     "metrics.evaluate": probe_evaluate,
+    "files": probe_files,
 }
 
 

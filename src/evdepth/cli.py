@@ -23,25 +23,15 @@ from pathlib import Path
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
 from .errors import DomainError, EvDepthError, FormatError, ParameterError
 from .events import SliceMode, SliceSpec, read_events, slice_events, slice_sbt, write_events
-from .fusion import (
-    load_model_params,
-    make_model_params,
-    run_sequence,
-    save_model_params,
-    toy_extractor,
-)
-from .imgio import depth_valid_mask, load_depth, load_mask_pgm, save_depth_pfm
+from .fusion import (load_model_params, make_model_params, run_sequence, save_model_params,
+                     toy_extractor)
+from .imgio import (_read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm,
+                    save_depth_pfm)
 from .losses import lstsq_align
 from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
 from .naming import files_by_stem
-from .pipeline import (
-    DEPTH_SUFFIXES,
-    MASK_SUFFIXES,
-    build_manifest,
-    export_stacks,
-    load_manifest,
-    save_manifest,
-)
+from .pipeline import (DEPTH_SUFFIXES, MASK_SUFFIXES, build_manifest, export_stacks,
+                       load_manifest, save_manifest)
 from .simulator import SimConfig, frames_from_dir, simulate
 from .stacks import StackLayout, encode, load_stack_pfms, save_stack_pfm, save_stack_ppm
 
@@ -288,11 +278,7 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
 
 def _baseline_rates(path) -> dict[str, float]:
     """events/s per layout of a bench JSON report; a malformed one is a FormatError."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            report = json.load(fh)
-    except ValueError as exc:  # invalid JSON or non-ASCII bytes
-        raise FormatError(f"{path}: not a bench report: {exc}") from None
+    report = _read_json(path, "bench report")
     layouts = report.get("layouts", {}) if isinstance(report, dict) else None
     if not isinstance(layouts, dict) or not all(isinstance(e, dict) for e in layouts.values()):
         raise FormatError(f"{path}: not a bench report: 'layouts' must map names to objects")
@@ -347,9 +333,7 @@ def cmd_bench(args) -> tuple[dict, str]:
         "peak_rss_kb": peak_rss_kb,
     }
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, payload)
     lines = [f"bench over {len(stream)} events, {args.repetitions} repetition(s):"]
     for layout, r in results.items():
         lines.append(

@@ -12,8 +12,8 @@ On-disk formats:
 
 Out-of-order input files are rejected, never silently sorted. EVB files
 are read and written through one chunk-sized record buffer, so no
-whole-file byte copy is made; files are written to a temporary name in the
-target's directory and renamed over the target.
+whole-file byte copy is made; files are written through
+``imgio._atomic_write``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import io
 import os
 import re
 import struct
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -36,6 +35,7 @@ from .errors import (
     OrderingError,
     ParameterError,
 )
+from .imgio import _atomic_write
 
 EVB_MAGIC = b"EVB1"
 _EVB_HEADER = struct.Struct("<4sHHQ")
@@ -85,7 +85,7 @@ class SliceSpec:
 
 
 def _check_positive_int(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or value <= 0:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -294,22 +294,14 @@ def read_events(path, fmt: str | None = None) -> EventStream:
 
 
 def write_events(stream: EventStream, path, fmt: str | None = None) -> None:
-    """Write a stream so that read_events round-trips bit-exactly.
-
-    The file is written under a temporary name next to the target (through
-    symlinks) and renamed over it, so a write that fails leaves the old file
-    as it was and no temporary file behind.
-    """
+    """Write a stream so that read_events round-trips bit-exactly."""
     path = Path(path)
-    writer = _write_csv if _infer_format(path, fmt) == "csv" else _write_evb
-    target = Path(os.path.realpath(path))
-    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
-    try:
-        writer(stream, tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    if _infer_format(path, fmt) == "csv":
+        with _atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
+            _write_csv(stream, fh)
+    else:
+        with _atomic_write(path, "wb") as fh:
+            _write_evb(stream, fh)
 
 
 def _read_csv(path: Path) -> EventStream:
@@ -350,19 +342,18 @@ def _rescan_csv_body(path: Path, body: str) -> None:
             raise FormatError(f"{path}: record {i} (line {i + 2}): non-integer field in {line!r}") from None
 
 
-def _write_csv(stream: EventStream, path: Path) -> None:
-    with open(path, "x", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# evcsv v1 width={stream.width} height={stream.height}\n")
-        if len(stream):
-            cols = np.column_stack(
-                (
-                    stream.xs.astype(np.int64),
-                    stream.ys.astype(np.int64),
-                    stream.ps.astype(np.int64),
-                    stream.ts,
-                )
+def _write_csv(stream: EventStream, fh) -> None:
+    fh.write(f"# evcsv v1 width={stream.width} height={stream.height}\n")
+    if len(stream):
+        cols = np.column_stack(
+            (
+                stream.xs.astype(np.int64),
+                stream.ys.astype(np.int64),
+                stream.ps.astype(np.int64),
+                stream.ts,
             )
-            np.savetxt(fh, cols, fmt="%d", delimiter=",")
+        )
+        np.savetxt(fh, cols, fmt="%d", delimiter=",")
 
 
 def _read_evb(path: Path) -> EventStream:
@@ -405,16 +396,15 @@ def _read_evb(path: Path) -> EventStream:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _write_evb(stream: EventStream, path: Path) -> None:
+def _write_evb(stream: EventStream, fh) -> None:
     n = len(stream)
     buf = np.empty(min(n, _EVB_CHUNK), dtype=_EVB_RECORD_DTYPE)
-    with open(path, "xb") as fh:
-        fh.write(_EVB_HEADER.pack(EVB_MAGIC, stream.width, stream.height, n))
-        for lo in range(0, n, _EVB_CHUNK):
-            hi = min(lo + _EVB_CHUNK, n)
-            rec = buf[: hi - lo]
-            rec["x"] = stream.xs[lo:hi]
-            rec["y"] = stream.ys[lo:hi]
-            rec["p"] = stream.ps[lo:hi]
-            rec["t"] = stream.ts[lo:hi]
-            fh.write(rec.data)
+    fh.write(_EVB_HEADER.pack(EVB_MAGIC, stream.width, stream.height, n))
+    for lo in range(0, n, _EVB_CHUNK):
+        hi = min(lo + _EVB_CHUNK, n)
+        rec = buf[: hi - lo]
+        rec["x"] = stream.xs[lo:hi]
+        rec["y"] = stream.ys[lo:hi]
+        rec["p"] = stream.ps[lo:hi]
+        rec["t"] = stream.ts[lo:hi]
+        fh.write(rec.data)

@@ -17,7 +17,6 @@ listing (name, shape, offset) per tensor.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +26,7 @@ import numpy as np
 
 from .config import FUSION_DEFAULTS
 from .errors import ContractError, FormatError, ParameterError
+from .imgio import _atomic_write, _read_json, _write_json
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ def save_model_params(params: ModelParams, bin_path) -> None:
     bin_path = Path(bin_path)
     tensors = []
     offset = 0
-    with open(bin_path, "wb") as fh:
+    with _atomic_write(bin_path, "wb") as fh:
         for name, arr in _named_tensors(params):
             data = np.ascontiguousarray(arr, dtype="<f8")
             fh.write(data.tobytes())
@@ -341,9 +341,7 @@ def save_model_params(params: ModelParams, bin_path) -> None:
             offset += data.nbytes
     manifest = {"version": 1, "dtype": "<f8", "scales": list(params.scales),
                 "channels": list(params.channels), "tensors": tensors}
-    with open(bin_path.with_suffix(".json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(bin_path.with_suffix(".json"), manifest)
 
 
 def _int_list(value, minimum: int = 0) -> bool:
@@ -356,11 +354,7 @@ def load_model_params(bin_path) -> ModelParams:
     field, a missing tensor or a truncated archive is a FormatError."""
     bin_path = Path(bin_path)
     json_path = bin_path.with_suffix(".json")
-    try:
-        with open(json_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # invalid JSON or non-ASCII bytes
-        raise FormatError(f"{json_path}: not a parameter manifest: {exc}") from None
+    manifest = _read_json(json_path, "parameter manifest")
     if not (isinstance(manifest, dict) and manifest.get("version") == 1
             and manifest.get("dtype") == "<f8"):
         raise FormatError(f"{json_path}: unsupported parameter manifest")

@@ -4,15 +4,18 @@ PFM follows the usual convention: float32 samples, scanlines bottom-to-top,
 and a negative scale field marking little-endian data (we always write
 scale -1.0). 16-bit PGM samples are big-endian per the PNM spec; a JSON
 sidecar ``<file>.json`` with ``{"scale_m_per_unit": ...}`` turns the raster
-back into metric depth. Masks are 8-bit PGM with 0 = invalid.
+back into metric depth. Masks are 8-bit PGM with 0 = invalid. Every file
+evdepth writes goes through ``_atomic_write``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import stat
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,48 @@ def _read_exact(fh, n: int, path) -> bytes:
     return buf
 
 
+@contextlib.contextmanager
+def _atomic_write(path, mode: str, **open_kwargs):
+    """Open ``path`` for writing (``mode`` "w" or "wb"). The bytes go to a
+    temporary sibling of the target (through symlinks), renamed over it when
+    the block ends and removed if the block raises, so the target holds its
+    old bytes or all the new ones. An existing FIFO or device is written in
+    place, never renamed over."""
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with open(target, mode, **open_kwargs) as fh:
+            yield fh
+        return
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path, payload) -> None:
+    with _atomic_write(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_raster(path, header: str, data) -> None:
+    with _atomic_write(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(data)
+
+
+def _read_json(path, what: str):
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # invalid JSON or non-ASCII bytes
+        raise FormatError(f"{path}: not a {what}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # PFM
 
@@ -77,19 +122,15 @@ def write_pfm(path, values: np.ndarray) -> None:
     """Write (H, W) as grayscale 'Pf' or (H, W, 3) as color 'PF', float32."""
     values = np.asarray(values)
     if values.ndim == 2:
-        ident = b"Pf"
+        ident = "Pf"
     elif values.ndim == 3 and values.shape[2] == 3:
-        ident = b"PF"
+        ident = "PF"
     else:
         raise ParameterError(f"PFM writer takes (H, W) or (H, W, 3), got {values.shape}")
     h, w = values.shape[:2]
     # PFM scanlines run bottom-to-top; a C-order copy is written as it is
     data = np.flipud(values).astype("<f4", order="C")
-    with open(path, "wb") as fh:
-        fh.write(ident + b"\n")
-        fh.write(f"{w} {h}\n".encode("ascii"))
-        fh.write(b"-1.0\n")
-        fh.write(data.data)
+    _write_raster(path, f"{ident}\n{w} {h}\n-1.0\n", data.data)
 
 
 def read_pfm(path) -> np.ndarray:
@@ -130,9 +171,7 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
         raise ParameterError("PGM sample outside [0, maxval]")
     h, w = values.shape
     dt = np.uint8 if maxval < 256 else ">u2"
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(values.astype(dt).tobytes())
+    _write_raster(path, f"P5\n{w} {h}\n{maxval}\n", values.astype(dt).tobytes())
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
@@ -164,9 +203,7 @@ def write_ppm(path, values: np.ndarray) -> None:
     q = np.floor(values * 255.0 + 0.5)
     q = np.clip(q, 0, 255).astype(np.uint8)
     h, w = values.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(q.tobytes())
+    _write_raster(path, f"P6\n{w} {h}\n255\n", q.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
@@ -215,15 +252,15 @@ def save_depth_pgm16(path, depth: np.ndarray, scale_m_per_unit: float | None = N
     if scale_m_per_unit is None:
         top = float(depth[valid].max()) if valid.any() else 1.0
         scale_m_per_unit = top / 65535.0
-    if scale_m_per_unit <= 0:
-        raise ParameterError(f"scale_m_per_unit must be > 0, got {scale_m_per_unit}")
+    if not (math.isfinite(scale_m_per_unit) and scale_m_per_unit > 0):
+        raise ParameterError(f"scale_m_per_unit must be finite and > 0, got {scale_m_per_unit}")
     raster = np.zeros(depth.shape, dtype=np.uint16)
     q = np.floor(depth[valid] / scale_m_per_unit + 0.5)
     raster[valid] = np.clip(q, 0, 65535).astype(np.uint16)
     path = Path(path)
     write_pgm(path, raster, maxval=65535)
-    with open(_sidecar(path), "w", encoding="ascii") as fh:
-        json.dump({"scale_m_per_unit": scale_m_per_unit}, fh)
+    with _atomic_write(_sidecar(path), "w", encoding="ascii") as fh:
+        json.dump({"scale_m_per_unit": scale_m_per_unit}, fh)  # compact, unlike _write_json
         fh.write("\n")
 
 
@@ -233,11 +270,7 @@ def load_depth_pgm16(path) -> np.ndarray:
     if maxval < 256:
         raise FormatError(f"{path}: expected 16-bit depth PGM, maxval {maxval}")
     sidecar = _sidecar(path)
-    try:
-        with open(sidecar, "r", encoding="ascii") as fh:
-            meta = json.load(fh)
-    except ValueError as exc:  # invalid JSON or non-ASCII bytes
-        raise FormatError(f"{sidecar}: not a depth sidecar: {exc}") from None
+    meta = _read_json(sidecar, "depth sidecar")
     scale = meta.get("scale_m_per_unit") if isinstance(meta, dict) else None
     if type(scale) not in (int, float) or not (math.isfinite(scale) and scale > 0):
         raise FormatError(f"{sidecar}: scale_m_per_unit must be a finite number > 0")

@@ -19,7 +19,6 @@ re-aggregated exactly as if all pixels had been evaluated at once.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_CLAMP_MIN
 from .errors import DomainError, InsufficientSupportError, ParameterError
+from .imgio import _atomic_write, _write_json
 from .losses import _check_pair, lstsq_align
 
 REPORT_FIELDS = (
@@ -205,13 +205,11 @@ def reports_payload(frames, aggregate_report) -> dict:
 
 
 def write_reports_json(path, frames, aggregate_report) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(reports_payload(frames, aggregate_report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, reports_payload(frames, aggregate_report))
 
 
 def write_reports_csv(path, frames, aggregate_report) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with _atomic_write(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("frame",) + REPORT_FIELDS)
         for name, r in frames:

@@ -14,7 +14,7 @@ runner is for; ``drop_empty`` removes them.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +22,9 @@ import numpy as np
 
 from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
 from .errors import BuildError, ContractError, FormatError, ParameterError
-from .events import EventSlice, EventStream, SliceMode, SliceSpec, read_events, slice_sbn, slice_sbt
-from .imgio import depth_valid_mask, load_depth, load_mask_pgm
+from .events import (EventSlice, EventStream, SliceMode, SliceSpec, _check_positive_int,
+                     read_events, slice_sbn, slice_sbt)
+from .imgio import _read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm
 from .losses import LossReport, loss_total
 from .naming import files_by_stem, timestamped_files
 from .stacks import StackLayout, encode, save_stack_pfm, save_stack_ppm
@@ -69,8 +70,8 @@ class EncoderSpec:
     def __post_init__(self) -> None:
         if (self.layout is StackLayout.VOXEL) != (self.bins is not None):
             raise ParameterError("bins applies to the voxel layout only, and voxel needs it")
-        if self.bins is not None and (not isinstance(self.bins, (int, np.integer)) or self.bins < 1):
-            raise ParameterError(f"bin count must be an integer >= 1, got {self.bins!r}")
+        if self.bins is not None:
+            _check_positive_int("bin count", self.bins)
 
 
 def _member(kind, value):
@@ -91,6 +92,14 @@ class Provenance:
     teacher: str
     lam: float
     k_scales: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.teacher, str):
+            raise ParameterError(f"teacher must be a string, got {self.teacher!r}")
+        lam = self.lam
+        if type(lam) is bool or not isinstance(lam, (int, float)) or not math.isfinite(lam):
+            raise ParameterError(f"lambda must be a finite number, got {lam!r}")
+        _check_positive_int("k_scales", self.k_scales)
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,7 @@ def build_manifest(
     if layout == StackLayout.VOXEL.value and bins is None:
         bins = ENCODER_DEFAULTS.voxel_bins
     encoder = _encoder_spec(layout, mode, window_us if mode == "sbt" else None, count, bins)
+    provenance = Provenance(teacher=teacher, lam=lam, k_scales=k_scales)
 
     events_path = Path(events_path).resolve()
     stream = read_events(events_path)
@@ -187,11 +197,7 @@ def build_manifest(
         raise BuildError("missing proxy/mask files for frames: " + ", ".join(missing))
     if drop_empty:
         records = [r for r in records if not r.empty_slice]
-    return DatasetManifest(
-        encoder=encoder,
-        provenance=Provenance(teacher=teacher, lam=lam, k_scales=k_scales),
-        records=tuple(records),
-    )
+    return DatasetManifest(encoder, provenance, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +221,12 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         },
         "records": [dataclasses.asdict(r) for r in manifest.records],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def load_manifest(path) -> DatasetManifest:
     """Parse a manifest file; any malformed content is a FormatError."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # invalid JSON or non-ASCII bytes
-        raise FormatError(f"{path}: not a manifest: {exc}") from None
+    payload = _read_json(path, "manifest")
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != MANIFEST_VERSION:
         raise FormatError(f"{path}: unsupported manifest version {version!r}")
@@ -236,9 +236,7 @@ def load_manifest(path) -> DatasetManifest:
         encoder = _encoder_spec(
             enc["layout"], enc["mode"], enc["window_us"], enc["count"], enc["bins"]
         )
-        provenance = Provenance(
-            teacher=prov["teacher"], lam=prov["lambda"], k_scales=prov["k_scales"]
-        )
+        provenance = Provenance(prov["teacher"], prov["lambda"], prov["k_scales"])
         records = tuple(SampleRecord(**r) for r in payload["records"])
         for r in records:
             for field in dataclasses.fields(SampleRecord):

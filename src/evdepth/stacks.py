@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ENCODER_DEFAULTS
 from .errors import DegenerateIntervalError, FormatError, ParameterError
-from .events import EventSlice
+from .events import EventSlice, _check_positive_int
 from .imgio import read_pfm, write_pfm, write_ppm
 from .naming import files_by_stem
 
@@ -68,8 +68,7 @@ def _check_interval(sl: EventSlice) -> int:
 
 
 def encode_voxel(sl: EventSlice, bins: int) -> EventStack:
-    if bins < 1:
-        raise ParameterError(f"bin count must be >= 1, got {bins}")
+    _check_positive_int("bin count", bins)
     duration = _check_interval(sl)
     grid = np.zeros((sl.height, sl.width, bins), dtype=np.float64)
     if len(sl):

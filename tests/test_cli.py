@@ -367,6 +367,14 @@ class TestDatasetAndFusion:
         assert f"ambiguous depth files for '{600 * MS:09d}'" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_data_error(self, tmp_path, events_file, capsys, lam):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--lam", lam, "--out", str(tmp_path / "m.json")]) == 2
+        assert "lambda must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_fusion_run_deterministic(self, tmp_path, capsys):
         stacks_dir = tmp_path / "stacks"
         stacks_dir.mkdir()

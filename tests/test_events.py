@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_stream
-from evdepth import events
+from conftest import make_depth_pair, make_random_stream
+from evdepth import events, imgio
+from evdepth.cli import main
 from evdepth.errors import BoundsError, FormatError, OrderingError, ParameterError
 from evdepth.events import (
     Event,
@@ -20,6 +23,11 @@ from evdepth.events import (
     slice_sbt,
     write_events,
 )
+from evdepth.fusion import make_model_params, save_model_params
+from evdepth.imgio import save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm, write_ppm
+from evdepth.metrics import aggregate, evaluate, write_reports_csv, write_reports_json
+from evdepth.pipeline import DatasetManifest, EncoderSpec, Provenance, SampleRecord, save_manifest
+from evdepth.stacks import StackLayout
 
 
 def small_stream():
@@ -425,6 +433,77 @@ class _StreamFailingMidWrite:
         return self._n
 
 
+def _values(k, shape):
+    return np.random.default_rng(k).random(shape)
+
+
+def _manifest(k):
+    t_d = 50_000 * (k + 1)
+    record = SampleRecord(t_d_us=t_d, events_path="/data/e.evb", t_start_us=0, t_end_us=t_d,
+                          proxy_path="/data/p.pfm", gt_path=None, mask_path=None, width=32,
+                          height=24, empty_slice=False)
+    encoder = EncoderSpec(StackLayout.TENCODE, SliceSpec(SliceMode.SBT, window_us=50_000))
+    return DatasetManifest(encoder, Provenance("unspecified", 0.25, 4), (record,))
+
+
+def _reports(k):
+    rng = np.random.default_rng(k)
+    frames = [(f"f{i}", evaluate(*make_depth_pair(rng))) for i in range(2)]
+    return frames, aggregate([r for _, r in frames])
+
+
+def _bench_out(path, k):
+    events_path = path.parent.parent / "bench-in.evb"  # outside the directory under test
+    if not events_path.exists():
+        write_events(make_random_stream(np.random.default_rng(0)), events_path)
+    code = main(["bench", "--events", str(events_path), "--layouts", "tencode",
+                 "--repetitions", str(k + 1), "--out", str(path)])
+    if code == 3:  # the CLI reports an OSError as exit 3
+        raise OSError(f"bench --out {path} failed")
+    assert code == 0
+
+
+# Every file writer: (file name, write(path, k)); k = 0 and k = 1 write
+# different contents, and each write makes at least two write calls.
+WRITERS = {
+    "pfm-grey": ("d.pfm", lambda p, k: write_pfm(p, _values(k, (6, 5)))),
+    "pfm-colour": ("c.pfm", lambda p, k: write_pfm(p, _values(k, (6, 5, 3)))),
+    "pgm8": ("g.pgm", lambda p, k: write_pgm(p, np.full((6, 5), 10 + k))),
+    "pgm16": ("d.pgm", lambda p, k: save_depth_pgm16(p, 1.0 + _values(k, (6, 5)))),
+    "ppm": ("s.ppm", lambda p, k: write_ppm(p, _values(k, (6, 5, 3)))),
+    "mask": ("m.pgm", lambda p, k: save_mask_pgm(p, _values(k, (6, 5)) > 0.5)),
+    "manifest": ("m.json", lambda p, k: save_manifest(_manifest(k), p)),
+    "params": ("p.bin", lambda p, k: save_model_params(make_model_params(seed=k), p)),
+    "reports-json": ("r.json", lambda p, k: write_reports_json(p, *_reports(k))),
+    "reports-csv": ("r.csv", lambda p, k: write_reports_csv(p, *_reports(k))),
+    "evcsv": ("e.csv", lambda p, k: write_events(make_random_stream(np.random.default_rng(k)), p)),
+    "evb": ("e.evb", lambda p, k: write_events(make_random_stream(np.random.default_rng(k)), p)),
+    "bench-out": ("b.json", _bench_out),
+}
+
+
+class _DiskFullOnSecondWrite:
+    """A file whose second and later writes fail as if the disk had filled up."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(28, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
                              ids=["disk-full", "interrupt"])
@@ -478,6 +557,58 @@ class TestAtomicWrite:
         with pytest.raises(FileNotFoundError):
             write_events(small_stream(), tmp_path / "nowhere" / "ev.evb")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_every_writer_keeps_the_old_files_when_a_write_fails(self, tmp_path, monkeypatch,
+                                                                  writer):
+        name, write = WRITERS[writer]
+        out = tmp_path / "out"
+        out.mkdir()
+        write(out / name, 0)
+        old = {p: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(imgio, "open", lambda *a, **kw: _DiskFullOnSecondWrite(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            write(out / name, 1)
+        monkeypatch.undo()
+        assert {p: p.read_bytes() for p in out.iterdir()} == old
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_every_writer_writes_through_a_symlink(self, tmp_path, writer):
+        name, write = WRITERS[writer]
+        data, links = tmp_path / "data", tmp_path / "links"
+        data.mkdir()
+        links.mkdir()
+        write(data / name, 0)
+        old = {p.name: p.read_bytes() for p in data.iterdir()}
+        for file in old:
+            (links / file).symlink_to(data / file)
+        write(links / name, 1)
+        assert all((links / file).is_symlink() for file in old)
+        assert sorted(p.name for p in data.iterdir()) == sorted(old)
+        assert (data / name).read_bytes() != old[name]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_every_writer_reports_a_missing_directory(self, tmp_path, writer):
+        name, write = WRITERS[writer]
+        with pytest.raises(OSError):
+            write(tmp_path / "nowhere" / name, 1)
+        assert not (tmp_path / "nowhere").exists()
+
+    @pytest.mark.parametrize("writer", [w for w in WRITERS if w != "bench-out"])  # timings vary
+    def test_every_writer_writes_an_existing_fifo_in_place(self, tmp_path, writer):
+        name, write = WRITERS[writer]
+        (tmp_path / "ref").mkdir()
+        write(tmp_path / "ref" / name, 1)
+        fifo = tmp_path / name
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write(fifo, 1)
+        reader.join(timeout=60)
+        assert fifo.is_fifo()
+        assert received == [(tmp_path / "ref" / name).read_bytes()]
 
 
 def test_format_inference_requires_known_suffix(tmp_path):

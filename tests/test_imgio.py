@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,12 @@ class TestDepthConventions:
         (tmp_path / "d.pgm.json").write_bytes(sidecar)
         with pytest.raises(FormatError, match="d.pgm.json"):
             load_depth_pgm16(p)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -0.001])
+    def test_pgm16_scale_must_be_finite_and_positive(self, tmp_path, scale):
+        with pytest.raises(ParameterError, match="scale_m_per_unit"):
+            save_depth_pgm16(tmp_path / "d.pgm", np.full((2, 2), 3.0), scale_m_per_unit=scale)
+        assert list(tmp_path.iterdir()) == []
 
     def test_pgm16_invalid_pixels_stay_zero(self, tmp_path):
         depth = np.array([[1.0, 0.0], [np.nan, np.inf]])

@@ -261,12 +261,27 @@ class TestManifestFile:
             lambda m: m["records"][0].update(mask_path=["m.pgm"]),
             lambda m: m["records"][0].update(empty_slice=0),
             lambda m: m["records"][0].update(proxy_path=None),
+            lambda m: m["encoder"].update(layout="voxel", bins=True),
+            lambda m: m["encoder"].update(window_us=True),
+            lambda m: m["encoder"].update(mode="sbn", window_us=None, count=True),
+            lambda m: m["provenance"].update(teacher=5),
+            lambda m: m["provenance"].update({"lambda": "abc"}),
+            lambda m: m["provenance"].update({"lambda": True}),
+            lambda m: m["provenance"].update({"lambda": float("nan")}),
+            lambda m: m["provenance"].update({"lambda": float("inf")}),
+            lambda m: m["provenance"].update(k_scales=None),
+            lambda m: m["provenance"].update(k_scales=0),
+            lambda m: m["provenance"].update(k_scales=True),
+            lambda m: m["provenance"].update(k_scales=2.0),
         ],
         ids=[
             "no-encoder", "no-provenance", "no-record-key", "unknown-mode", "unknown-layout",
             "null-window", "null-count", "fractional-count", "zero-bins", "missing-bins",
             "text-t_d-one-record", "int-events-path", "bool-width", "float-height",
             "int-gt-path", "list-mask-path", "int-empty-slice", "null-proxy-path",
+            "bool-bins", "bool-window", "bool-count", "int-teacher", "text-lambda",
+            "bool-lambda", "nan-lambda", "inf-lambda", "null-k-scales", "zero-k-scales",
+            "bool-k-scales", "float-k-scales",
         ],
     )
     def test_malformed_manifest_is_format_error(self, tmp_path, capsys, mutate):

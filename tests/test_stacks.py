@@ -137,6 +137,12 @@ class TestVoxel:
         with pytest.raises(ParameterError):
             encode_voxel(sl, 0)
 
+    @pytest.mark.parametrize("bins", [True, 2.5, "5"])
+    def test_non_integer_bins_rejected(self, bins):
+        sl = one_event_slice(0, 0, 1, 100, 50, 100)
+        with pytest.raises(ParameterError, match="bin count must be a positive integer"):
+            encode_voxel(sl, bins)
+
     def test_degenerate_interval_rejected(self):
         stream = EventStream(8, 8, [0], [0], [1], [100])
         sl = slice_sbt(stream, 100, 50)
