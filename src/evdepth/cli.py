@@ -23,15 +23,26 @@ from pathlib import Path
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
 from .errors import DomainError, EvDepthError, FormatError, ParameterError
 from .events import SliceMode, SliceSpec, read_events, slice_events, slice_sbt, write_events
-from .fusion import (load_model_params, make_model_params, run_sequence, save_model_params,
-                     toy_extractor)
+from .fusion import (
+    load_model_params,
+    make_model_params,
+    run_sequence,
+    save_model_params,
+    toy_extractor,
+)
 from .imgio import (_read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm,
                     save_depth_pfm)
 from .losses import lstsq_align
 from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
 from .naming import files_by_stem
-from .pipeline import (DEPTH_SUFFIXES, MASK_SUFFIXES, build_manifest, export_stacks,
-                       load_manifest, save_manifest)
+from .pipeline import (
+    DEPTH_SUFFIXES,
+    MASK_SUFFIXES,
+    build_manifest,
+    export_stacks,
+    load_manifest,
+    save_manifest,
+)
 from .simulator import SimConfig, frames_from_dir, simulate
 from .stacks import StackLayout, encode, load_stack_pfms, save_stack_pfm, save_stack_ppm
 

@@ -197,7 +197,11 @@ def build_manifest(
         raise BuildError("missing proxy/mask files for frames: " + ", ".join(missing))
     if drop_empty:
         records = [r for r in records if not r.empty_slice]
-    return DatasetManifest(encoder, provenance, tuple(records))
+    return DatasetManifest(
+        encoder=encoder,
+        provenance=provenance,
+        records=tuple(records),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,9 @@ def load_manifest(path) -> DatasetManifest:
         encoder = _encoder_spec(
             enc["layout"], enc["mode"], enc["window_us"], enc["count"], enc["bins"]
         )
-        provenance = Provenance(prov["teacher"], prov["lambda"], prov["k_scales"])
+        provenance = Provenance(
+            teacher=prov["teacher"], lam=prov["lambda"], k_scales=prov["k_scales"]
+        )
         records = tuple(SampleRecord(**r) for r in payload["records"])
         for r in records:
             for field in dataclasses.fields(SampleRecord):

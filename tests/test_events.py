@@ -566,6 +566,7 @@ class TestAtomicWrite:
         out.mkdir()
         write(out / name, 0)
         old = {p: p.read_bytes() for p in out.iterdir()}
+        # every writer opens its file in imgio._atomic_write
         monkeypatch.setattr(imgio, "open", lambda *a, **kw: _DiskFullOnSecondWrite(open(*a, **kw)),
                             raising=False)
         with pytest.raises(OSError):
