@@ -76,14 +76,14 @@ def _read_exact(fh, n: int, path) -> bytes:
 def _atomic_write(path, mode: str, **open_kwargs):
     """Open ``path`` for writing (``mode`` "w" or "wb"). The bytes go to a
     temporary sibling of the target (through symlinks), renamed over it when
-    the block ends and removed if the block raises, so the target holds its
-    old bytes or all the new ones. An existing FIFO or device is written in
-    place, never renamed over."""
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        with open(target, mode, **open_kwargs) as fh:
+    the block ends and removed if the block raises, so a write that fails or
+    is killed leaves the old bytes; nothing is fsynced, so an OS crash may
+    not. An existing FIFO, pipe or device is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):  # /dev/stdout has no real path
+        with open(path, mode, **open_kwargs) as fh:
             yield fh
         return
+    target = Path(os.path.realpath(path))
     tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
         with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
@@ -94,9 +94,9 @@ def _atomic_write(path, mode: str, **open_kwargs):
         raise
 
 
-def _write_json(path, payload) -> None:
+def _write_json(path, payload, indent: int | None = 2) -> None:
     with _atomic_write(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=indent, sort_keys=True)
         fh.write("\n")
 
 
@@ -259,9 +259,7 @@ def save_depth_pgm16(path, depth: np.ndarray, scale_m_per_unit: float | None = N
     raster[valid] = np.clip(q, 0, 65535).astype(np.uint16)
     path = Path(path)
     write_pgm(path, raster, maxval=65535)
-    with _atomic_write(_sidecar(path), "w", encoding="ascii") as fh:
-        json.dump({"scale_m_per_unit": scale_m_per_unit}, fh)  # compact, unlike _write_json
-        fh.write("\n")
+    _write_json(_sidecar(path), {"scale_m_per_unit": scale_m_per_unit}, indent=None)
 
 
 def load_depth_pgm16(path) -> np.ndarray:

@@ -14,7 +14,7 @@ runner is for; ``drop_empty`` removes them.
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,8 +97,9 @@ class Provenance:
         if not isinstance(self.teacher, str):
             raise ParameterError(f"teacher must be a string, got {self.teacher!r}")
         lam = self.lam
-        if type(lam) is bool or not isinstance(lam, (int, float)) or not math.isfinite(lam):
-            raise ParameterError(f"lambda must be a finite number, got {lam!r}")
+        if (type(lam) is bool or not isinstance(lam, (int, float))
+                or not abs(lam) <= sys.float_info.max):  # NaN, inf, ints past float range
+            raise ParameterError(f"lambda must be a finite float, got {lam!r}")
         _check_positive_int("k_scales", self.k_scales)
 
 

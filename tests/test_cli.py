@@ -372,7 +372,7 @@ class TestDatasetAndFusion:
         frames, proxies = self._build_dataset(tmp_path, events_file)
         assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
                      "--proxy", str(proxies), "--lam", lam, "--out", str(tmp_path / "m.json")]) == 2
-        assert "lambda must be a finite number" in capsys.readouterr().err
+        assert "lambda must be a finite float" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_fusion_run_deterministic(self, tmp_path, capsys):

@@ -611,6 +611,27 @@ class TestAtomicWrite:
         assert fifo.is_fifo()
         assert received == [(tmp_path / "ref" / name).read_bytes()]
 
+    # writers of one file whose format does not follow from the suffix
+    @pytest.mark.parametrize("writer", ["pfm-grey", "pfm-colour", "pgm8", "ppm", "mask",
+                                        "manifest", "reports-json", "reports-csv"])
+    def test_writes_a_pipe_through_its_dev_fd_path(self, tmp_path, writer):
+        # /dev/fd/<n> of a pipe is what /dev/stdout is under `| jq`: a path
+        # whose real path does not exist
+        name, write = WRITERS[writer]
+        write(tmp_path / name, 1)
+        r, w = os.pipe()
+        received = []
+        with os.fdopen(r, "rb") as rfh:
+            reader = threading.Thread(target=lambda: received.append(rfh.read()), daemon=True)
+            reader.start()
+            try:
+                write(f"/dev/fd/{w}", 1)
+            finally:
+                os.close(w)
+            reader.join(timeout=60)
+        assert received == [(tmp_path / name).read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
 
 def test_format_inference_requires_known_suffix(tmp_path):
     with pytest.raises(ParameterError):

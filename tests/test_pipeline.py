@@ -269,6 +269,7 @@ class TestManifestFile:
             lambda m: m["provenance"].update({"lambda": True}),
             lambda m: m["provenance"].update({"lambda": float("nan")}),
             lambda m: m["provenance"].update({"lambda": float("inf")}),
+            lambda m: m["provenance"].update({"lambda": 10**400}),
             lambda m: m["provenance"].update(k_scales=None),
             lambda m: m["provenance"].update(k_scales=0),
             lambda m: m["provenance"].update(k_scales=True),
@@ -280,8 +281,8 @@ class TestManifestFile:
             "text-t_d-one-record", "int-events-path", "bool-width", "float-height",
             "int-gt-path", "list-mask-path", "int-empty-slice", "null-proxy-path",
             "bool-bins", "bool-window", "bool-count", "int-teacher", "text-lambda",
-            "bool-lambda", "nan-lambda", "inf-lambda", "null-k-scales", "zero-k-scales",
-            "bool-k-scales", "float-k-scales",
+            "bool-lambda", "nan-lambda", "inf-lambda", "huge-int-lambda", "null-k-scales",
+            "zero-k-scales", "bool-k-scales", "float-k-scales",
         ],
     )
     def test_malformed_manifest_is_format_error(self, tmp_path, capsys, mutate):
