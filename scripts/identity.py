@@ -253,6 +253,59 @@ def probe_encode(seed):
     return out
 
 
+def _tied_stream(seed):
+    """3 * 4,096 + 123 events on a 64x48 sensor: timestamps tied in runs
+    across records 4,096 and 8,192 and often elsewhere, and a 30 ms gap."""
+    from evdepth.events import EventStream
+
+    rng = np.random.default_rng([seed, 9])
+    n = 3 * 4096 + 123
+    gaps = np.where(rng.random(n) < 0.6, 0, rng.integers(1, 40, n))
+    gaps[4096 - 50 : 4096 + 60] = 0
+    gaps[8192 - 3000 : 8192 + 10] = 0
+    gaps[6000] = 30_000
+    ts = 1_000 + np.cumsum(gaps)
+    return EventStream(64, 48, rng.integers(0, 64, n), rng.integers(0, 48, n),
+                       rng.choice(np.array([-1, 1]), n), ts)
+
+
+def probe_export(seed):
+    """``build_manifest`` records (times, dims, empty flags) and the bytes
+    ``export_stacks`` writes, for tencode SBT, voxel SBN with a count inside
+    the stream and voxel SBN with a count past its length; from an EVB file
+    and from its evcsv twin. Frames fall before the first event, on tied
+    timestamps, in the gap and after the last event."""
+    from evdepth.events import write_events
+    from evdepth.pipeline import build_manifest, export_stacks
+
+    stream = _tied_stream(seed)
+    ts = stream.ts
+    frame_times = sorted({500, int(ts[4096]), int(ts[8192]), int(ts[6000]) - 1,
+                          int(ts[6000]) - 20_000, int(ts[-1]), int(ts[-1]) + 7_000})
+    manifests = (
+        {"layout": "tencode", "mode": "sbt", "window_us": 2_000},
+        {"layout": "voxel", "mode": "sbn", "count": 5_000, "bins": 4},
+        {"layout": "voxel", "mode": "sbn", "count": len(stream) + 9, "bins": 3},
+    )
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("frames", "proxy"):
+            (root / name).mkdir()
+            for t in frame_times:
+                (root / name / f"{t:09d}.{'pgm' if name == 'frames' else 'pfm'}").touch()
+        for fmt in ("evb", "csv"):
+            events = root / f"events.{fmt}"
+            write_events(stream, events)
+            for k, kwargs in enumerate(manifests):
+                manifest = build_manifest(events, root / "frames", root / "proxy", **kwargs)
+                out.append(np.array([(r.t_d_us, r.t_start_us, r.t_end_us, r.width, r.height,
+                                      r.empty_slice) for r in manifest.records], dtype=np.int64))
+                written = export_stacks(manifest, root / f"{fmt}{k}")
+                out += [np.frombuffer(path.read_bytes(), dtype=np.uint8) for path in written]
+    return out
+
+
 def _fusion_setup(seed):
     from evdepth.fusion import make_model_params
 
@@ -400,11 +453,12 @@ def probe_files(seed):
 
 # Upstream first: a change to a kernel moves its probe and those after it
 # that use it (training_step runs loss_total; loss_total and evaluate run
-# lstsq_align; encode reads simulate's events).
+# lstsq_align; encode reads simulate's events; export slices and encodes).
 PROBES = {
     "simulator.simulate": probe_simulate,
     "events.evb_roundtrip": probe_evb_roundtrip,
     "stacks.encode": probe_encode,
+    "pipeline.export": probe_export,
     "fusion.conv2d_same": probe_conv2d_same,
     "fusion.convlstm_step": probe_convlstm_step,
     "fusion.fuse": probe_fuse,

@@ -38,6 +38,7 @@ from .naming import files_by_stem
 from .pipeline import (
     DEPTH_SUFFIXES,
     MASK_SUFFIXES,
+    _open_recording,
     build_manifest,
     export_stacks,
     load_manifest,
@@ -113,7 +114,8 @@ def cmd_slice(args) -> tuple[dict, str]:
     if args.dt_us is None and args.count is None:
         raise _UsageError("slice needs --dt-us (SBT) or --count (SBN)")
     spec = _slice_spec(args)
-    sl = slice_events(read_events(args.events), args.td_us, spec)
+    with _open_recording(args.events) as events:
+        sl = slice_events(events, args.td_us, spec)
     write_events(sl.to_stream(), args.out, fmt=args.format)
     payload = {
         "n_events": len(sl),
@@ -126,7 +128,8 @@ def cmd_slice(args) -> tuple[dict, str]:
 
 def cmd_encode(args) -> tuple[dict, str]:
     spec = _slice_spec(args)
-    sl = slice_events(read_events(args.events), args.td_us, spec)
+    with _open_recording(args.events) as events:
+        sl = slice_events(events, args.td_us, spec)
     if len(sl) == 0:
         print(f"warning: empty slice at t_d={args.td_us} us, writing all-zero stack", file=sys.stderr)
     stack = encode(sl, StackLayout(args.layout), bins=args.bins)

@@ -2,8 +2,15 @@
 
 An event stream is stored as four parallel numpy arrays (x, y, polarity,
 timestamp) sorted by timestamp. Timestamps are integer microseconds; all
-interval arithmetic stays in integers. Slices are numpy views plus the
-recorded interval, so slicing costs O(log N) search and O(1) extra memory.
+interval arithmetic stays in integers. A slice of an in-memory stream is
+numpy views plus the recorded interval, so it costs O(log N) search and O(1)
+extra memory.
+
+An EVB file can also be sliced without loading it (``_EvbSource``): one
+chunked pass validates every record and keeps the timestamp of every
+4,096th record, then each slice reads only its own records. Such a slice
+owns its arrays, so it costs memory in proportion to the slice, not to the
+file.
 
 On-disk formats:
   CSV  header ``# evcsv v1 width=<W> height=<H>`` then ``x,y,p,t`` lines.
@@ -89,26 +96,44 @@ def _check_positive_int(name: str, value) -> None:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _validate_arrays(width, height, xs, ys, ps, ts):
+def _check_dims(width, height) -> None:
     if not (1 <= width <= MAX_SENSOR_DIM and 1 <= height <= MAX_SENSOR_DIM):
         raise ParameterError(f"sensor dims {width}x{height} outside [1, {MAX_SENSOR_DIM}]")
-    n = len(ts)
-    if not (len(xs) == len(ys) == len(ps) == n):
-        raise FormatError("event arrays have mismatched lengths")
-    if n == 0:
-        return
+
+
+def _record_faults(width, height, xs, ys, ps, ts, base=0, t_prev=None) -> list:
+    """The first bad polarity, pixel and timestamp among records ``base``,
+    ``base + 1``, ... (at least one), each as an error or None when its check
+    passes. ``t_prev`` is the timestamp of the record before ``base``, if any."""
     # each check is one reduction; only a failing one locates its first bad record
+    faults = [None, None, None]
     if not (np.abs(ps) == 1).all():  # abs(-128) is -128 in int8
         i = np.flatnonzero((ps != 1) & (ps != -1))[0]
-        raise FormatError(f"record {i}: polarity must be -1 or +1, got {ps[i]}")
+        faults[0] = FormatError(f"record {base + i}: polarity must be -1 or +1, got {ps[i]}")
     if xs.min() < 0 or xs.max() >= width or ys.min() < 0 or ys.max() >= height:
         i = np.flatnonzero((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height))[0]
-        raise BoundsError(f"record {i}: pixel ({xs[i]}, {ys[i]}) outside {width}x{height} sensor")
-    if ts[0] < 0:
-        raise FormatError(f"record 0: negative timestamp {ts[0]}")
-    if (ts[1:] < ts[:-1]).any():
+        faults[1] = BoundsError(
+            f"record {base + i}: pixel ({xs[i]}, {ys[i]}) outside {width}x{height} sensor")
+    if t_prev is None and ts[0] < 0:
+        faults[2] = FormatError(f"record {base}: negative timestamp {ts[0]}")
+    elif t_prev is not None and ts[0] < t_prev:
+        faults[2] = OrderingError(f"record {base}: timestamp {ts[0]} < previous {t_prev}")
+    elif (ts[1:] < ts[:-1]).any():
         i = int(np.flatnonzero(ts[1:] < ts[:-1])[0]) + 1
-        raise OrderingError(f"record {i}: timestamp {ts[i]} < previous {ts[i - 1]}")
+        faults[2] = OrderingError(f"record {base + i}: timestamp {ts[i]} < previous {ts[i - 1]}")
+    return faults
+
+
+def _validate_arrays(width, height, xs, ys, ps, ts):
+    """Raise for the first failing check: sensor dims, column lengths, then
+    the first bad polarity, pixel and timestamp, in that order."""
+    _check_dims(width, height)
+    if not (len(xs) == len(ys) == len(ps) == len(ts)):
+        raise FormatError("event arrays have mismatched lengths")
+    if len(ts):
+        for fault in _record_faults(width, height, xs, ys, ps, ts):
+            if fault is not None:
+                raise fault
 
 
 class EventStream:
@@ -181,12 +206,26 @@ class EventStream:
     def __repr__(self) -> str:
         return f"EventStream({self.width}x{self.height}, {len(self)} events)"
 
+    # the slicing interface _EvbSource shares: search, one timestamp, a slice
+
+    def _search(self, t: int, side: str) -> int:
+        return int(np.searchsorted(self.ts, t, side=side))
+
+    def _timestamp(self, i: int) -> int:
+        return int(self.ts[i])
+
+    def _slice(self, lo: int, hi: int, t_start: int, t_end: int) -> "EventSlice":
+        return EventSlice(self.width, self.height, self.xs[lo:hi], self.ys[lo:hi],
+                          self.ps[lo:hi], self.ts[lo:hi], t_start, t_end)
+
 
 @dataclass(frozen=True)
 class EventSlice:
-    """View into a stream plus the interval [t_start_us, t_end_us] it covers.
+    """Events of one slice plus the interval [t_start_us, t_end_us] it covers.
 
-    Arrays are numpy views into the parent stream (no payload copies).
+    A slice of an ``EventStream`` holds numpy views into the stream (no
+    payload copies); a slice read from an ``_EvbSource`` owns its read-only
+    arrays, which are not views of anything.
     """
 
     width: int
@@ -213,57 +252,56 @@ class EventSlice:
         return EventStream(self.width, self.height, self.xs, self.ys, self.ps, self.ts)
 
 
-def slice_sbt(stream: EventStream, t_d: int, window_us: int) -> EventSlice:
-    """Events with t_d - window <= t <= t_d (both endpoints inclusive)."""
+def _sbt_bounds(stream, t_d: int, window_us: int) -> tuple[int, int, int]:
+    """Records [lo, hi) with t_d - window <= t <= t_d (both ends inclusive),
+    and the slice's start time t_d - window."""
     if window_us <= 0:
         raise ParameterError(f"window must be > 0, got {window_us}")
     if t_d < 0:
         raise ParameterError(f"t_d must be >= 0, got {t_d}")
     t0 = t_d - window_us
-    lo = int(np.searchsorted(stream.ts, t0, side="left"))
-    hi = int(np.searchsorted(stream.ts, t_d, side="right"))
-    return EventSlice(
-        stream.width,
-        stream.height,
-        stream.xs[lo:hi],
-        stream.ys[lo:hi],
-        stream.ps[lo:hi],
-        stream.ts[lo:hi],
-        t0,
-        t_d,
-    )
+    return stream._search(t0, "left"), stream._search(t_d, "right"), t0
 
 
-def slice_sbn(stream: EventStream, t_d: int, count: int) -> EventSlice:
-    """The last ``count`` events with t <= t_d (fewer if the stream is shorter).
-
-    The recorded interval is [t_first, t_d] with t_first the timestamp of the
-    earliest selected event (t_d itself when the slice comes out empty).
-    """
+def _sbn_bounds(stream, t_d: int, count: int) -> tuple[int, int, int]:
+    """Records [lo, hi): the last ``count`` with t <= t_d; the slice starts at
+    the first one's timestamp, or at t_d when it is empty."""
     if count <= 0:
         raise ParameterError(f"count must be > 0, got {count}")
     if t_d < 0:
         raise ParameterError(f"t_d must be >= 0, got {t_d}")
-    hi = int(np.searchsorted(stream.ts, t_d, side="right"))
+    hi = stream._search(t_d, "right")
     lo = max(0, hi - count)
-    t_start = int(stream.ts[lo]) if hi > lo else t_d
-    return EventSlice(
-        stream.width,
-        stream.height,
-        stream.xs[lo:hi],
-        stream.ys[lo:hi],
-        stream.ps[lo:hi],
-        stream.ts[lo:hi],
-        t_start,
-        t_d,
-    )
+    return lo, hi, stream._timestamp(lo) if hi > lo else t_d
 
 
-def slice_events(stream: EventStream, t_d: int, spec: SliceSpec) -> EventSlice:
-    """The slice ``spec`` describes, ending at reference time ``t_d``."""
+def _slice_bounds(stream, t_d: int, spec: SliceSpec) -> tuple[int, int, int]:
+    """(lo, hi, t_start) of the slice ``spec`` describes, ending at ``t_d``,
+    for an ``EventStream`` or an ``_EvbSource``."""
     if spec.mode is SliceMode.SBT:
-        return slice_sbt(stream, t_d, spec.window_us)
-    return slice_sbn(stream, t_d, spec.count)
+        return _sbt_bounds(stream, t_d, spec.window_us)
+    return _sbn_bounds(stream, t_d, spec.count)
+
+
+def slice_sbt(stream, t_d: int, window_us: int) -> EventSlice:
+    """Events with t_d - window <= t <= t_d (both endpoints inclusive), from
+    an ``EventStream`` or an ``_EvbSource``."""
+    return stream._slice(*_sbt_bounds(stream, t_d, window_us), t_d)
+
+
+def slice_sbn(stream, t_d: int, count: int) -> EventSlice:
+    """The last ``count`` events with t <= t_d (fewer if the stream is shorter),
+    from an ``EventStream`` or an ``_EvbSource``.
+
+    The recorded interval is [t_first, t_d] with t_first the timestamp of the
+    earliest selected event (t_d itself when the slice comes out empty).
+    """
+    return stream._slice(*_sbn_bounds(stream, t_d, count), t_d)
+
+
+def slice_events(stream, t_d: int, spec: SliceSpec) -> EventSlice:
+    """The slice ``spec`` describes, ending at reference time ``t_d``."""
+    return stream._slice(*_slice_bounds(stream, t_d, spec), t_d)
 
 
 # ---------------------------------------------------------------------------
@@ -356,38 +394,56 @@ def _write_csv(stream: EventStream, fh) -> None:
         np.savetxt(fh, cols, fmt="%d", delimiter=",")
 
 
+def _read_evb_header(fh, path: Path) -> tuple[int, int, int]:
+    """(width, height, count) of an open EVB file whose size matches its count."""
+    head = fh.read(_EVB_HEADER.size)
+    if len(head) < _EVB_HEADER.size:
+        raise FormatError(f"{path}: truncated EVB header")
+    magic, width, height, count = _EVB_HEADER.unpack(head)
+    if magic != EVB_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {EVB_MAGIC!r}")
+    expected = _EVB_HEADER.size + count * _EVB_RECORD_DTYPE.itemsize
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:  # before anything sized by count is allocated
+        raise FormatError(
+            f"{path}: size mismatch, header declares {count} records "
+            f"({expected} bytes) but file has {size} bytes"
+        )
+    return width, height, count
+
+
+def _read_evb_records(fh, path: Path, buf: np.ndarray, count: int, lo: int, hi: int):
+    """The int32 x, int32 y, int8 p and int64 t columns of records [lo, hi) of
+    an EVB file of ``count`` records, read through ``buf``; unchecked."""
+    n = hi - lo
+    xs = np.empty(n, dtype=np.int32)
+    ys = np.empty(n, dtype=np.int32)
+    ps = np.empty(n, dtype=np.int8)
+    ts = np.empty(n, dtype=np.int64)
+    fh.seek(_EVB_HEADER.size + lo * _EVB_RECORD_DTYPE.itemsize)
+    for start in range(0, n, _EVB_CHUNK):
+        stop = min(start + _EVB_CHUNK, n)
+        rec = buf[: stop - start]
+        got = fh.readinto(rec)
+        if got != rec.nbytes:  # the file shrank after the size check
+            raise FormatError(
+                f"{path}: EVB payload ended at record {lo + start + got // rec.itemsize} of {count}"
+            )
+        xs[start:stop] = rec["x"]
+        ys[start:stop] = rec["y"]
+        ps[start:stop] = rec["p"]
+        ts[start:stop] = rec["t"]  # u64 -> i64 wraps past 2**63 - 1 to a negative value
+    return xs, ys, ps, ts
+
+
+def _evb_buffer(count: int) -> np.ndarray:
+    return np.empty(min(count, _EVB_CHUNK), dtype=_EVB_RECORD_DTYPE)
+
+
 def _read_evb(path: Path) -> EventStream:
     with open(path, "rb") as fh:
-        head = fh.read(_EVB_HEADER.size)
-        if len(head) < _EVB_HEADER.size:
-            raise FormatError(f"{path}: truncated EVB header")
-        magic, width, height, count = _EVB_HEADER.unpack(head)
-        if magic != EVB_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {EVB_MAGIC!r}")
-        expected = _EVB_HEADER.size + count * _EVB_RECORD_DTYPE.itemsize
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:  # before anything sized by count is allocated
-            raise FormatError(
-                f"{path}: size mismatch, header declares {count} records "
-                f"({expected} bytes) but file has {size} bytes"
-            )
-        xs = np.empty(count, dtype=np.int32)
-        ys = np.empty(count, dtype=np.int32)
-        ps = np.empty(count, dtype=np.int8)
-        ts = np.empty(count, dtype=np.int64)
-        buf = np.empty(min(count, _EVB_CHUNK), dtype=_EVB_RECORD_DTYPE)
-        for lo in range(0, count, _EVB_CHUNK):
-            hi = min(lo + _EVB_CHUNK, count)
-            rec = buf[: hi - lo]
-            got = fh.readinto(rec)
-            if got != rec.nbytes:  # the file shrank after the size check
-                raise FormatError(
-                    f"{path}: EVB payload ended at record {lo + got // rec.itemsize} of {count}"
-                )
-            xs[lo:hi] = rec["x"]
-            ys[lo:hi] = rec["y"]
-            ps[lo:hi] = rec["p"]
-            ts[lo:hi] = rec["t"]  # u64 -> i64 wraps past 2**63 - 1 to a negative value
+        width, height, count = _read_evb_header(fh, path)
+        xs, ys, ps, ts = _read_evb_records(fh, path, _evb_buffer(count), count, 0, count)
     if count and ts.min() < 0:
         raise FormatError(f"{path}: timestamp exceeds signed 64-bit range")
     try:
@@ -396,9 +452,106 @@ def _read_evb(path: Path) -> EventStream:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+# records per index entry: 8 B of index per 53 KiB of file; it divides
+# _EVB_CHUNK, so every chunk of the pass starts at an index entry
+_INDEX_STEP = 1 << 12
+
+
+class _EvbSource:
+    """An EVB file checked by one chunked pass, then read slice by slice.
+
+    The pass runs every check ``read_events`` runs and raises the error it
+    would; besides the header it keeps only the timestamp of every
+    ``_INDEX_STEP``-th record. ``slice_sbt``/``slice_sbn``/``slice_events``
+    accept the source in place of an ``EventStream``: a slice reads its own
+    records plus at most one index window at each end, from the file opened
+    for the pass. Every read re-validates its records and checks the index
+    timestamps it covers, so a file changed in place after the pass is a
+    ``FormatError``. Use as a context manager; the file closes on exit.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self._fh = open(self.path, "rb")
+        try:
+            self.width, self.height, self.count = _read_evb_header(self._fh, self.path)
+            self._buf = _evb_buffer(self.count)
+            self._index = self._scan()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "_EvbSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _scan(self) -> np.ndarray:
+        """Validate every record a chunk at a time; the index of timestamps.
+
+        Keeps the first fault of each kind and raises, after the pass, the
+        one ``read_events`` would: the u64 range, then the sensor dims, the
+        polarity, the pixel bounds and the timestamp order."""
+        width, height, count = self.width, self.height, self.count
+        index = np.empty(-(-count // _INDEX_STEP), dtype=np.int64)
+        out_of_range = False
+        faults = [None, None, None]
+        t_prev = None
+        for lo in range(0, count, _EVB_CHUNK):
+            xs, ys, ps, ts = _read_evb_records(self._fh, self.path, self._buf, count, lo,
+                                               min(lo + _EVB_CHUNK, count))
+            out_of_range = out_of_range or ts.min() < 0
+            found = _record_faults(width, height, xs, ys, ps, ts, lo, t_prev)
+            faults = [old or new for old, new in zip(faults, found)]
+            marks = ts[::_INDEX_STEP]
+            index[lo // _INDEX_STEP : lo // _INDEX_STEP + len(marks)] = marks
+            t_prev = ts[-1]
+        if out_of_range:
+            raise FormatError(f"{self.path}: timestamp exceeds signed 64-bit range")
+        _check_dims(width, height)
+        for fault in faults:
+            if fault is not None:
+                raise type(fault)(f"{self.path}: {fault}")
+        return index
+
+    def _read(self, lo: int, hi: int):
+        """The checked columns of records [lo, hi)."""
+        cols = _read_evb_records(self._fh, self.path, self._buf, self.count, lo, hi)
+        ts = cols[3]
+        first = -(-lo // _INDEX_STEP)  # the first index entry at or past lo
+        marks = ts[first * _INDEX_STEP - lo :: _INDEX_STEP]
+        try:
+            if not np.array_equal(marks, self._index[first : first + len(marks)]):
+                raise FormatError(f"timestamps differ from the index in records [{lo}, {hi})")
+            _validate_arrays(self.width, self.height, *cols)
+        except (FormatError, OrderingError, BoundsError) as exc:
+            raise FormatError(f"{self.path}: changed after it was checked: {exc}") from None
+        for a in cols:
+            a.flags.writeable = False
+        return cols
+
+    def _search(self, t: int, side: str) -> int:
+        # the index entries before j lie before t (as searchsorted ``side``
+        # counts), the ones from j on do not: the answer is in the window
+        # between entries j - 1 and j, both ends included in the read
+        j = int(np.searchsorted(self._index, t, side=side))
+        if j == 0:
+            return 0
+        lo = (j - 1) * _INDEX_STEP
+        ts = self._read(lo, min(lo + _INDEX_STEP + 1, self.count))[3]
+        return lo + int(np.searchsorted(ts, t, side=side))
+
+    def _timestamp(self, i: int) -> int:
+        return int(self._read(i, i + 1)[3][0])
+
+    def _slice(self, lo: int, hi: int, t_start: int, t_end: int) -> EventSlice:
+        return EventSlice(self.width, self.height, *self._read(lo, hi), t_start, t_end)
+
+
 def _write_evb(stream: EventStream, fh) -> None:
     n = len(stream)
-    buf = np.empty(min(n, _EVB_CHUNK), dtype=_EVB_RECORD_DTYPE)
+    buf = _evb_buffer(n)
     fh.write(_EVB_HEADER.pack(EVB_MAGIC, stream.width, stream.height, n))
     for lo in range(0, n, _EVB_CHUNK):
         hi = min(lo + _EVB_CHUNK, n)

@@ -14,7 +14,9 @@ import contextlib
 import json
 import math
 import os
+import re
 import stat
+import sys
 import uuid
 from pathlib import Path
 
@@ -72,14 +74,34 @@ def _read_exact(fh, n: int, path) -> bytes:
     return buf
 
 
+def _descriptor(path) -> int | None:
+    """The open file descriptor ``path`` names as given (/dev/stdout,
+    /dev/stderr, /dev/fd/<n>, /proc/self/fd/<n>), or None."""
+    given = os.path.abspath(path)
+    m = re.fullmatch(r"/(?:dev|proc/self)/fd/(\d+)", given)
+    return int(m.group(1)) if m else {"/dev/stdout": 1, "/dev/stderr": 2}.get(given)
+
+
 @contextlib.contextmanager
 def _atomic_write(path, mode: str, **open_kwargs):
     """Open ``path`` for writing (``mode`` "w" or "wb"). The bytes go to a
     temporary sibling of the target (through symlinks), renamed over it when
     the block ends and removed if the block raises, so a write that fails or
     is killed leaves the old bytes; nothing is fsynced, so an OS crash may
-    not. An existing FIFO, pipe or device is written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):  # /dev/stdout has no real path
+    not. A path under /dev/ or /proc/, or an existing FIFO, pipe or device,
+    is written in place; one that names an open descriptor (/dev/stdout, say)
+    is written through a duplicate of it, which shares its offset, so a
+    redirected stdout keeps what the process prints around the write."""
+    fd = _descriptor(path)
+    if fd is not None:
+        for stream in (sys.stdout, sys.stderr):  # what they hold comes first
+            if stream is not None:
+                stream.flush()
+        with os.fdopen(os.dup(fd), mode, **open_kwargs) as fh:
+            yield fh
+        return
+    if os.path.abspath(path).startswith(("/dev/", "/proc/")) or (
+            os.path.exists(path) and not os.path.isfile(path)):
         with open(path, mode, **open_kwargs) as fh:
             yield fh
         return
@@ -162,6 +184,11 @@ def read_pfm(path) -> np.ndarray:
 
 def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
     """Write binary (P5) PGM; 16-bit samples are big-endian."""
+    _write_raster(path, *_pgm(values, maxval))
+
+
+def _pgm(values, maxval: int) -> tuple[str, bytes]:
+    """The header and raster bytes of a binary PGM."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ParameterError(f"PGM writer takes (H, W), got {values.shape}")
@@ -171,7 +198,7 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
         raise ParameterError("PGM sample outside [0, maxval]")
     h, w = values.shape
     dt = np.uint8 if maxval < 256 else ">u2"
-    _write_raster(path, f"P5\n{w} {h}\n{maxval}\n", values.astype(dt).tobytes())
+    return f"P5\n{w} {h}\n{maxval}\n", values.astype(dt).tobytes()
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
@@ -258,7 +285,14 @@ def save_depth_pgm16(path, depth: np.ndarray, scale_m_per_unit: float | None = N
     q = np.floor(depth[valid] / scale_m_per_unit + 0.5)
     raster[valid] = np.clip(q, 0, 65535).astype(np.uint16)
     path = Path(path)
-    write_pgm(path, raster, maxval=65535)
+    header, data = _pgm(raster, 65535)
+    with _atomic_write(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(data)
+        # the old scale goes before the new raster replaces the old one: a
+        # save cut off before the new sidecar is written leaves no sidecar
+        # (an error on load), never the new raster beside the old scale
+        Path(os.path.realpath(_sidecar(path))).unlink(missing_ok=True)  # a link stays
     _write_json(_sidecar(path), {"scale_m_per_unit": scale_m_per_unit}, indent=None)
 
 

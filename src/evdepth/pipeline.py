@@ -13,6 +13,7 @@ runner is for; ``drop_empty`` removes them.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ import numpy as np
 
 from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
 from .errors import BuildError, ContractError, FormatError, ParameterError
-from .events import (EventSlice, EventStream, SliceMode, SliceSpec, _check_positive_int,
-                     read_events, slice_sbn, slice_sbt)
+from .events import (EventSlice, SliceMode, SliceSpec, _check_positive_int, _EvbSource,
+                     _infer_format, _slice_bounds, read_events, slice_sbn, slice_sbt)
 from .imgio import _read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm
 from .losses import LossReport, loss_total
 from .naming import files_by_stem, timestamped_files
@@ -110,19 +111,29 @@ class DatasetManifest:
     records: tuple[SampleRecord, ...]
 
 
-def _slice_record(
-    stream: EventStream, t_d: int, slicing: SliceSpec, record: SampleRecord | None = None
-) -> EventSlice:
-    """The slice ending at ``t_d``; given ``record``, check it still matches."""
+@contextlib.contextmanager
+def _open_recording(path):
+    """The events of ``path``, ready to slice. An EVB file is validated in one
+    chunked pass and then read slice by slice, from the file held open until
+    the block ends; an evcsv file has no fixed-size records, so it is read
+    whole into memory."""
+    if _infer_format(Path(path), None) == "csv":
+        yield read_events(path)
+    else:
+        with _EvbSource(path) as source:
+            yield source
+
+
+def _slice_record(events, record: SampleRecord, slicing: SliceSpec) -> EventSlice:
+    """The slice of ``record``, checked against the interval it recorded."""
     # this module's slice_sbt/slice_sbn, not slice_events: evbench/tracing.py wraps these names
     if slicing.mode is SliceMode.SBT:
-        sl = slice_sbt(stream, t_d, slicing.window_us)
+        sl = slice_sbt(events, record.t_d_us, slicing.window_us)
     else:
-        sl = slice_sbn(stream, t_d, slicing.count)
-    if record is not None and (
-        sl.t_start_us != record.t_start_us or (len(sl) == 0) != record.empty_slice
-    ):
-        raise ContractError(f"record t_d={t_d}: events file no longer matches manifest interval")
+        sl = slice_sbn(events, record.t_d_us, slicing.count)
+    if sl.t_start_us != record.t_start_us or (len(sl) == 0) != record.empty_slice:
+        raise ContractError(
+            f"record t_d={record.t_d_us}: events file no longer matches manifest interval")
     return sl
 
 
@@ -154,46 +165,47 @@ def build_manifest(
     provenance = Provenance(teacher=teacher, lam=lam, k_scales=k_scales)
 
     events_path = Path(events_path).resolve()
-    stream = read_events(events_path)
-    frames = timestamped_files(frames_dir, suffixes=FRAME_SUFFIXES)
-    if not frames:
-        raise BuildError(f"no frames found under {frames_dir}")
-    # each directory is listed once; a frame's files share its stem
-    proxies = files_by_stem(proxy_dir, DEPTH_SUFFIXES, "depth")
-    gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth") if gt_dir else {}
-    masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
+    with _open_recording(events_path) as events:
+        frames = timestamped_files(frames_dir, suffixes=FRAME_SUFFIXES)
+        if not frames:
+            raise BuildError(f"no frames found under {frames_dir}")
+        # each directory is listed once; a frame's files share its stem
+        proxies = files_by_stem(proxy_dir, DEPTH_SUFFIXES, "depth")
+        gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth") if gt_dir else {}
+        masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
 
-    records = []
-    missing = []
-    for t_d, frame_path in frames:
-        stem = frame_path.stem
-        proxy = proxies.get(stem)
-        if proxy is None:
-            missing.append(f"{stem} (t_d={t_d})")
-            continue
-        mask_path = None
-        if masks is not None:
-            mask = masks.get(stem)
-            if mask is None:
-                missing.append(f"{stem} (t_d={t_d}, mask)")
+        records = []
+        missing = []
+        for t_d, frame_path in frames:
+            stem = frame_path.stem
+            proxy = proxies.get(stem)
+            if proxy is None:
+                missing.append(f"{stem} (t_d={t_d})")
                 continue
-            mask_path = str(mask.resolve())
-        gt = gts.get(stem)
-        sl = _slice_record(stream, t_d, encoder.slicing)
-        records.append(
-            SampleRecord(
-                t_d_us=t_d,
-                events_path=str(events_path),
-                t_start_us=sl.t_start_us,
-                t_end_us=sl.t_end_us,
-                proxy_path=str(proxy.resolve()),
-                gt_path=str(gt.resolve()) if gt else None,
-                mask_path=mask_path,
-                width=stream.width,
-                height=stream.height,
-                empty_slice=len(sl) == 0,
+            mask_path = None
+            if masks is not None:
+                mask = masks.get(stem)
+                if mask is None:
+                    missing.append(f"{stem} (t_d={t_d}, mask)")
+                    continue
+                mask_path = str(mask.resolve())
+            gt = gts.get(stem)
+            # the record needs the slice's bounds only, not its events
+            lo, hi, t_start = _slice_bounds(events, t_d, encoder.slicing)
+            records.append(
+                SampleRecord(
+                    t_d_us=t_d,
+                    events_path=str(events_path),
+                    t_start_us=t_start,
+                    t_end_us=t_d,
+                    proxy_path=str(proxy.resolve()),
+                    gt_path=str(gt.resolve()) if gt else None,
+                    mask_path=mask_path,
+                    width=events.width,
+                    height=events.height,
+                    empty_slice=hi == lo,
+                )
             )
-        )
     if missing:
         raise BuildError("missing proxy/mask files for frames: " + ", ".join(missing))
     if drop_empty:
@@ -353,18 +365,19 @@ def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     encoder = manifest.encoder
-    streams: dict[str, EventStream] = {}
     written = []
-    for record in manifest.records:
-        stream = streams.get(record.events_path)
-        if stream is None:
-            stream = read_events(record.events_path)
-            streams[record.events_path] = stream
-        sl = _slice_record(stream, record.t_d_us, encoder.slicing, record)
-        stack = encode(sl, encoder.layout, bins=encoder.bins)
-        target = out_dir / f"{record.t_d_us:012d}.{fmt}"
-        if fmt == "pfm":
-            written.extend(save_stack_pfm(stack, target))
-        else:
-            written.append(save_stack_ppm(stack, target))
+    with contextlib.ExitStack() as opened:
+        recordings = {}
+        for record in manifest.records:
+            events = recordings.get(record.events_path)
+            if events is None:
+                events = opened.enter_context(_open_recording(record.events_path))
+                recordings[record.events_path] = events
+            sl = _slice_record(events, record, encoder.slicing)
+            stack = encode(sl, encoder.layout, bins=encoder.bins)
+            target = out_dir / f"{record.t_d_us:012d}.{fmt}"
+            if fmt == "pfm":
+                written.extend(save_stack_pfm(stack, target))
+            else:
+                written.append(save_stack_ppm(stack, target))
     return written

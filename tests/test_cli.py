@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from evdepth.simulator import MAX_FRAME_TIME_US
 from evdepth.stacks import encode_tencode, save_stack_pfm
 
 MS = 1000
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_frames(dirpath, specs):
@@ -198,6 +203,26 @@ class TestAlignEvaluate:
         assert agg["abs_rel"] == 0.0 and agg["rmse"] == 0.0
         assert agg["delta1"] == 1.0 and agg["delta3"] == 1.0
         assert len(payload["frames"]) == 3
+
+    def test_json_out_to_redirected_stdout_keeps_the_table(self, tmp_path):
+        # `evaluate --json-out /dev/stdout > out.txt`: the report and the table
+        # printed after it share stdout's file and offset
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "out.txt"
+        with open(out, "w") as fh:
+            result = subprocess.run(
+                [sys.executable, "-m", "evdepth.cli", "evaluate", "--pred-dir", str(pred_dir),
+                 "--gt-dir", str(gt_dir), "--json-out", "/dev/stdout"],
+                stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=path),
+            )
+        assert result.returncode == 0, result.stderr
+        text = out.read_text()
+        report, end = json.JSONDecoder().raw_decode(text)
+        assert report["aggregate"]["abs_rel"] == 0.0 and len(report["frames"]) == 3
+        table = text[end:].split()
+        assert table[:2] == ["frame", "abs_rel"] and "aggregate" in table
 
     def test_alignment_flag_controls_scaled_predictions(self, tmp_path, capsys):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path, scale=3.0, shift=1.0)

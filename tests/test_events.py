@@ -1,5 +1,6 @@
 import os
 import struct
+import tempfile
 import threading
 import tracemalloc
 
@@ -409,6 +410,150 @@ class TestEvbChunks:
             f"{path}: size mismatch, header declares {2**60} records "
             f"({16 + 13 * 2**60} bytes) but file has 29 bytes")
         assert peak < 1 << 20
+
+
+# The EVB source keeps one index timestamp per STEP records; files of more
+# than 2 * STEP records have index windows on both sides of an interior one.
+STEP = events._INDEX_STEP
+
+
+def _fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def tied_columns(seed, n, tie):
+    """Columns of a 40x30 stream whose timestamps repeat with probability
+    ``tie``, plus one run of equal timestamps across two index entries."""
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 40, n).astype(np.int32)
+    ys = rng.integers(0, 30, n).astype(np.int32)
+    ps = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    gaps = np.where(rng.random(n) < tie, 0, rng.integers(1, 50, n))
+    gaps[STEP - 7 : 2 * STEP + 9] = 0
+    return xs, ys, ps, np.cumsum(gaps).astype(np.int64) + 100
+
+
+class TestEvbSource:
+    @pytest.mark.parametrize("case", BAD_RECORDS, ids=list(BAD_RECORDS))
+    def test_scan_raises_what_read_events_raises(self, tmp_path, case):
+        # on disk, a pixel of -1 reads as 65535 and a timestamp of -5 as 2**64 - 5
+        edits, _, _ = BAD_RECORDS[case]
+        cols = dict(zip(("xs", "ys", "ps", "ts"), long_columns()))
+        for name, changes in edits.items():
+            for i, value in changes.items():
+                cols[name][i] = value
+        path = tmp_path / "ev.evb"
+        path.write_bytes(reference_evb_bytes(32, 24, **cols))
+        with pytest.raises(Exception) as expected:
+            read_events(path)
+        with pytest.raises(type(expected.value)) as info:
+            events._EvbSource(path)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("edits", [
+        {"ps": {CHUNK + 5: 0, 2 * CHUNK + 1: 3}},
+        {"ts": {CHUNK: 2**40 - 1}},
+        {"ps": {3: 0}, "ts": {2 * CHUNK + 2: 2**63}},
+        {"xs": {2 * CHUNK: 40}, "ps": {CHUNK + 1: 2}, "ts": {5: 0}},
+        {"xs": {2 * CHUNK: 40}, "ts": {5: 0}},
+    ], ids=["polarity", "order-at-chunk-start", "u64-range-first", "polarity-first", "bounds-first"])
+    def test_scan_raises_the_first_fault_by_kind_across_chunks(self, tmp_path, edits):
+        cols = dict(zip(("xs", "ys", "ps", "ts"), chunk_columns(2 * CHUNK + 3)))
+        cols["ts"] = cols["ts"].astype(np.uint64)
+        for name, changes in edits.items():
+            for i, value in changes.items():
+                cols[name][i] = value
+        path = tmp_path / "ev.evb"
+        path.write_bytes(reference_evb_bytes(40, 30, **cols))
+        with pytest.raises(Exception) as expected:
+            read_events(path)
+        with pytest.raises(type(expected.value)) as info:
+            events._EvbSource(path)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("dims", [(0, 30), (40, 0)])
+    def test_bad_dims_after_the_range_check(self, tmp_path, dims):
+        cols = list(chunk_columns(10))
+        path = tmp_path / "ev.evb"
+        path.write_bytes(reference_evb_bytes(*dims, *cols))
+        with pytest.raises(ParameterError, match="sensor dims"):
+            events._EvbSource(path)
+        cols[3] = cols[3].astype(np.uint64)
+        cols[3][4] = 2**63
+        path.write_bytes(reference_evb_bytes(*dims, *cols))
+        with pytest.raises(FormatError, match="exceeds signed 64-bit range"):
+            events._EvbSource(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(1, STEP + 1),
+           tie=st.sampled_from([0.0, 0.5, 0.99]), data=st.data())
+    def test_slices_equal_in_memory_slices(self, seed, extra, tie, data):
+        stream = EventStream(40, 30, *tied_columns(seed, 2 * STEP + extra, tie))
+        ts = stream.ts
+        # at and next to the first, two index-entry and the last timestamps,
+        # and anywhere up to past the end
+        t_ds = {max(0, int(ts[i]) + d) for i in (0, STEP, 2 * STEP, -1) for d in (-1, 0, 1)}
+        t_ds.update(data.draw(st.lists(st.integers(0, int(ts[-1]) + 100), max_size=5)))
+        window = data.draw(st.integers(1, int(ts[-1]) + 200))
+        count = data.draw(st.integers(1, len(stream) + 10))
+        cases = ((slice_sbt, window, SliceSpec(SliceMode.SBT, window_us=window)),
+                 (slice_sbn, count, SliceSpec(SliceMode.SBN, count=count)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ev.evb")
+            write_events(stream, path)
+            with events._EvbSource(path) as source:
+                for t_d, (cut, arg, spec) in ((t, c) for t in sorted(t_ds) for c in cases):
+                    want = cut(stream, t_d, arg)
+                    got = cut(source, t_d, arg)
+                    assert events._slice_bounds(source, t_d, spec) == (
+                        events._slice_bounds(stream, t_d, spec))
+                    assert (got.t_start_us, got.t_end_us) == (want.t_start_us, want.t_end_us)
+                    for name in ("xs", "ys", "ps", "ts"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                        assert not a.flags.writeable
+
+    @pytest.mark.parametrize("edit", ["shifted-timestamps", "bad-polarity", "truncated"])
+    def test_file_changed_in_place_after_the_scan_is_a_format_error(self, tmp_path, edit):
+        stream = EventStream(40, 30, *tied_columns(1, 3 * STEP, 0.3))
+        path = tmp_path / "ev.evb"
+        write_events(stream, path)
+        t_d = int(stream.ts[2 * STEP + 10])
+        fds = _fds()
+        with events._EvbSource(path) as source:
+            assert _fds() == fds + 1
+            if edit == "truncated":
+                os.truncate(path, 16 + 13 * (2 * STEP))
+            else:
+                xs, ys, ps, ts = (np.array(a) for a in (stream.xs, stream.ys, stream.ps, stream.ts))
+                if edit == "shifted-timestamps":
+                    ts += 1
+                else:
+                    ps[2 * STEP + 5] = 0
+                with open(path, "r+b") as fh:  # same size, same inode
+                    fh.write(reference_evb_bytes(40, 30, xs, ys, ps, ts))
+            with pytest.raises(FormatError) as info:
+                slice_sbt(source, t_d, 50)
+            assert str(info.value).startswith(f"{path}: ")
+        assert _fds() == fds
+
+    def test_failed_scan_closes_the_file(self, tmp_path):
+        path = tmp_path / "ev.evb"
+        cols = dict(zip(("xs", "ys", "ps", "ts"), chunk_columns(CHUNK + 3)))
+        cols["ps"][CHUNK + 1] = 0
+        path.write_bytes(reference_evb_bytes(40, 30, **cols))
+        fds = _fds()
+        with pytest.raises(FormatError):
+            events._EvbSource(path)
+        assert _fds() == fds
+
+    def test_empty_file_gives_empty_slices(self, tmp_path):
+        path = tmp_path / "ev.evb"
+        write_events(EventStream.empty(8, 8), path)
+        with events._EvbSource(path) as source:
+            sl = slice_sbn(source, 10, 3)
+            assert (len(sl), sl.t_start_us, sl.t_end_us) == (0, 10, 10)
+            assert len(slice_sbt(source, 10, 3)) == 0
 
 
 class _FailPastFirstChunk:

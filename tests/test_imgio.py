@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from evdepth import imgio
 from evdepth.errors import FormatError, ParameterError
 from evdepth.imgio import (
     depth_valid_mask,
@@ -222,6 +223,23 @@ class TestDepthConventions:
         (tmp_path / "d.pgm.json").write_bytes(sidecar)
         with pytest.raises(FormatError, match="d.pgm.json"):
             load_depth_pgm16(p)
+
+    def test_pgm16_save_cut_off_before_the_sidecar_leaves_no_stale_scale(self, tmp_path,
+                                                                        monkeypatch):
+        p = tmp_path / "d.pgm"
+        save_depth_pgm16(p, np.full((3, 4), 10.0))
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(imgio, "_write_json", disk_full)
+        with pytest.raises(OSError):
+            save_depth_pgm16(p, np.full((3, 4), 40.0))
+        monkeypatch.undo()
+        assert read_pgm(p)[0].tolist() == [[65535] * 4] * 3  # the new raster
+        assert sorted(tmp_path.iterdir()) == [p]
+        with pytest.raises(FileNotFoundError):  # not 10.0 read back as 40.0's scale
+            load_depth(p)
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -0.001])
     def test_pgm16_scale_must_be_finite_and_positive(self, tmp_path, scale):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from conftest import make_random_stream
 from evdepth import pipeline
 from evdepth.cli import main
 from evdepth.errors import BuildError, ContractError, DomainError, FormatError, ParameterError
-from evdepth.events import SliceMode, SliceSpec, read_events, slice_sbt, write_events
+from evdepth.events import (EventStream, SliceMode, SliceSpec, read_events, slice_sbt,
+                            write_events)
 from evdepth.imgio import load_depth, read_pfm, save_depth_pfm, save_mask_pgm, write_pgm
 from evdepth.pipeline import (
     build_manifest,
@@ -450,3 +453,41 @@ class TestExport:
         write_events(other, events)
         with pytest.raises(ContractError, match="no longer matches"):
             export_stacks(manifest, tmp_path / "stacks")
+
+    @pytest.mark.parametrize("mode, layout", [("sbt", "tencode"), ("sbn", "voxel")])
+    def test_evcsv_recording_exports_what_its_evb_twin_does(self, tmp_path, mode, layout):
+        events, frames, proxies, _, _ = build_scene(tmp_path, frame_times_ms=(0, 50, 150, 400))
+        twin = tmp_path / "scene.csv"
+        write_events(read_events(events), twin)
+        count = 700 if mode == "sbn" else None
+        out = {}
+        for path in (events, twin):
+            manifest = build_manifest(path, frames, proxies, mode=mode, count=count, layout=layout)
+            out[path.suffix] = (
+                [dataclasses.replace(r, events_path="") for r in manifest.records],
+                [p.read_bytes() for p in export_stacks(manifest, tmp_path / path.suffix[1:])],
+            )
+        assert out[".csv"] == out[".evb"]
+        # no events by t = 0, and none in the last SBT window
+        empty = [True, False, False, mode == "sbt"]
+        assert [r.empty_slice for r in out[".evb"][0]] == empty
+
+    def test_export_memory_is_bounded_by_the_slice_not_the_file(self, tmp_path):
+        # 1M events, slices of at most 2,000: the columns of the whole file
+        # would take 17 MB
+        n = 1_000_000
+        rng = np.random.default_rng(5)
+        stream = EventStream(32, 24, rng.integers(0, 32, n), rng.integers(0, 24, n),
+                             rng.choice(np.array([-1, 1]), n), np.arange(n) * 10)
+        events, frames, proxies, _, _ = build_scene(tmp_path, frame_times_ms=(1_000, 5_000, 9_000))
+        write_events(stream, events)
+        del stream
+        manifest = build_manifest(events, frames, proxies, window_us=20 * MS)
+        tracemalloc.start()
+        try:
+            written = export_stacks(manifest, tmp_path / "stacks")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(written) == 3
+        assert peak < 17 * n / 4, peak
