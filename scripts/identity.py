@@ -451,6 +451,73 @@ def probe_files(seed):
                 for path in sorted(Path(tmp).iterdir())]
 
 
+def _with_layout(arrays):
+    """Each array, then its C-contiguous, writeable and owns-its-data flags,
+    which the digest (over C-order bytes) does not see."""
+    out = []
+    for a in arrays:
+        out += [a, np.array([a.flags.c_contiguous, a.flags.writeable, a.flags.owndata])]
+    return out
+
+
+def probe_imgio_read(seed):
+    """What ``read_pfm``, ``read_pgm``, ``read_ppm``, ``load_depth`` and
+    ``load_mask_pgm`` return, with the layout of each array: for the rasters
+    the files probe writes; for hand-made headers with comments between the
+    fields; for colour and grey PFMs stored big-endian (scale 2.5) and
+    little-endian (scale -0.5) holding NaN (one of them signaling), +-inf and
+    -0; for PGM maxvals 255, 256 and 65535; and for a grey PFM read as depth."""
+    from evdepth.imgio import (load_depth, load_mask_pgm, read_pfm, read_pgm, read_ppm,
+                               save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm,
+                               write_ppm)
+
+    _, proxy, gt, mask, _ = _supervision_inputs(seed)
+    stacks, _ = _fusion_setup(seed)
+    frame = np.rint(255 * _frames(seed)[0].values).astype(np.uint8)
+    rng = np.random.default_rng([seed, 10])
+    h, w = 7, 5
+    special = np.array([0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000, 0x80000000], "<u4")
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_pfm(root / "grey.pfm", proxy)
+        write_pfm(root / "colour.pfm", stacks[0])
+        write_pgm(root / "frame.pgm", frame)
+        save_depth_pgm16(root / "depth.pgm", gt)
+        write_ppm(root / "stack.ppm", stacks[1])
+        save_mask_pgm(root / "mask.pgm", mask)
+        hand = {}
+        for ident, channels in ((b"Pf", 1), (b"PF", 3)):
+            samples = rng.uniform(-4.0, 40.0, h * w * channels).astype("<f4")
+            samples[: len(special)] = special.view("<f4")
+            for order, scale in ((">", b"2.5"), ("<", b"-0.5")):
+                name = f"{ident.decode()}{order == '>'}{scale.decode()}.pfm"
+                hand[name] = (b"%s\n# w h\n%d %d #\n#scale\n%s\n" % (ident, w, h, scale)
+                              + samples.astype(order + "f4").tobytes())
+        for maxval in (255, 256, 65535):
+            samples = rng.integers(0, maxval + 1, (h, w)).astype("u1" if maxval < 256 else ">u2")
+            hand[f"m{maxval}.pgm"] = (b"P5 #\n%d\n#\n %d\t%d\n" % (w, h, maxval)
+                                      + samples.tobytes())
+        hand["hand.ppm"] = b"P6\n#c\n%d %d\n255\n" % (w, h) + rng.bytes(h * w * 3)
+        for name, raw in hand.items():
+            (root / name).write_bytes(raw)
+        arrays = [read_pfm(root / "grey.pfm"), read_pfm(root / "colour.pfm"),
+                  load_depth(root / "grey.pfm"), load_depth(root / "depth.pgm"),
+                  read_pgm(root / "depth.pgm")[0], read_pgm(root / "frame.pgm")[0],
+                  load_mask_pgm(root / "mask.pgm"), read_ppm(root / "stack.ppm"),
+                  read_ppm(root / "hand.ppm")]
+        for name in sorted(hand):
+            if name.endswith(".pfm"):
+                arrays.append(read_pfm(root / name))
+                if name.startswith("Pf"):
+                    arrays.append(load_depth(root / name))
+            elif name.endswith(".pgm"):
+                values, maxval = read_pgm(root / name)
+                arrays += [values, load_mask_pgm(root / name)]
+                out.append(np.array([maxval]))
+    return out + _with_layout(arrays)
+
+
 # Upstream first: a change to a kernel moves its probe and those after it
 # that use it (training_step runs loss_total; loss_total and evaluate run
 # lstsq_align; encode reads simulate's events; export slices and encodes).
@@ -469,6 +536,7 @@ PROBES = {
     "pipeline.training_step": probe_training_step,
     "metrics.evaluate": probe_evaluate,
     "files": probe_files,
+    "imgio.read": probe_imgio_read,
 }
 
 

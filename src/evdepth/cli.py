@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import resource
 import statistics
 import sys
@@ -30,7 +29,7 @@ from .fusion import (
     save_model_params,
     toy_extractor,
 )
-from .imgio import (_read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm,
+from .imgio import (_finite, _read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm,
                     save_depth_pfm)
 from .losses import lstsq_align
 from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
@@ -298,7 +297,7 @@ def _baseline_rates(path) -> dict[str, float]:
         raise FormatError(f"{path}: not a bench report: 'layouts' must map names to objects")
     rates = {k: e["events_per_s"] for k, e in layouts.items() if e.get("events_per_s") is not None}
     for layout, rate in rates.items():
-        if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
+        if type(rate) not in (int, float) or not (_finite(rate) and rate > 0):
             raise FormatError(f"{path}: not a bench report: {layout!r} events_per_s {rate!r}")
     return rates
 

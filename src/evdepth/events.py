@@ -42,7 +42,7 @@ from .errors import (
     OrderingError,
     ParameterError,
 )
-from .imgio import _atomic_write
+from .imgio import _atomic_write, _read_text
 
 EVB_MAGIC = b"EVB1"
 _EVB_HEADER = struct.Struct("<4sHHQ")
@@ -343,13 +343,11 @@ def write_events(stream: EventStream, path, fmt: str | None = None) -> None:
 
 
 def _read_csv(path: Path) -> EventStream:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _CSV_HEADER_RE.match(header)
-        if not m:
-            raise FormatError(f"{path}: bad evcsv header {header!r}")
-        width, height = int(m.group(1)), int(m.group(2))
-        body = fh.read()
+    header, _, body = _read_text(path, "evcsv file").partition("\n")
+    m = _CSV_HEADER_RE.match(header)
+    if not m:
+        raise FormatError(f"{path}: bad evcsv header {header!r}")
+    width, height = int(m.group(1)), int(m.group(2))
     if body.strip():
         try:
             data = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)

@@ -5,14 +5,15 @@ and a negative scale field marking little-endian data (we always write
 scale -1.0). 16-bit PGM samples are big-endian per the PNM spec; a JSON
 sidecar ``<file>.json`` with ``{"scale_m_per_unit": ...}`` turns the raster
 back into metric depth. Masks are 8-bit PGM with 0 = invalid. Every file
-evdepth writes goes through ``_atomic_write``.
+evdepth writes goes through ``_atomic_write``; every raster it reads goes
+through ``_read_raster``, and every text file through ``_read_text``, which
+takes ASCII only: any other byte makes the file malformed (exit 2).
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import re
 import stat
@@ -32,15 +33,10 @@ def _next_token(fh) -> bytes:
     start at the right offset.
     """
     c = fh.read(1)
-    while c:
+    while c.isspace() or c == b"#":
         if c == b"#":
-            while c and c != b"\n":
-                c = fh.read(1)
-            c = fh.read(1)
-        elif c.isspace():
-            c = fh.read(1)
-        else:
-            break
+            fh.readline()
+        c = fh.read(1)
     if not c:
         raise FormatError("unexpected end of file in raster header")
     tok = b""
@@ -48,6 +44,12 @@ def _next_token(fh) -> bytes:
         tok += c
         c = fh.read(1)
     return tok
+
+
+def _finite(x) -> bool:
+    """Whether the number ``x`` is finite as a float: not NaN or +-inf, nor an
+    int past float range (math.isfinite raises OverflowError on one)."""
+    return abs(x) <= sys.float_info.max
 
 
 def _header_field(fh, path, what: str, parse=int):
@@ -59,7 +61,7 @@ def _header_field(fh, path, what: str, parse=int):
         value = parse(token)
     except ValueError:
         value = None
-    if value is None or (value < 0 if parse is int else (not math.isfinite(value) or value == 0)):
+    if value is None or (value < 0 if parse is int else (not _finite(value) or value == 0)):
         raise FormatError(f"{path}: bad {what} {token!r} in raster header")
     return value
 
@@ -128,12 +130,39 @@ def _write_raster(path, header: str, data) -> None:
         fh.write(data)
 
 
+def _read_text(path, what: str) -> str:
+    """The text of ``path``; a byte outside ASCII makes it a malformed ``what``."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not an ASCII {what}: {exc}") from None
+
+
 def _read_json(path, what: str):
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # invalid JSON or non-ASCII bytes
+        return json.loads(_read_text(path, what))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FormatError(f"{path}: not a {what}: {exc}") from None
+
+
+def _read_raster(path, channels: dict[bytes, int], third: str, sample_dtype):
+    """A PFM or binary PNM file's samples, a read-only (H, W, C) view in file
+    row order, and the value of its ``third`` header field. ``channels`` maps
+    each identifier the format takes to its channel count; ``sample_dtype(value,
+    path)`` is the stored sample type that value gives, or raises FormatError."""
+    with open(path, "rb") as fh:
+        ident = _next_token(fh)
+        if ident not in channels:
+            raise FormatError(f"{path}: bad identifier {ident!r}, expected one of {[*channels]}")
+        w = _header_field(fh, path, "width")
+        h = _header_field(fh, path, "height")
+        value = _header_field(fh, path, third, float if third == "scale" else int)
+        dt = sample_dtype(value, path)
+        raw = _read_exact(fh, w * h * channels[ident] * dt.itemsize, path)
+    try:
+        return np.frombuffer(raw, dtype=dt).reshape(h, w, channels[ident]), value
+    except ValueError:  # no samples, but a side longer than any array's
+        raise FormatError(f"{path}: raster dimensions {w}x{h} out of range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +184,19 @@ def write_pfm(path, values: np.ndarray) -> None:
     _write_raster(path, f"{ident}\n{w} {h}\n-1.0\n", data.data)
 
 
+def _pfm_dtype(scale, path) -> np.dtype:
+    return np.dtype("<f4" if scale < 0 else ">f4")  # a negative scale marks little-endian
+
+
 def read_pfm(path) -> np.ndarray:
     """Read a PFM file into float64, shape (H, W) or (H, W, 3)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        ident = _next_token(fh)
-        if ident == b"PF":
-            channels = 3
-        elif ident == b"Pf":
-            channels = 1
-        else:
-            raise FormatError(f"{path}: bad PFM identifier {ident!r}")
-        w = _header_field(fh, path, "width")
-        h = _header_field(fh, path, "height")
-        scale = _header_field(fh, path, "scale", float)
-        dt = "<f4" if scale < 0 else ">f4"
-        raw = _read_exact(fh, w * h * channels * 4, path)
-    arr = np.frombuffer(raw, dtype=dt).reshape(h, w, channels)
-    arr = np.flipud(arr).astype(np.float64)
-    if abs(scale) != 1.0:
-        arr = arr * abs(scale)
-    return arr[:, :, 0] if channels == 1 else arr
+    arr, scale = _read_raster(path, {b"PF": 3, b"Pf": 1}, "scale", _pfm_dtype)
+    # rows run bottom-to-top; a signaling NaN reads as NaN, a sample scaled past float64 as inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        arr = np.flipud(arr).astype(np.float64)
+        if abs(scale) != 1.0:
+            arr = arr * abs(scale)
+    return arr[:, :, 0] if arr.shape[2] == 1 else arr
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +222,16 @@ def _pgm(values, maxval: int) -> tuple[str, bytes]:
     return f"P5\n{w} {h}\n{maxval}\n", values.astype(dt).tobytes()
 
 
+def _pnm_dtype(maxval, path) -> np.dtype:
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"{path}: bad maxval {maxval}")
+    return np.dtype(np.uint8 if maxval < 256 else ">u2")
+
+
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary (P5) PGM. Returns (values, maxval); dtype follows depth."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        ident = _next_token(fh)
-        if ident != b"P5":
-            raise FormatError(f"{path}: expected binary PGM (P5), got {ident!r}")
-        w = _header_field(fh, path, "width")
-        h = _header_field(fh, path, "height")
-        maxval = _header_field(fh, path, "maxval")
-        if not 1 <= maxval <= 65535:
-            raise FormatError(f"{path}: bad maxval {maxval}")
-        dt = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
-        raw = _read_exact(fh, w * h * dt.itemsize, path)
-    arr = np.frombuffer(raw, dtype=dt).reshape(h, w)
-    return arr.astype(np.uint16) if maxval >= 256 else arr.copy(), maxval
+    arr, maxval = _read_raster(path, {b"P5": 1}, "maxval", _pnm_dtype)
+    return arr[:, :, 0].astype(np.uint16 if maxval >= 256 else np.uint8), maxval
 
 
 def write_ppm(path, values: np.ndarray) -> None:
@@ -235,18 +250,10 @@ def write_ppm(path, values: np.ndarray) -> None:
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary (P6) 8-bit PPM into uint8 (H, W, 3)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        ident = _next_token(fh)
-        if ident != b"P6":
-            raise FormatError(f"{path}: expected binary PPM (P6), got {ident!r}")
-        w = _header_field(fh, path, "width")
-        h = _header_field(fh, path, "height")
-        maxval = _header_field(fh, path, "maxval")
-        if maxval != 255:
-            raise FormatError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
-        raw = _read_exact(fh, w * h * 3, path)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).copy()
+    arr, maxval = _read_raster(path, {b"P6": 3}, "maxval", _pnm_dtype)
+    if maxval != 255:
+        raise FormatError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
+    return arr.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +286,7 @@ def save_depth_pgm16(path, depth: np.ndarray, scale_m_per_unit: float | None = N
     if scale_m_per_unit is None:
         top = float(depth[valid].max()) if valid.any() else 1.0
         scale_m_per_unit = top / 65535.0
-    if not (math.isfinite(scale_m_per_unit) and scale_m_per_unit > 0):
+    if not (_finite(scale_m_per_unit) and scale_m_per_unit > 0):
         raise ParameterError(f"scale_m_per_unit must be finite and > 0, got {scale_m_per_unit}")
     raster = np.zeros(depth.shape, dtype=np.uint16)
     q = np.floor(depth[valid] / scale_m_per_unit + 0.5)
@@ -304,8 +311,8 @@ def load_depth_pgm16(path) -> np.ndarray:
     sidecar = _sidecar(path)
     meta = _read_json(sidecar, "depth sidecar")
     scale = meta.get("scale_m_per_unit") if isinstance(meta, dict) else None
-    if type(scale) not in (int, float) or not (math.isfinite(scale) and scale > 0):
-        raise FormatError(f"{sidecar}: scale_m_per_unit must be a finite number > 0")
+    if type(scale) not in (int, float) or not (scale > 0 and _finite(scale * 65535)):
+        raise FormatError(f"{sidecar}: scale_m_per_unit must be a number > 0, finite times 65535")
     return raster.astype(np.float64) * scale
 
 

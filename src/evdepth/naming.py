@@ -14,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import BuildError, FormatError
+from .imgio import _read_text
 
 INDEX_FILENAME = "timestamps.txt"
 
@@ -37,11 +38,7 @@ def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Pat
     index = dirpath / INDEX_FILENAME
     if index.is_file():
         out = []
-        try:
-            lines = index.read_text(encoding="ascii").splitlines()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{index}: not an ASCII timestamp index: {exc}") from None
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(_read_text(index, "timestamp index").splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
 from .errors import BuildError, ContractError, FormatError, ParameterError
 from .events import (EventSlice, SliceMode, SliceSpec, _check_positive_int, _EvbSource,
                      _infer_format, _slice_bounds, read_events, slice_sbn, slice_sbt)
-from .imgio import _read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm
+from .imgio import _finite, _read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm
 from .losses import LossReport, loss_total
 from .naming import files_by_stem, timestamped_files
 from .stacks import StackLayout, encode, save_stack_pfm, save_stack_ppm
@@ -98,8 +97,7 @@ class Provenance:
         if not isinstance(self.teacher, str):
             raise ParameterError(f"teacher must be a string, got {self.teacher!r}")
         lam = self.lam
-        if (type(lam) is bool or not isinstance(lam, (int, float))
-                or not abs(lam) <= sys.float_info.max):  # NaN, inf, ints past float range
+        if type(lam) is bool or not isinstance(lam, (int, float)) or not _finite(lam):
             raise ParameterError(f"lambda must be a finite float, got {lam!r}")
         _check_positive_int("k_scales", self.k_scales)
 

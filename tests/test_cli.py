@@ -50,6 +50,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.evb")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["slice", "encode", "dataset-build"])
+    def test_non_ascii_evcsv_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# evcsv v1 width=8 height=8\n1,1,1,10\n2,2,1,\xb520\n")
+        out = str(tmp_path / "out.pfm")
+        argv = {
+            "slice": ["slice", "--events", str(bad), "--td-us", "20", "--dt-us", "15",
+                      "--out", str(tmp_path / "o.evb")],
+            "encode": ["encode", "--events", str(bad), "--td-us", "20", "--dt-us", "15",
+                       "--out", out],
+            "dataset-build": ["dataset", "build", "--events", str(bad), "--frames",
+                              str(tmp_path), "--proxy", str(tmp_path), "--out", out],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not an ASCII evcsv file")
+
     def test_io_error_is_three(self, tmp_path, capsys):
         assert main(["slice", "--events", str(tmp_path / "missing.evb"), "--td-us", "10",
                      "--dt-us", "5", "--out", str(tmp_path / "o.evb")]) == 3
@@ -261,6 +278,14 @@ class TestAlignEvaluate:
         assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
                      "--no-align"]) == 2
         assert "prediction error overflows float64" in capsys.readouterr().err
+
+    def test_gt_sidecar_scale_past_float_range_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        (gt_dir / "f0.pfm").unlink()
+        save_depth_pgm16(gt_dir / "f0.pgm", np.full((10, 10), 4.0))
+        (gt_dir / "f0.pgm.json").write_text('{"scale_m_per_unit": 1' + "0" * 400 + "}\n")
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {gt_dir / 'f0.pgm.json'}: ")
 
     def test_negative_prediction_without_clamp_floor_is_data_error(self, tmp_path, capsys):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
@@ -540,8 +565,10 @@ class TestBench:
     @pytest.mark.parametrize(
         "text", ["not json", "[1,2]", '{"layouts": [1]}', '{"layouts": {"tencode": 1}}',
                  '{"layouts": {"tencode": {"events_per_s": "fast"}}}',
-                 '{"layouts": {"tencode": {"events_per_s": 0}}}'],
-        ids=["invalid-json", "list", "layouts-list", "entry-number", "rate-text", "rate-zero"],
+                 '{"layouts": {"tencode": {"events_per_s": 0}}}',
+                 '{"layouts": {"tencode": {"events_per_s": 1' + "0" * 400 + '}}}'],
+        ids=["invalid-json", "list", "layouts-list", "entry-number", "rate-text", "rate-zero",
+             "rate-past-float-range"],
     )
     def test_malformed_baseline_is_data_error(self, tmp_path, events_file, capsys, text):
         baseline = tmp_path / "base.json"

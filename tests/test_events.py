@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tempfile
 import threading
@@ -263,6 +264,18 @@ class TestCsvFormat:
         p = tmp_path / "ev.csv"
         p.write_text("# evcsv v1 width=8 height=8\n")
         assert len(read_events(p)) == 0
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"# evcsv v1 width=8 height=8\xe9\n1,1,1,10\n",
+         b"# evcsv v1 width=8 height=8\n1,1,1,10\n2,2,1,\xb520\n"],
+        ids=["header", "body"],
+    )
+    def test_non_ascii_byte_is_format_error(self, tmp_path, raw):
+        p = tmp_path / "ev.csv"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: not an ASCII evcsv file"):
+            read_events(p)
 
 
 class TestEvbFormat:

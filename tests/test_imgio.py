@@ -92,6 +92,25 @@ class TestPfm:
         p.write_bytes(b"Pf\n3 2\n1.0\n" + np.flipud(data).tobytes())
         assert np.array_equal(read_pfm(p), data.astype(np.float64))
 
+    @pytest.mark.parametrize("order, scale", [("<", b"-1.0"), (">", b"2.5")], ids=["le", "be"])
+    def test_signaling_nan_reads_as_nan_without_warning(self, tmp_path, order, scale):
+        # 0x7f800001 and 0xff800001 are signaling NaNs: casting them to float64
+        # raises the invalid flag, which the suite turns into an error
+        bits = np.array([0x7F800001, 0x3FC00000, 0xFF800001, 0x7FC00000], dtype=order + "u4")
+        p = tmp_path / "d.pfm"
+        p.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + bits.tobytes())
+        depth = load_depth(p)
+        factor = abs(float(scale))
+        assert np.isnan(depth).tolist() == [[True, True], [True, False]]
+        assert depth[1, 1] == 1.5 * factor  # rows are stored bottom row first
+        assert not depth_valid_mask(depth)[0, 0]
+
+    def test_scale_past_float64_reads_as_inf_without_warning(self, tmp_path):
+        p = tmp_path / "d.pfm"
+        samples = np.array([3e38, 1.0], dtype="<f4")
+        p.write_bytes(b"Pf\n2 1\n-1e300\n" + samples.tobytes())
+        assert read_pfm(p).tolist() == [[np.inf, 1e300]]
+
 
 class TestPgmPpm:
     def test_pgm8_round_trip(self, tmp_path):
@@ -121,6 +140,41 @@ class TestPgmPpm:
         p.write_bytes(b"P5\n# a comment\n2 1\n255\n\x07\x08")
         out, _ = read_pgm(p)
         assert out.tolist() == [[7, 8]]
+
+    def test_comments_between_every_header_field(self, tmp_path):
+        p = tmp_path / "r.img"
+        fields = b"\n#a\n 2 #b\n\t#c\n1 #d #e\n\n"
+        p.write_bytes(b"P5" + fields + b"255\n\x07#")
+        assert read_pgm(p)[0].tolist() == [[7, 35]]
+        p.write_bytes(b"P6" + fields + b"255\n" + bytes(range(6)))
+        assert read_ppm(p).tolist() == [[[0, 1, 2], [3, 4, 5]]]
+        p.write_bytes(b"Pf" + fields + b"-1.0\n" + np.array([1.5, 2.5], "<f4").tobytes())
+        assert read_pfm(p).tolist() == [[1.5, 2.5]]
+
+    @pytest.mark.parametrize(
+        "reader, raw",
+        [(read_pfm, b"P5\n1 1\n255\n\x00"), (read_pgm, b"Pf\n1 1\n-1.0\n" + bytes(4)),
+         (read_pgm, b"P6\n1 1\n255\n" + bytes(3)), (read_ppm, b"P5\n1 1\n255\n\x00")],
+        ids=["pfm", "pgm-pfm", "pgm-ppm", "ppm"],
+    )
+    def test_wrong_identifier_names_the_expected_ones(self, tmp_path, reader, raw):
+        p = tmp_path / "r.img"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError, match="bad identifier .*, expected one of"):
+            reader(p)
+
+    @pytest.mark.parametrize(
+        "reader, raw, message",
+        [(read_pgm, b"P5\n1 1\n0\n\x00", "bad maxval 0"),
+         (read_pgm, b"P5\n1 1\n65536\n\x00\x00", "bad maxval 65536"),
+         (read_ppm, b"P6\n1 1\n254\n\x00\x00\x00", "only 8-bit PPM supported, maxval 254")],
+        ids=["pgm-zero", "pgm-past-16-bit", "ppm-not-255"],
+    )
+    def test_maxval_rules(self, tmp_path, reader, raw, message):
+        p = tmp_path / "r.img"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError, match=message):
+            reader(p)
 
     def test_ppm_round_trip_and_half_up_rounding(self, tmp_path):
         p = tmp_path / "c.ppm"
@@ -182,6 +236,21 @@ class TestRasterHeaderFields:
             reader(p)
 
 
+    @pytest.mark.parametrize(
+        "reader, header",
+        [(read_pfm, b"Pf\n100000000000000000000 0\n-1.0\n"),
+         (read_pgm, b"P5\n0 9223372036854775808\n255\n"),
+         (read_ppm, b"P6\n4611686018427387904 0\n255\n")],
+        ids=["pfm", "pgm", "ppm"],
+    )
+    def test_no_samples_but_a_side_past_any_array_is_format_error(self, tmp_path, reader,
+                                                                  header):
+        p = tmp_path / "r.img"
+        p.write_bytes(header)
+        with pytest.raises(FormatError, match="raster dimensions .* out of range"):
+            reader(p)
+
+
 class TestDepthConventions:
     def test_depth_pfm_round_trip(self, tmp_path):
         depth = np.array([[1.5, 2.5], [0.25, 8.0]])
@@ -212,10 +281,13 @@ class TestDepthConventions:
             b'{"scale_m_per_unit": Infinity}',
             b'{"scale_m_per_unit": 0}',
             b'{"scale_m_per_unit": -0.001}',
+            b'{"scale_m_per_unit": 1' + b"0" * 400 + b"}",
+            b'{"scale_m_per_unit": 1e305}',
+            b"[" * 100_000 + b"]" * 100_000,
         ],
         ids=["invalid-json", "non-ascii", "not-an-object", "no-scale", "text-scale",
              "bool-scale", "null-scale", "nan-scale", "inf-scale", "zero-scale",
-             "negative-scale"],
+             "negative-scale", "int-past-float-range", "inf-at-65535-units", "nested-too-deep"],
     )
     def test_malformed_pgm16_sidecar_is_format_error(self, tmp_path, sidecar):
         p = tmp_path / "d.pgm"
@@ -245,6 +317,11 @@ class TestDepthConventions:
     def test_pgm16_scale_must_be_finite_and_positive(self, tmp_path, scale):
         with pytest.raises(ParameterError, match="scale_m_per_unit"):
             save_depth_pgm16(tmp_path / "d.pgm", np.full((2, 2), 3.0), scale_m_per_unit=scale)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pgm16_scale_past_float_range_is_parameter_error(self, tmp_path):
+        with pytest.raises(ParameterError, match="scale_m_per_unit"):
+            save_depth_pgm16(tmp_path / "d.pgm", np.full((2, 2), 3.0), scale_m_per_unit=10**400)
         assert list(tmp_path.iterdir()) == []
 
     def test_pgm16_invalid_pixels_stay_zero(self, tmp_path):
