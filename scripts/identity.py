@@ -396,6 +396,42 @@ def probe_run_sequence(seed):
     return states + depths
 
 
+def probe_fusion_run_cli(seed):
+    """The depth files ``evdepth fusion run`` writes, in name order: over the
+    tencode stacks of ``run_sequence``'s probe (one colour PFM each) and over
+    voxel stacks of five bins (one grey ``<stem>.c<k>.pfm`` per bin)."""
+    import contextlib
+    import io
+
+    from evdepth.cli import main
+    from evdepth.imgio import write_pfm
+    from evdepth.stacks import EventStack, StackLayout, save_stack_pfm
+
+    stacks, _ = _fusion_setup(seed)
+    rng = np.random.default_rng([seed, 11])
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for layout in ("tencode", "voxel"):
+            stacks_dir = root / layout
+            stacks_dir.mkdir()
+            for k, values in enumerate(stacks):
+                path = stacks_dir / f"{(k + 1) * FRAME_STEP_US:012d}.pfm"
+                if layout == "tencode":
+                    write_pfm(path, values)
+                else:
+                    bins = rng.normal(0.0, 0.5, FUSION_SHAPE + (5,)).astype(np.float32)
+                    save_stack_pfm(EventStack(StackLayout.VOXEL, bins, 0, 1), path)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["fusion", "run", "--stacks", str(stacks_dir),
+                             "--out", str(root / f"{layout}-depth"), "--seed", str(seed)])
+            if code != 0:
+                raise RuntimeError(f"fusion run exited {code} on {layout} stacks")
+            out += [np.frombuffer(path.read_bytes(), dtype=np.uint8)
+                    for path in sorted((root / f"{layout}-depth").iterdir())]
+    return out
+
+
 def probe_files(seed):
     """The bytes of every file evdepth writes, in file name order: grey and
     colour PFM, 8-bit PGM, 16-bit depth PGM and its sidecar, PPM, mask, an SBT
@@ -520,7 +556,8 @@ def probe_imgio_read(seed):
 
 # Upstream first: a change to a kernel moves its probe and those after it
 # that use it (training_step runs loss_total; loss_total and evaluate run
-# lstsq_align; encode reads simulate's events; export slices and encodes).
+# lstsq_align; encode reads simulate's events; export slices and encodes;
+# the fusion CLI runs the recurrence).
 PROBES = {
     "simulator.simulate": probe_simulate,
     "events.evb_roundtrip": probe_evb_roundtrip,
@@ -530,6 +567,7 @@ PROBES = {
     "fusion.convlstm_step": probe_convlstm_step,
     "fusion.fuse": probe_fuse,
     "fusion.run_sequence": probe_run_sequence,
+    "cli.fusion_run": probe_fusion_run_cli,
     "losses.lstsq_align": probe_lstsq_align,
     "losses.loss_total": probe_loss_total,
     "losses.loss_deep_pyramid": probe_loss_deep_pyramid,

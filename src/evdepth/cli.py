@@ -20,23 +20,17 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
-from .errors import DomainError, EvDepthError, FormatError, ParameterError
+from .errors import ContractError, DomainError, EvDepthError, FormatError, ParameterError
 from .events import SliceMode, SliceSpec, read_events, slice_events, slice_sbt, write_events
-from .fusion import (
-    load_model_params,
-    make_model_params,
-    run_sequence,
-    save_model_params,
-    toy_extractor,
-)
-from .imgio import (_finite, _read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm,
-                    save_depth_pfm)
+from .fusion import _steps, load_model_params, make_model_params, save_model_params, toy_extractor
+from .imgio import _finite, _read_json, _write_json, depth_valid_mask, load_depth, save_depth_pfm
 from .losses import lstsq_align
 from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
 from .naming import files_by_stem
 from .pipeline import (
     DEPTH_SUFFIXES,
     MASK_SUFFIXES,
+    _load_mask,
     _open_recording,
     build_manifest,
     export_stacks,
@@ -44,7 +38,7 @@ from .pipeline import (
     save_manifest,
 )
 from .simulator import SimConfig, frames_from_dir, simulate
-from .stacks import StackLayout, encode, load_stack_pfms, save_stack_pfm, save_stack_ppm
+from .stacks import StackLayout, _read_stack, _stack_files, encode, save_stack_pfm, save_stack_ppm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,7 +153,7 @@ def cmd_align(args) -> tuple[dict, str]:
     target = load_depth(args.target)
     mask = depth_valid_mask(target)
     if args.mask:
-        mask &= load_mask_pgm(args.mask)
+        mask &= _load_mask(args.mask, mask.shape)
     affine = lstsq_align(pred, target, mask)
     payload = {"scale": affine.scale, "shift": affine.shift, "degenerate": affine.degenerate}
     return payload, f"s={affine.scale:.12g} t={affine.shift:.12g} degenerate={affine.degenerate}"
@@ -194,7 +188,7 @@ def cmd_evaluate(args) -> tuple[dict, str]:
         if masks is not None:
             if stem not in masks:
                 raise FileNotFoundError(f"missing mask for frame {stem!r}: {mask_dir / stem}.pgm")
-            mask &= load_mask_pgm(masks[stem])
+            mask &= _load_mask(masks[stem], mask.shape)
         return stem, evaluate(pred, gt, mask, align=align, clamp=clamp)
 
     stems = sorted(preds)
@@ -258,10 +252,19 @@ def cmd_dataset_export(args) -> tuple[dict, str]:
 
 
 def cmd_fusion_run(args) -> tuple[dict, str]:
+    """Every stack's files are checked from their headers first, so a
+    malformed stack or a change of frame size is an error before any depth
+    file is written. The run then holds one stack at a time: each is read,
+    stepped and its depth written before the next is read."""
     stacks_dir = Path(args.stacks)
-    stacks = load_stack_pfms(stacks_dir)
+    stacks = _stack_files(stacks_dir)
     if not stacks:
         raise ParameterError(f"no .pfm stacks under {stacks_dir}")
+    first, _, (height, width, _) = stacks[0]
+    for stem, _, (h, w, _) in stacks[1:]:
+        if (h, w) != (height, width):
+            raise ContractError(
+                f"{stacks_dir}: stack {stem} is {w}x{h}, stack {first} is {width}x{height}")
     if args.params:
         params = load_model_params(args.params)
     else:
@@ -269,15 +272,16 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
     if args.params_out:
         Path(args.params_out).parent.mkdir(parents=True, exist_ok=True)
         save_model_params(params, args.params_out)
-    depths = run_sequence(
-        [values for _, values in stacks],
+    depths = _steps(
+        (_read_stack(files, shape) for _, files, shape in stacks),
         lambda a: toy_extractor(a, seed=args.seed, scales=params.scales, channels=params.channels),
         params,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for (stem, _), depth in zip(stacks, depths):
+    for (stem, _, _), depth in zip(stacks, depths):
+        if not written:  # created once the first step has run
+            out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / f"{stem}.depth.pfm"
         save_depth_pfm(out_path, depth)
         written.append(out_path)

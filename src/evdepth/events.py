@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 import os
 import re
 import struct
@@ -94,6 +95,18 @@ class SliceSpec:
 def _check_positive_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _allocate(what: str, shape: tuple[int, ...], dtype, *, zeros: bool = True) -> np.ndarray:
+    """A new array sized by input (a header, a flag, a count): zero-filled, or
+    uninitialised with ``zeros=False``. A size numpy refuses (ValueError) or
+    cannot allocate (MemoryError) is a ParameterError naming ``what`` and the
+    byte count, which is figured in Python integers, so it cannot wrap."""
+    try:
+        return (np.zeros if zeros else np.empty)(shape, dtype)
+    except (MemoryError, ValueError):
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        raise ParameterError(f"{what}, more than fit in memory ({nbytes:,} bytes)") from None
 
 
 def _check_dims(width, height) -> None:
@@ -352,8 +365,7 @@ def _read_csv(path: Path) -> EventStream:
         try:
             data = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
         except ValueError:
-            _rescan_csv_body(path, body)  # locates the record and raises
-            raise FormatError(f"{path}: malformed CSV body")  # pragma: no cover
+            data = _rescan_csv_body(path, body)  # raises at the first malformed record
         if data.shape[1] != 4:
             raise FormatError(f"{path}: expected 4 columns x,y,p,t, got {data.shape[1]}")
     else:
@@ -364,18 +376,34 @@ def _read_csv(path: Path) -> EventStream:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _rescan_csv_body(path: Path, body: str) -> None:
-    """Slow path: find the first malformed record for a precise diagnostic."""
-    for i, line in enumerate(body.splitlines()):
-        if not line.strip():
+_CSV_FIELD_RE = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+
+
+def _rescan_csv_body(path: Path, body: str) -> np.ndarray:
+    """Slow path, for a body ``np.loadtxt`` rejected: parse it record by
+    record and raise a FormatError naming the first malformed one. Lines
+    (read with universal newlines, so each ends in LF) are taken as loadtxt
+    takes them: ``#`` starts a comment, a line empty but for one is skipped
+    (a line of blanks is not), and each of the four fields is an int64 in
+    decimal, with blanks around it allowed. A body that parses here is
+    returned as its (N, 4) records."""
+    rows = []
+    for i, line in enumerate(body.split("\n")):
+        content = line.partition("#")[0]
+        if not content:
             continue
-        parts = line.split(",")
+        where = f"{path}: record {i} (line {i + 2})"
+        parts = [p.strip() for p in content.split(",")]
         if len(parts) != 4:
-            raise FormatError(f"{path}: record {i} (line {i + 2}): expected 4 fields, got {len(parts)}")
-        try:
-            [int(p) for p in parts]
-        except ValueError:
-            raise FormatError(f"{path}: record {i} (line {i + 2}): non-integer field in {line!r}") from None
+            raise FormatError(f"{where}: expected 4 fields, got {len(parts)}")
+        if not all(_CSV_FIELD_RE.fullmatch(p) for p in parts):
+            raise FormatError(f"{where}: non-integer field in {line!r}")
+        row = [int(p) for p in parts]
+        if not all(_INT64.min <= v <= _INT64.max for v in row):
+            raise FormatError(f"{where}: field out of int64 range in {line!r}")
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def _write_csv(stream: EventStream, fh) -> None:

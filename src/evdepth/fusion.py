@@ -10,6 +10,12 @@ There is no training here: state starts at zero and carries across the
 whole sequence. Default scales, channels and seed come from
 ``config.FUSION_DEFAULTS``.
 
+Working set: a step holds the per-scale state, one stack and its pyramid.
+Each convolution frees its padded buffer before its GEMM, and no stack,
+pyramid or fused map is carried into the next step. ``run_sequence`` keeps
+every depth map it returns; ``evdepth fusion run`` drives the same step
+generator one stack at a time, so its memory is flat in sequence length.
+
 Parameters serialize to a flat float64 binary archive plus a JSON manifest
 listing (name, shape, offset) per tensor.
 """
@@ -20,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,30 +96,34 @@ def _padded(parts, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _conv_rows(padded: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The convolution of the (H, W) map inside ``padded`` as (Cout, H*W) rows.
+def _conv_rows(parts, kernel: np.ndarray) -> np.ndarray:
+    """The zero-padded 'same' convolution of the (H, W, C_i) maps of
+    ``parts``, side by side along channels, as (Cout, H*W) rows.
 
     im2col with taps in the kernel's own (kh, kw, Cin) order, then one GEMM
     run as (Cout, K) @ (K, H*W): the GEMM numpy's einsum reduces this
     convolution to, so its sums and its Cout-major result layout are kept.
     Another tap or operand order sums differently and moves the last bits.
-    The columns are one C-order copy of a read-only window view.
+    The columns are one C-order copy of a read-only window view into the
+    padded buffer, which is freed before the GEMM runs.
     """
     kh, kw, _, c_out = kernel.shape
+    h, w = parts[0].shape[:2]
+    padded = _padded(parts, kh // 2, kw // 2)
     s_row, s_col, s_ch = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded, (h, w, kh, kw, padded.shape[2]), (s_row, s_col, s_row, s_col, s_ch),
         writeable=False,
     )
-    return kernel.reshape(-1, c_out).T @ windows.reshape(h * w, -1).T
+    cols = windows.reshape(h * w, -1)
+    del padded, windows
+    return kernel.reshape(-1, c_out).T @ cols.T
 
 
 def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Zero-padded 'same' 2-D convolution; x (H, W, Cin), kernel (k, k, Cin, Cout)."""
-    kh, kw, _, c_out = kernel.shape
     h, w = x.shape[:2]
-    out = _conv_rows(_padded([x], kh // 2, kw // 2), kernel, h, w)
-    return out.T.reshape(h, w, c_out)
+    return _conv_rows([x], kernel).T.reshape(h, w, kernel.shape[3])
 
 
 def convlstm_step(features, hidden, cell, kernel, bias):
@@ -138,8 +148,7 @@ def convlstm_step(features, hidden, cell, kernel, bias):
         raise ContractError(f"bias shape {bias.shape}, expected ({4 * c},)")
     # Gates stay in the GEMM's (4C, H*W) rows, so each gate block is
     # contiguous and every step below runs in place on it.
-    padded = _padded([features, hidden], kernel.shape[0] // 2, kernel.shape[1] // 2)
-    gates = _conv_rows(padded, kernel, h, w)
+    gates = _conv_rows([features, hidden], kernel)
     gates += bias[:, None]
     _sigmoid_inplace(gates[: 3 * c])
     np.tanh(gates[3 * c :], out=gates[3 * c :])
@@ -279,6 +288,45 @@ def make_model_params(
                        head_weight, 0.0)
 
 
+def _steps(
+    stacks: Iterable,
+    extractor: Callable[[object], FeaturePyramid],
+    params: ModelParams,
+) -> Iterator[np.ndarray]:
+    """The recurrence of ``run_sequence``, yielding each step's depth map as
+    soon as it is computed and taking the next stack from ``stacks`` only
+    then. Between steps it keeps the per-scale state and nothing frame-sized
+    besides: each step's stack, pyramid and fused map are freed before the
+    next stack is taken."""
+    hidden, cell = [], []  # per scale, finest first
+    step = 0  # not enumerate(): its reused result tuple would keep the last stack
+    for stack in stacks:
+        pyramid = extractor(stack)
+        del stack  # a generator keeps its locals across the yield
+        if pyramid.scales != params.scales:
+            raise ContractError(
+                f"extractor scales {pyramid.scales} do not match params {params.scales}"
+            )
+        if not hidden:
+            hidden = [np.zeros_like(f) for f in pyramid.maps]
+            cell = [np.zeros_like(f) for f in pyramid.maps]
+        for i, s in enumerate(params.scales):
+            if pyramid.maps[i].shape != hidden[i].shape:
+                raise ContractError(
+                    f"step {step}: shape drift at scale {s}: "
+                    f"{pyramid.maps[i].shape} vs {hidden[i].shape}"
+                )
+            hidden[i], cell[i] = convlstm_step(
+                pyramid.maps[i], hidden[i], cell[i], params.kernels[s], params.biases[s]
+            )
+        del pyramid
+        fused = fuse(FeaturePyramid(params.scales, tuple(hidden)), params.projections)
+        depth = depth_head(fused, params.head_weight, params.head_bias)
+        del fused
+        yield depth
+        step += 1
+
+
 def run_sequence(
     stacks: Sequence,
     extractor: Callable[[object], FeaturePyramid],
@@ -289,29 +337,7 @@ def run_sequence(
     State starts at zero and carries across the whole sequence. Output maps
     live at the finest stride.
     """
-    hidden, cell = [], []  # per scale, finest first
-    outputs = []
-    for step, stack in enumerate(stacks):
-        pyramid = extractor(stack)
-        if pyramid.scales != params.scales:
-            raise ContractError(
-                f"extractor scales {pyramid.scales} do not match params {params.scales}"
-            )
-        if not hidden:
-            hidden = [np.zeros_like(f) for f in pyramid.maps]
-            cell = [np.zeros_like(f) for f in pyramid.maps]
-        for i, (s, feature_map) in enumerate(zip(pyramid.scales, pyramid.maps)):
-            if feature_map.shape != hidden[i].shape:
-                raise ContractError(
-                    f"step {step}: shape drift at scale {s}: "
-                    f"{feature_map.shape} vs {hidden[i].shape}"
-                )
-            hidden[i], cell[i] = convlstm_step(
-                feature_map, hidden[i], cell[i], params.kernels[s], params.biases[s]
-            )
-        fused = fuse(FeaturePyramid(pyramid.scales, tuple(hidden)), params.projections)
-        outputs.append(depth_head(fused, params.head_weight, params.head_bias))
-    return outputs
+    return list(_steps(stacks, extractor, params))
 
 
 # ---------------------------------------------------------------------------

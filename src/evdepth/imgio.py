@@ -66,16 +66,6 @@ def _header_field(fh, path, what: str, parse=int):
     return value
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    # a header can claim more bytes than memory holds: ask a regular file for
-    # no more than it has left, so a lying header is a truncation, not a MemoryError
-    st = os.fstat(fh.fileno())
-    buf = fh.read(min(n, st.st_size - fh.tell()) if stat.S_ISREG(st.st_mode) else n)
-    if len(buf) != n:
-        raise FormatError(f"{path}: truncated raster, wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
 def _descriptor(path) -> int | None:
     """The open file descriptor ``path`` names as given (/dev/stdout,
     /dev/stderr, /dev/fd/<n>, /proc/self/fd/<n>), or None."""
@@ -145,24 +135,50 @@ def _read_json(path, what: str):
         raise FormatError(f"{path}: not a {what}: {exc}") from None
 
 
+def _truncated(path, wanted: int, got: int) -> FormatError:
+    return FormatError(f"{path}: truncated raster, wanted {wanted} bytes, got {got}")
+
+
+def _raster_header(fh, path, channels: dict[bytes, int], third: str, sample_dtype):
+    """Parse the header of an open PFM or binary PNM file, leaving ``fh`` at
+    its first sample. Returns the (H, W, C) shape, the value of the ``third``
+    header field, the stored sample type and the byte count of the samples.
+    ``channels`` maps each identifier the format takes to its channel count;
+    ``sample_dtype(value, path)`` is the stored sample type that value gives,
+    or raises FormatError. So is a regular file shorter than its header
+    declares (a header can claim more bytes than memory holds: this is found
+    before anything that size is read), and an empty raster whose side is
+    longer than any array's."""
+    ident = _next_token(fh)
+    if ident not in channels:
+        raise FormatError(f"{path}: bad identifier {ident!r}, expected one of {[*channels]}")
+    w = _header_field(fh, path, "width")
+    h = _header_field(fh, path, "height")
+    value = _header_field(fh, path, third, float if third == "scale" else int)
+    dt = sample_dtype(value, path)
+    shape = (h, w, channels[ident])
+    nbytes = w * h * channels[ident] * dt.itemsize
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < nbytes:
+        raise _truncated(path, nbytes, st.st_size - fh.tell())
+    if nbytes == 0:
+        try:
+            np.empty(shape, dt)  # numpy's own limits on the sides of an array
+        except ValueError:
+            raise FormatError(f"{path}: raster dimensions {w}x{h} out of range") from None
+    return shape, value, dt, nbytes
+
+
 def _read_raster(path, channels: dict[bytes, int], third: str, sample_dtype):
     """A PFM or binary PNM file's samples, a read-only (H, W, C) view in file
-    row order, and the value of its ``third`` header field. ``channels`` maps
-    each identifier the format takes to its channel count; ``sample_dtype(value,
-    path)`` is the stored sample type that value gives, or raises FormatError."""
+    row order, and the value of its ``third`` header field (arguments as for
+    ``_raster_header``)."""
     with open(path, "rb") as fh:
-        ident = _next_token(fh)
-        if ident not in channels:
-            raise FormatError(f"{path}: bad identifier {ident!r}, expected one of {[*channels]}")
-        w = _header_field(fh, path, "width")
-        h = _header_field(fh, path, "height")
-        value = _header_field(fh, path, third, float if third == "scale" else int)
-        dt = sample_dtype(value, path)
-        raw = _read_exact(fh, w * h * channels[ident] * dt.itemsize, path)
-    try:
-        return np.frombuffer(raw, dtype=dt).reshape(h, w, channels[ident]), value
-    except ValueError:  # no samples, but a side longer than any array's
-        raise FormatError(f"{path}: raster dimensions {w}x{h} out of range") from None
+        shape, value, dt, nbytes = _raster_header(fh, path, channels, third, sample_dtype)
+        raw = fh.read(nbytes)
+    if len(raw) != nbytes:  # a pipe or device that ended early
+        raise _truncated(path, nbytes, len(raw))
+    return np.frombuffer(raw, dtype=dt).reshape(shape), value
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +204,20 @@ def _pfm_dtype(scale, path) -> np.dtype:
     return np.dtype("<f4" if scale < 0 else ">f4")  # a negative scale marks little-endian
 
 
+_PFM_CHANNELS = {b"PF": 3, b"Pf": 1}
+
+
+def _pfm_shape(path) -> tuple[int, int, int]:
+    """The (H, W, C) shape of the PFM file ``path``, C being 3 or 1, from its
+    header and size alone: a header or a size that ``read_pfm`` would reject
+    is a FormatError."""
+    with open(path, "rb") as fh:
+        return _raster_header(fh, path, _PFM_CHANNELS, "scale", _pfm_dtype)[0]
+
+
 def read_pfm(path) -> np.ndarray:
     """Read a PFM file into float64, shape (H, W) or (H, W, 3)."""
-    arr, scale = _read_raster(path, {b"PF": 3, b"Pf": 1}, "scale", _pfm_dtype)
+    arr, scale = _read_raster(path, _PFM_CHANNELS, "scale", _pfm_dtype)
     # rows run bottom-to-top; a signaling NaN reads as NaN, a sample scaled past float64 as inf
     with np.errstate(invalid="ignore", over="ignore"):
         arr = np.flipud(arr).astype(np.float64)
@@ -280,17 +307,25 @@ def save_depth_pgm16(path, depth: np.ndarray, scale_m_per_unit: float | None = N
 
     Default scale maps the depth maximum to 65535. Zero raster values are the
     invalid-pixel convention, so non-finite or non-positive depths encode as 0.
+    A scale at which a valid depth needs more than 65535 units is a
+    ParameterError: the raster could not store that depth.
     """
     depth = np.asarray(depth, dtype=np.float64)
     valid = np.isfinite(depth) & (depth > 0)
+    values = depth[valid]
+    top = float(values.max()) if values.size else 1.0
     if scale_m_per_unit is None:
-        top = float(depth[valid].max()) if valid.any() else 1.0
         scale_m_per_unit = top / 65535.0
     if not (_finite(scale_m_per_unit) and scale_m_per_unit > 0):
         raise ParameterError(f"scale_m_per_unit must be finite and > 0, got {scale_m_per_unit}")
+    with np.errstate(over="ignore"):  # an overflow is a unit count past 65535, raised next
+        q = np.floor(values / scale_m_per_unit + 0.5)
+    if values.size and q.max() > 65535:
+        raise ParameterError(
+            f"scale_m_per_unit {scale_m_per_unit} stores depths up to "
+            f"{65535 * scale_m_per_unit:.6g} m, but the largest valid depth is {top:.6g} m")
     raster = np.zeros(depth.shape, dtype=np.uint16)
-    q = np.floor(depth[valid] / scale_m_per_unit + 0.5)
-    raster[valid] = np.clip(q, 0, 65535).astype(np.uint16)
+    raster[valid] = q.astype(np.uint16)
     path = Path(path)
     header, data = _pgm(raster, 65535)
     with _atomic_write(path, "wb") as fh:

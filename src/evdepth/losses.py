@@ -28,7 +28,10 @@ this module and for ``metrics.evaluate``. Each public call runs it once:
 calls made on arrays already checked pass ``_checked=True``.
 
 The kernels work in place on arrays they allocate, never on an argument,
-and keep nothing between calls. Each sum runs over the gathered valid pixels
+and keep nothing between calls. Working set: a frame-sized result is freed
+(or not yet made) before the next allocation peak. ``loss_reg``'s level-0
+pass is the largest, so ``loss_total`` runs it before ``loss_si``, and the
+SI gradient is not alive beside it. Each sum runs over the gathered valid pixels
 in row-major order, so values and gradients are bit for bit those of the
 plain expressions of the definitions (``tests/test_kernel_identity.py``
 keeps reference copies). The pyramid helpers (``_downsample_masked``,
@@ -363,8 +366,12 @@ def loss_total(
     (``affine`` as for ``loss_si``)."""
     pred, target, mask = _check_pair(pred, target, mask)
     aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
-    si = loss_si(pred, target, mask, affine=aff, _checked=True)
+    if k_scales < 1:  # loss_si's errors come before loss_reg's k_scales check
+        loss_si(pred, target, mask, affine=aff, _checked=True)
+    # the regularization term first: its level-0 peak then runs without the
+    # SI gradient alive beside it
     reg = loss_reg(pred, target, mask, k_scales, affine=aff, _checked=True)
+    si = loss_si(pred, target, mask, affine=aff, _checked=True)
     total = si.value + lam * reg.value
     if not math.isfinite(total):
         raise DomainError("total loss overflows float64")

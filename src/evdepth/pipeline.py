@@ -9,6 +9,12 @@ producing them (running a teacher model) is out of scope, so the teacher is
 recorded as provenance only. Frames whose slice is empty stay in the
 manifest, flagged, because static intervals are exactly what the recurrent
 runner is for; ``drop_empty`` removes them.
+
+Working set: a loop over records frees each record's frame-sized arrays
+before the next record's are made. ``export_stacks`` drops a record's slice
+and stack before it reads the next slice, so it holds one slice and one stack
+whatever the manifest's length; ``training_step`` frees each target before
+the next loss runs.
 """
 
 from __future__ import annotations
@@ -282,13 +288,18 @@ class TrainingStep:
     grad: np.ndarray
 
 
+def _load_mask(path, shape) -> np.ndarray:
+    """The mask PGM at ``path``, which must match the depth maps' ``shape``."""
+    mask = load_mask_pgm(path)
+    if mask.shape != shape:
+        raise ContractError(f"mask {path} shape {mask.shape}, expected {shape}")
+    return mask
+
+
 def _record_mask(record: SampleRecord, shape) -> np.ndarray:
     if record.mask_path is None:
         return np.ones(shape, dtype=bool)
-    mask = load_mask_pgm(record.mask_path)
-    if mask.shape != shape:
-        raise ContractError(f"mask {record.mask_path} shape {mask.shape}, expected {shape}")
-    return mask
+    return _load_mask(record.mask_path, shape)
 
 
 def _load_target(path_str: str, record: SampleRecord, kind: str) -> np.ndarray:
@@ -378,4 +389,5 @@ def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[
                 written.extend(save_stack_pfm(stack, target))
             else:
                 written.append(save_stack_ppm(stack, target))
+            del sl, stack  # freed before the next record's slice is read
     return written

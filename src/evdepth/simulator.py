@@ -8,6 +8,12 @@ steps by +/-C. Event timestamps are interpolated at the crossing points.
 
 There is no noise model and no refractory period: the output is the exact
 threshold-crossing oracle that the encoder and pipeline tests check against.
+
+Working set: apart from the event columns, which are allocated once at their
+exact size, both passes hold one frame pair's arrays at a time. Each pass
+drops a pair before the recurrence computes the next, and ``_write_pair``
+frees its per-pixel and float per-event arrays once it has gathered or keyed
+them. The frames themselves are all held, by the caller.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import (
     OrderingError,
     ParameterError,
 )
-from .events import EventStream
+from .events import EventStream, _allocate
 from .imgio import read_pgm
 from .naming import timestamped_files
 
@@ -123,6 +129,7 @@ def _crossings(frames: Sequence[IntensityFrame], c: float):
             raise ParameterError(
                 f"contrast threshold {c} is too small: a pixel crosses 2**63 levels or more"
             ) from None
+        del y  # a generator keeps its locals across the yield
         yield prev.timestamp_us, cur.timestamp_us, ref, log_prev, log_cur, steps
         ref = ref + steps * c
         log_prev = log_cur
@@ -160,12 +167,14 @@ def _write_pair(cols, at, n, width, c, sort, t_a, t_b, ref, log_prev, log_cur, s
     j -= (stops - counts).astype(np.float64)[index]
     n_up_events = int(stops[n_up - 1]) if n_up else 0
     np.negative(j[n_up_events:], out=j[n_up_events:])
-    # where the crossing level sits between the pair's two log intensities
+    # where the crossing level sits between the pair's two log intensities,
+    # formed in j's storage
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        frac = j * c
+        frac = np.multiply(j, c, out=j)
         frac += ref[index]
         frac -= log_prev[index]
         frac /= span[index]
+    del ref, log_prev, span, j  # gathered: only x, y and sign are gathered again
     # roundoff can put a crossing on a pixel whose log intensity did not
     # move: a zero span, whose NaN or +-inf fraction means the pair's end
     if not np.isfinite(frac).all():
@@ -182,6 +191,7 @@ def _write_pair(cols, at, n, width, c, sort, t_a, t_b, ref, log_prev, log_cur, s
         # t_b - t_a, and at <= 16 bits numpy's stable sort is a radix sort
         t -= t_a
         key = t.astype(np.min_scalar_type(t_b - t_a))
+        del t, frac
         order = np.argsort(key, kind="stable")
         index = index[order]
         ts[...] = key[order]
@@ -222,24 +232,27 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     c = float(config.contrast_threshold)
     # count, then fill: the columns are allocated once at their exact size;
     # float64 counts are exact below 2**53, where an int64 sum could wrap
-    totals = [np.abs(pair[-1]).sum(dtype=np.float64) for pair in _crossings(frames, c)]
+    totals = []
+    for pair in _crossings(frames, c):
+        totals.append(np.abs(pair[-1]).sum(dtype=np.float64))
+        del pair  # freed before the recurrence computes the next pair
     n = sum(totals)
     if n == 0:
         return EventStream.empty(width, height)
-    try:
-        if n >= 2**53:  # no machine holds that many, and the count may be inexact
-            raise MemoryError
-        cols = tuple(np.empty(int(n), dtype) for dtype in (np.int32, np.int32, np.int8, np.int64))
-    except MemoryError:
-        raise ParameterError(
-            f"contrast threshold {c} gives {n:.4g} events, more than fit in memory"
-        ) from None
-    totals = [int(total) for total in totals]
+    # from 2**53 events on, where the count may be inexact, the columns take
+    # more than 2**57 bytes, which no address space serves
+    what = f"contrast threshold {c} gives {n:.4g} events"
+    cols = tuple(_allocate(what, (int(n),), dtype, zeros=False)
+                 for dtype in (np.int32, np.int32, np.int8, np.int64))
+    # a loop over zip() would keep the last pair in zip's reused result tuple
+    totals = iter([int(total) for total in totals])
     at = 0
-    for total, pair in zip(totals, _crossings(frames, c)):
+    for pair in _crossings(frames, c):
+        total = next(totals)
         if total:
             _write_pair(cols, at, total, width, c, sort_per_pair, *pair)
             at += total
+        del pair
     xs, ys, ps, ts = cols
     if not sort_per_pair:
         order = np.argsort(ts, kind="stable")

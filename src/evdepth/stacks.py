@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import ENCODER_DEFAULTS
 from .errors import DegenerateIntervalError, FormatError, ParameterError
-from .events import EventSlice, _check_positive_int
-from .imgio import read_pfm, write_pfm, write_ppm
+from .events import EventSlice, _allocate, _check_positive_int
+from .imgio import _pfm_shape, read_pfm, write_pfm, write_ppm
 from .naming import files_by_stem
 
 
@@ -67,10 +67,16 @@ def _check_interval(sl: EventSlice) -> int:
     return duration
 
 
+def _zeros(sl: EventSlice, layout: StackLayout, channels: int) -> np.ndarray:
+    """The zero-filled (H, W, C) float64 raster of one stack."""
+    what = f"a {sl.width}x{sl.height}x{channels} {layout.value} stack"
+    return _allocate(what, (sl.height, sl.width, channels), np.float64)
+
+
 def encode_voxel(sl: EventSlice, bins: int) -> EventStack:
     _check_positive_int("bin count", bins)
     duration = _check_interval(sl)
-    grid = np.zeros((sl.height, sl.width, bins), dtype=np.float64)
+    grid = _zeros(sl, StackLayout.VOXEL, bins)
     if len(sl):
         b_star = (sl.ts - sl.t_start_us).astype(np.float64) / duration * (bins - 1)
         left = np.floor(b_star).astype(np.int64)
@@ -86,7 +92,7 @@ def encode_voxel(sl: EventSlice, bins: int) -> EventStack:
 
 
 def encode_image_like(sl: EventSlice) -> EventStack:
-    values = np.zeros((sl.height, sl.width, 3), dtype=np.float64)
+    values = _zeros(sl, StackLayout.IMAGE_LIKE, 3)
     pos = sl.ps > 0
     values[sl.ys[pos], sl.xs[pos], 0] = 1.0
     values[sl.ys[~pos], sl.xs[~pos], 2] = 1.0
@@ -94,7 +100,7 @@ def encode_image_like(sl: EventSlice) -> EventStack:
 
 
 def encode_tencode(sl: EventSlice) -> EventStack:
-    values = np.zeros((sl.height, sl.width, 3), dtype=np.float64)
+    values = _zeros(sl, StackLayout.TENCODE, 3)
     if len(sl):
         duration = _check_interval(sl)
         flat = sl.ys.astype(np.intp) * sl.width + sl.xs
@@ -148,31 +154,50 @@ def save_stack_pfm(stack: EventStack, path) -> list[Path]:
 _CHANNEL_STEM = re.compile(r"(.+)\.c(0|[1-9][0-9]*)")
 
 
-def load_stack_pfms(directory) -> list[tuple[str, np.ndarray]]:
-    """Inverse of save_stack_pfm over a directory: one (stem, (H, W, C)
-    array) per stack, in stem order. The ``<stem>.c<k>.pfm`` files of one
-    stem are its channels; any other PFM is a whole stack. Two files whose
-    names differ only in the suffix's case are ambiguous (BuildError)."""
+def _stack_files(directory) -> list[tuple[str, list[Path], tuple[int, int, int]]]:
+    """The stacks of a directory of PFM files, from their headers alone: one
+    (stem, files, (H, W, C) shape) per stack, in stem order. The
+    ``<stem>.c<k>.pfm`` files of one stem are its channels, in channel order;
+    any other PFM is a whole stack. Every file's header and size is checked
+    here, and so is the channel grouping, so reading the files afterwards
+    cannot find a malformed one. Two files whose names differ only in the
+    suffix's case are ambiguous (BuildError)."""
     if not Path(directory).is_dir():
         raise FileNotFoundError(f"not a directory: {directory}")
-    whole: dict[str, np.ndarray] = {}
-    split: dict[str, dict[int, np.ndarray]] = {}
+    whole: dict[str, tuple[list[Path], tuple[int, int, int]]] = {}
+    split: dict[str, dict[int, tuple[Path, tuple[int, int, int]]]] = {}
     for path in files_by_stem(directory, (".pfm",), "stack").values():
-        values = read_pfm(path)
+        shape = _pfm_shape(path)
         match = _CHANNEL_STEM.fullmatch(path.stem)
         if match is None:
-            whole[path.stem] = values if values.ndim == 3 else values[:, :, None]
-        elif values.ndim != 2:
+            whole[path.stem] = ([path], shape)
+        elif shape[2] != 1:
             raise FormatError(f"{path}: a channel file must be a grayscale PFM")
         else:
-            split.setdefault(match[1], {})[int(match[2])] = values
+            split.setdefault(match[1], {})[int(match[2])] = (path, shape)
     for stem, planes in split.items():
         if stem in whole:
             raise FormatError(f"{directory}: stack {stem} has a whole-stack file and channel files")
         missing = set(range(max(planes) + 1)) - set(planes)
         if missing:
             raise FormatError(f"{directory}: stack {stem} has no channel file .c{min(missing)}")
-        if len({v.shape for v in planes.values()}) > 1:
+        if len({shape for _, shape in planes.values()}) > 1:
             raise FormatError(f"{directory}: stack {stem} has channel files of different sizes")
-        whole[stem] = np.stack([planes[k] for k in range(len(planes))], axis=2)
-    return [(stem, whole[stem]) for stem in sorted(whole)]
+        whole[stem] = ([planes[k][0] for k in range(len(planes))], planes[0][1][:2] + (len(planes),))
+    return [(stem, *whole[stem]) for stem in sorted(whole)]
+
+
+def _read_stack(files: list[Path], shape: tuple[int, int, int]) -> np.ndarray:
+    """The (H, W, C) values of one stack of ``_stack_files``."""
+    if len(files) == 1:  # a whole stack, or a stack of one channel file
+        return read_pfm(files[0]).reshape(shape)
+    values = np.empty(shape)
+    for k, path in enumerate(files):
+        values[:, :, k] = read_pfm(path)
+    return values
+
+
+def load_stack_pfms(directory) -> list[tuple[str, np.ndarray]]:
+    """Inverse of save_stack_pfm over a directory: one (stem, (H, W, C)
+    array) per stack, in stem order, grouped as by ``_stack_files``."""
+    return [(stem, _read_stack(files, shape)) for stem, files, shape in _stack_files(directory)]

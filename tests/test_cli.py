@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,12 @@ from evdepth import config
 from evdepth.cli import main
 from evdepth.errors import FormatError
 from evdepth.events import read_events, slice_sbt, write_events
-from evdepth.fusion import load_model_params, make_model_params, save_model_params
+from evdepth.fusion import (load_model_params, make_model_params, run_sequence, save_model_params,
+                            toy_extractor)
 from evdepth.imgio import read_pfm, save_depth_pfm, save_depth_pgm16, write_pfm, write_pgm
 from evdepth.naming import timestamped_files
 from evdepth.simulator import MAX_FRAME_TIME_US
-from evdepth.stacks import encode_tencode, save_stack_pfm
+from evdepth.stacks import StackLayout, encode, encode_tencode, load_stack_pfms, save_stack_pfm
 
 MS = 1000
 ROOT = Path(__file__).resolve().parents[1]
@@ -169,6 +172,47 @@ class TestSliceEncode:
         assert "empty slice" in err
         assert not read_pfm(out).any()
 
+    def test_voxel_bins_past_numpy_sizes_is_data_error(self, tmp_path, events_file, capsys):
+        # numpy refuses the (12, 16, 2**62) grid outright: nothing is allocated
+        out = tmp_path / "stack.pfm"
+        tracemalloc.start()
+        try:
+            code = main(["encode", "--events", str(events_file), "--td-us", "500000",
+                         "--layout", "voxel", "--bins", str(2**62), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        nbytes = 12 * 16 * 2**62 * 8
+        assert capsys.readouterr().err == (f"error: a 16x12x{2**62} voxel stack, more than fit "
+                                           f"in memory ({nbytes:,} bytes)\n")
+        assert not list(tmp_path.glob("stack*"))
+
+    @pytest.mark.parametrize("layout, channels", [("tencode", 3), ("voxel", 5)])
+    def test_sensor_too_large_to_encode_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                                      layout, channels):
+        # a legal 29-byte EVB file declaring a 65535x65535 sensor: its stack
+        # takes 96 or 160 GiB, so the allocation fails (injected here, to
+        # stay independent of this machine's memory)
+        events = tmp_path / "big.evb"
+        events.write_bytes(struct.pack("<4sHHQ", b"EVB1", 65535, 65535, 1)
+                           + struct.pack("<HHbQ", 3, 4, 1, 10))
+        zeros = np.zeros
+
+        def failing_zeros(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape)) > 2**30:
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", failing_zeros)
+        assert main(["encode", "--events", str(events), "--td-us", "10", "--layout", layout,
+                     "--out", str(tmp_path / "stack.pfm")]) == 2
+        nbytes = 65535 * 65535 * channels * 8
+        assert capsys.readouterr().err == (
+            f"error: a 65535x65535x{channels} {layout} stack, more than fit in memory "
+            f"({nbytes:,} bytes)\n")
+
     def test_encode_rerun_is_byte_identical(self, tmp_path, events_file):
         a, b = tmp_path / "a.pfm", tmp_path / "b.pfm"
         args = ["encode", "--events", str(events_file), "--td-us", "500000",
@@ -199,6 +243,27 @@ class TestAlignEvaluate:
         assert main(["align", "--pred", str(tmp_path / "pred.pgm"),
                      "--target", str(tmp_path / "target.pfm")]) == 2
         assert "alignment overflows float64 on the valid mask" in capsys.readouterr().err
+
+    def test_align_mask_of_another_shape_is_data_error(self, tmp_path, capsys):
+        depth = np.random.default_rng(5).uniform(1, 10, (4, 4))
+        save_depth_pfm(tmp_path / "d.pfm", depth)
+        write_pgm(tmp_path / "m.pgm", np.full((3, 4), 255))
+        assert main(["align", "--pred", str(tmp_path / "d.pfm"), "--target", str(tmp_path / "d.pfm"),
+                     "--mask", str(tmp_path / "m.pgm")]) == 2
+        assert f"mask {tmp_path / 'm.pgm'} shape (3, 4), expected (4, 4)" in capsys.readouterr().err
+
+    def test_evaluate_mask_of_another_shape_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
+        mask_dir = tmp_path / "masks"
+        mask_dir.mkdir()
+        for k in range(3):
+            write_pgm(mask_dir / f"f{k}.pgm", np.full((10, 9) if k == 1 else (10, 10), 255))
+        json_out = tmp_path / "r.json"
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--mask-dir", str(mask_dir), "--json-out", str(json_out)]) == 2
+        assert f"mask {mask_dir / 'f1.pgm'} shape (10, 9), expected (10, 10)" in (
+            capsys.readouterr().err)
+        assert not json_out.exists()
 
     def _make_eval_dirs(self, tmp_path, scale=1.0, shift=0.0):
         rng = np.random.default_rng(2)
@@ -475,6 +540,65 @@ class TestDatasetAndFusion:
         records = json.loads(manifest_path.read_text())["records"]
         want = sorted(f"{r['t_d_us']:012d}.depth.pfm" for r in records)
         assert sorted(p.name for p in out.iterdir()) == want
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda d: write_pfm(d / "000000000003.pfm", np.zeros((48, 32, 3), dtype=np.float32)),
+         lambda d: (d / "000000000003.pfm").write_bytes(
+             (d / "000000000002.pfm").read_bytes()[:-1]),
+         lambda d: write_pfm(d / "000000000003.c1.pfm", np.zeros((32, 32), dtype=np.float32)),
+         lambda d: write_pfm(d / "000000000003.c0.pfm", np.zeros((32, 32, 3), dtype=np.float32))],
+        ids=["size-drift", "truncated", "missing-channel", "colour-channel-file"],
+    )
+    def test_fusion_run_checks_every_stack_before_any_step(self, tmp_path, capsys, bad):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        for k in range(3):
+            write_pfm(stacks_dir / f"{k:012d}.pfm", np.full((32, 32, 3), 0.5, dtype=np.float32))
+        bad(stacks_dir)
+        assert main(["fusion", "run", "--stacks", str(stacks_dir),
+                     "--out", str(tmp_path / "depth")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "depth").exists()
+
+    @pytest.mark.parametrize("layout", ["tencode", "voxel"])
+    def test_fusion_run_writes_the_depths_of_run_sequence(self, tmp_path, capsys, layout):
+        stream = make_random_stream(np.random.default_rng(6), width=32, height=16, n_events=3000)
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        for t_d in (300 * MS, 600 * MS, 900 * MS):
+            stack = encode(slice_sbt(stream, t_d, 300 * MS), StackLayout(layout))
+            save_stack_pfm(stack, stacks_dir / f"{t_d:012d}.pfm")
+        assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(tmp_path / "d"),
+                     "--seed", "3"]) == 0
+        params = make_model_params(seed=3)
+        stems, values = zip(*load_stack_pfms(stacks_dir))
+        depths = run_sequence(list(values), lambda a: toy_extractor(a, seed=3), params)
+        for stem, depth in zip(stems, depths, strict=True):
+            save_depth_pfm(tmp_path / "want.pfm", depth)
+            got = tmp_path / "d" / f"{stem}.depth.pfm"
+            assert got.read_bytes() == (tmp_path / "want.pfm").read_bytes()
+
+    def test_fusion_run_memory_is_flat_in_sequence_length(self, tmp_path, capsys):
+        # each 128x128x3 stack is 393 kB in float64; reading every stack
+        # before the first step grows the peak by that much per stack
+        stack_bytes = 128 * 128 * 3 * 8
+        peaks = []
+        for n in (2, 2, 10):
+            stacks_dir = tmp_path / f"stacks{n}"
+            stacks_dir.mkdir(exist_ok=True)
+            rng = np.random.default_rng(n)
+            for k in range(n):
+                write_pfm(stacks_dir / f"{k:012d}.pfm",
+                          rng.random((128, 128, 3)).astype(np.float32))
+            tracemalloc.start()
+            try:
+                assert main(["fusion", "run", "--stacks", str(stacks_dir),
+                             "--out", str(tmp_path / f"d{len(peaks)}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < stack_bytes, [p / stack_bytes for p in peaks]
 
     def test_fusion_run_on_malformed_pfm_is_data_error(self, tmp_path, capsys):
         stacks_dir = tmp_path / "stacks"

@@ -1,9 +1,11 @@
+import io
 import os
 import re
 import struct
 import tempfile
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +249,42 @@ class TestCsvFormat:
         p.write_text("# evcsv v1 width=8 height=8\n1,1,1,10\n1,1,1\n")
         with pytest.raises(FormatError, match="record 1"):
             read_events(p)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("1,1,1,10\n1,1,1,99999999999999999999\n", "field out of int64 range"),
+         ("1,1,1,10\n-9223372036854775809,1,1,20\n", "field out of int64 range"),
+         ("1,1,1,10\n   \n", "expected 4 fields, got 1"),
+         ("1,1,1,10\n  # note\n", "expected 4 fields, got 1"),
+         ("1,1,1,10\n1_0,1,1,20\n", "non-integer field")],
+        ids=["past-int64", "below-int64", "blank-line", "indented-comment", "underscore"],
+    )
+    def test_rejected_body_names_record_and_line(self, tmp_path, body, message):
+        p = tmp_path / "ev.csv"
+        p.write_bytes(b"# evcsv v1 width=8 height=8\n" + body.encode("ascii"))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: record 1 \\(line 3\\): "
+                                               f"{re.escape(message)}"):
+            read_events(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["1", "-2", "+3", "0", "9223372036854775808", ",", ", ",
+                                     "\t", " ", "#", "\n", "x"]),
+                    min_size=1, max_size=24))
+    def test_rescan_parses_as_loadtxt_does(self, tokens):
+        # the rescan runs on bodies np.loadtxt rejected; it must reject each of
+        # them too, and read a body loadtxt takes to the same records (bodies
+        # hold no CR: the text is read with universal newlines)
+        body = "".join(tokens)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body of comments only
+                expected = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError:
+            with pytest.raises(FormatError, match=r"^ev\.csv: record \d+ \(line \d+\): "):
+                events._rescan_csv_body("ev.csv", body)
+        else:
+            if expected.size and expected.shape[1] == 4:
+                assert np.array_equal(events._rescan_csv_body("ev.csv", body), expected)
 
     def test_out_of_order_rejected_not_sorted(self, tmp_path):
         p = tmp_path / "ev.csv"

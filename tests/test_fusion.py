@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -422,6 +423,29 @@ class TestRunSequence:
         params = make_model_params(seed=0)
         with pytest.raises(ContractError, match="drift"):
             run_sequence(stacks, lambda a: toy_extractor(a, seed=0), params)
+
+
+    def test_steps_take_each_stack_only_after_the_previous_depth(self):
+        # the generator behind run_sequence: one stack in, one depth out, and
+        # no stack is kept once its step has run
+        rng = np.random.default_rng(12)
+        stacks = [rng.standard_normal((32, 32, 3)) for _ in range(4)]
+        params = make_model_params(seed=4)
+        extractor = lambda a: toy_extractor(a, seed=4)
+        alive = []  # a weak reference to each stack taken so far
+
+        def fresh(stack):
+            copy = stack.copy()
+            alive.append(weakref.ref(copy))
+            return copy
+
+        depths = []
+        for k, depth in enumerate(fusion._steps((fresh(s) for s in stacks), extractor, params)):
+            assert len(alive) == k + 1
+            assert alive[k]() is None  # freed once the extractor has run
+            depths.append(depth)
+        want = run_sequence(stacks, extractor, params)
+        assert all(np.array_equal(a, b) for a, b in zip(depths, want, strict=True))
 
 
 class TestParamsArchive:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,25 @@ class TestDepthConventions:
         p = tmp_path / "d.pfm"
         save_depth_pfm(p, depth)
         assert np.array_equal(load_depth(p), depth)
+
+    @pytest.mark.parametrize("scale, stores", [(1e-320, "6.55343e-316"), (1e-6, "0.065535")],
+                             ids=["subnormal", "too-fine"])
+    def test_pgm16_scale_too_fine_for_the_depths_is_parameter_error(self, tmp_path, scale,
+                                                                     stores):
+        # every valid depth would need more than 65535 units; the file is not written
+        p = tmp_path / "d.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError) as info:
+                save_depth_pgm16(p, np.array([[3.0, 0.0], [1.0, np.nan]]), scale_m_per_unit=scale)
+        assert str(info.value) == (f"scale_m_per_unit {scale} stores depths up to {stores} m, "
+                                   "but the largest valid depth is 3 m")
+        assert not p.exists() and not (tmp_path / "d.pgm.json").exists()
+
+    def test_pgm16_largest_storable_depth_round_trips(self, tmp_path):
+        p = tmp_path / "d.pgm"
+        save_depth_pgm16(p, np.array([[65535.0, 1.0]]), scale_m_per_unit=1.0)
+        assert np.array_equal(load_depth_pgm16(p), [[65535.0, 1.0]])
 
     def test_pgm16_sidecar_round_trip_quantized(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import make_depth_pair
 from evdepth import losses
 from evdepth.errors import ContractError, DomainError, InsufficientSupportError, ParameterError
 from evdepth.losses import (
+    IDENTITY_AFFINE,
     loss_reg,
     loss_si,
     loss_total,
@@ -389,6 +392,33 @@ class TestLossTotal:
         mask = np.zeros((4, 4), dtype=bool)
         with pytest.raises(InsufficientSupportError):
             loss_total(np.ones((4, 4)), np.ones((4, 4)), mask)
+
+    def test_si_checks_come_before_the_k_scales_check(self):
+        # loss_reg runs first, but a bad k_scales is reported only once
+        # loss_si's own checks have passed
+        pred = np.ones((4, 4))
+        one_pixel = np.zeros((4, 4), dtype=bool)
+        one_pixel[1, 2] = True
+        with pytest.raises(InsufficientSupportError):
+            loss_total(pred, pred, one_pixel, k_scales=0, affine=IDENTITY_AFFINE)
+        # residuals of 1e200 are finite, their squares are not
+        with pytest.raises(DomainError):
+            loss_total(1e200 * pred, 0 * pred, None, k_scales=0, affine=IDENTITY_AFFINE)
+        with pytest.raises(ParameterError, match="k_scales"):
+            loss_total(pred, 2 * pred, None, k_scales=0, affine=IDENTITY_AFFINE)
+
+    def test_peak_stays_under_four_and_a_half_frames(self):
+        # the regularization term runs before the SI term, so its level-0
+        # peak never has the SI gradient beside it
+        pred, target, mask = make_depth_pair(np.random.default_rng(26), (480, 640), 0.9)
+        loss_total(pred, target, mask)
+        tracemalloc.start()
+        try:
+            loss_total(pred, target, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * pred.nbytes, peak / pred.nbytes
 
 
 # --- non-finite inputs --------------------------------------------------------
