@@ -50,6 +50,8 @@ _EVB_HEADER = struct.Struct("<4sHHQ")
 _EVB_RECORD_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("t", "<u8")])
 _EVB_CHUNK = 1 << 16  # records per read/write buffer: 832 KiB, about an L2 cache
 _CSV_HEADER_RE = re.compile(r"#\s*evcsv\s+v1\s+width=(\d+)\s+height=(\d+)\s*$")
+# a line whose first non-blank character starts a record, not a ``#`` comment
+_CSV_RECORD_RE = re.compile(r"^[^\S\n]*[^#\s]", re.MULTILINE)
 
 MAX_SENSOR_DIM = 65535  # u16 on disk
 
@@ -265,41 +267,26 @@ class EventSlice:
         return EventStream(self.width, self.height, self.xs, self.ys, self.ps, self.ts)
 
 
-def _sbt_bounds(stream, t_d: int, window_us: int) -> tuple[int, int, int]:
-    """Records [lo, hi) with t_d - window <= t <= t_d (both ends inclusive),
-    and the slice's start time t_d - window."""
-    if window_us <= 0:
-        raise ParameterError(f"window must be > 0, got {window_us}")
-    if t_d < 0:
-        raise ParameterError(f"t_d must be >= 0, got {t_d}")
-    t0 = t_d - window_us
-    return stream._search(t0, "left"), stream._search(t_d, "right"), t0
-
-
-def _sbn_bounds(stream, t_d: int, count: int) -> tuple[int, int, int]:
-    """Records [lo, hi): the last ``count`` with t <= t_d; the slice starts at
-    the first one's timestamp, or at t_d when it is empty."""
-    if count <= 0:
-        raise ParameterError(f"count must be > 0, got {count}")
-    if t_d < 0:
-        raise ParameterError(f"t_d must be >= 0, got {t_d}")
-    hi = stream._search(t_d, "right")
-    lo = max(0, hi - count)
-    return lo, hi, stream._timestamp(lo) if hi > lo else t_d
-
-
 def _slice_bounds(stream, t_d: int, spec: SliceSpec) -> tuple[int, int, int]:
     """(lo, hi, t_start) of the slice ``spec`` describes, ending at ``t_d``,
-    for an ``EventStream`` or an ``_EvbSource``."""
+    for an ``EventStream`` or an ``_EvbSource``: SBT takes the records with
+    t_d - window <= t <= t_d and starts at t_d - window; SBN takes the last
+    ``count`` records with t <= t_d and starts at the first one's timestamp,
+    or at t_d when it is empty."""
+    if isinstance(t_d, bool) or not isinstance(t_d, (int, np.integer)) or t_d < 0:
+        raise ParameterError(f"t_d must be an integer >= 0, got {t_d!r}")
+    hi = stream._search(t_d, "right")
     if spec.mode is SliceMode.SBT:
-        return _sbt_bounds(stream, t_d, spec.window_us)
-    return _sbn_bounds(stream, t_d, spec.count)
+        t0 = t_d - spec.window_us
+        return stream._search(t0, "left"), hi, t0
+    lo = max(0, hi - spec.count)
+    return lo, hi, stream._timestamp(lo) if hi > lo else t_d
 
 
 def slice_sbt(stream, t_d: int, window_us: int) -> EventSlice:
     """Events with t_d - window <= t <= t_d (both endpoints inclusive), from
     an ``EventStream`` or an ``_EvbSource``."""
-    return stream._slice(*_sbt_bounds(stream, t_d, window_us), t_d)
+    return slice_events(stream, t_d, SliceSpec(SliceMode.SBT, window_us=window_us))
 
 
 def slice_sbn(stream, t_d: int, count: int) -> EventSlice:
@@ -309,7 +296,7 @@ def slice_sbn(stream, t_d: int, count: int) -> EventSlice:
     The recorded interval is [t_first, t_d] with t_first the timestamp of the
     earliest selected event (t_d itself when the slice comes out empty).
     """
-    return stream._slice(*_sbn_bounds(stream, t_d, count), t_d)
+    return slice_events(stream, t_d, SliceSpec(SliceMode.SBN, count=count))
 
 
 def slice_events(stream, t_d: int, spec: SliceSpec) -> EventSlice:
@@ -361,7 +348,7 @@ def _read_csv(path: Path) -> EventStream:
     if not m:
         raise FormatError(f"{path}: bad evcsv header {header!r}")
     width, height = int(m.group(1)), int(m.group(2))
-    if body.strip():
+    if _CSV_RECORD_RE.search(body):
         try:
             data = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
         except ValueError:

@@ -125,6 +125,33 @@ class TestSliceSpec:
         with pytest.raises(ParameterError):
             SliceSpec(SliceMode.SBT, window_us=0)
 
+    # every public slice goes through SliceSpec and one t_d check, so none of
+    # these reaches interval arithmetic (a float window gave t_start 27.5)
+    BAD_ARGS = {
+        "float_window": (slice_sbt, 30, 2.5),
+        "bool_window": (slice_sbt, 30, True),
+        "float_count": (slice_sbn, 30, 2.0),
+        "bool_count": (slice_sbn, 30, True),
+        "float_t_d_sbt": (slice_sbt, 30.5, 10),
+        "bool_t_d_sbn": (slice_sbn, True, 2),
+        "float_t_d_spec": (slice_events, 30.0, SliceSpec(SliceMode.SBT, window_us=10)),
+    }
+
+    @pytest.mark.parametrize("on_file", [False, True], ids=["stream", "evb_source"])
+    @pytest.mark.parametrize("case", BAD_ARGS, ids=list(BAD_ARGS))
+    def test_non_integer_window_count_or_t_d_is_parameter_error(self, tmp_path, on_file, case):
+        cut, t_d, arg = self.BAD_ARGS[case]
+        path = tmp_path / "ev.evb"
+        write_events(small_stream(), path)
+        with events._EvbSource(path) as source:
+            with pytest.raises(ParameterError):
+                cut(source if on_file else small_stream(), t_d, arg)
+
+    def test_numpy_integers_are_accepted(self):
+        s = small_stream()
+        assert list(slice_sbt(s, np.int64(100), np.int32(50)).ts) == [60, 100]
+        assert list(slice_sbn(s, np.uint16(100), np.int64(2)).ts) == [60, 100]
+
 
 class TestStreamInvariants:
     def test_polarity_zero_rejected(self):
@@ -302,6 +329,15 @@ class TestCsvFormat:
         p = tmp_path / "ev.csv"
         p.write_text("# evcsv v1 width=8 height=8\n")
         assert len(read_events(p)) == 0
+
+    @pytest.mark.parametrize("body", ["# just a note\n", "\n# a\n  # indented\n\n   \n"],
+                             ids=["comment", "comments_and_blank_lines"])
+    def test_comments_only_body_is_empty_stream(self, tmp_path, body):
+        p = tmp_path / "ev.csv"
+        p.write_text("# evcsv v1 width=8 height=8\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns "input contained no data"
+            assert read_events(p) == EventStream.empty(8, 8)
 
     @pytest.mark.parametrize(
         "raw",
