@@ -76,7 +76,8 @@ class SliceSpec:
     """How to cut a slice ending at a reference time.
 
     Exactly one of ``window_us`` (SBT) / ``count`` (SBN) is active,
-    selected by ``mode``; the active value must be a positive integer.
+    selected by ``mode``; the active value must be a positive integer, and
+    is kept as a Python int.
     """
 
     mode: SliceMode
@@ -88,10 +89,12 @@ class SliceSpec:
             if self.window_us is None or self.count is not None:
                 raise ParameterError("SBT spec takes window_us and no count")
             _check_positive_int("window", self.window_us)
+            object.__setattr__(self, "window_us", int(self.window_us))
         else:
             if self.count is None or self.window_us is not None:
                 raise ParameterError("SBN spec takes count and no window_us")
             _check_positive_int("count", self.count)
+            object.__setattr__(self, "count", int(self.count))
 
 
 def _check_positive_int(name: str, value) -> None:
@@ -275,6 +278,7 @@ def _slice_bounds(stream, t_d: int, spec: SliceSpec) -> tuple[int, int, int]:
     or at t_d when it is empty."""
     if isinstance(t_d, bool) or not isinstance(t_d, (int, np.integer)) or t_d < 0:
         raise ParameterError(f"t_d must be an integer >= 0, got {t_d!r}")
+    t_d = int(t_d)  # a numpy unsigned t_d - window would wrap
     hi = stream._search(t_d, "right")
     if spec.mode is SliceMode.SBT:
         t0 = t_d - spec.window_us
@@ -301,7 +305,7 @@ def slice_sbn(stream, t_d: int, count: int) -> EventSlice:
 
 def slice_events(stream, t_d: int, spec: SliceSpec) -> EventSlice:
     """The slice ``spec`` describes, ending at reference time ``t_d``."""
-    return stream._slice(*_slice_bounds(stream, t_d, spec), t_d)
+    return stream._slice(*_slice_bounds(stream, t_d, spec), int(t_d))
 
 
 # ---------------------------------------------------------------------------

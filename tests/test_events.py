@@ -147,10 +147,17 @@ class TestSliceSpec:
             with pytest.raises(ParameterError):
                 cut(source if on_file else small_stream(), t_d, arg)
 
-    def test_numpy_integers_are_accepted(self):
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16, np.uint64])
+    def test_numpy_integers_slice_as_python_ints(self, dtype):
+        # unsigned numpy scalars would wrap in t_d - window and hi - count
         s = small_stream()
-        assert list(slice_sbt(s, np.int64(100), np.int32(50)).ts) == [60, 100]
-        assert list(slice_sbn(s, np.uint16(100), np.int64(2)).ts) == [60, 100]
+        for cut, t_d, arg in ((slice_sbt, 100, 50), (slice_sbt, 5, 10),
+                              (slice_sbn, 100, 2), (slice_sbn, 100, 5)):
+            want = cut(s, t_d, arg)
+            got = cut(s, dtype(t_d), dtype(arg))
+            assert list(got.ts) == list(want.ts)
+            assert (got.t_start_us, got.t_end_us) == (want.t_start_us, want.t_end_us)
+            assert type(got.t_start_us) is int and type(got.t_end_us) is int
 
 
 class TestStreamInvariants:
