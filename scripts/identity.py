@@ -276,6 +276,7 @@ def probe_export(seed):
     and from its evcsv twin. Frames fall before the first event, on tied
     timestamps, in the gap and after the last event."""
     from evdepth.events import write_events
+    from evdepth.imgio import write_pfm, write_pgm
     from evdepth.pipeline import build_manifest, export_stacks
 
     stream = _tied_stream(seed)
@@ -290,10 +291,12 @@ def probe_export(seed):
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name in ("frames", "proxy"):
-            (root / name).mkdir()
-            for t in frame_times:
-                (root / name / f"{t:09d}.{'pgm' if name == 'frames' else 'pfm'}").touch()
+        (root / "frames").mkdir()
+        (root / "proxy").mkdir()
+        sensor = (stream.height, stream.width)
+        for t in frame_times:
+            write_pgm(root / "frames" / f"{t:09d}.pgm", np.zeros(sensor, dtype=np.uint8))
+            write_pfm(root / "proxy" / f"{t:09d}.pfm", np.ones(sensor))
         for fmt in ("evb", "csv"):
             events = root / f"events.{fmt}"
             write_events(stream, events)

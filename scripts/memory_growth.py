@@ -48,8 +48,9 @@ EVB_CHUNK = 1 << 20
 
 def generate_slice(n: int, root: Path) -> None:
     """Write ``root/events.evb`` (EVB: header, then 13-byte records) on a
-    346x260 sensor, a chunk of records at a time, and 20 frame and proxy
-    files spread over its length."""
+    346x260 sensor, a chunk of records at a time, and 20 frames (grey 8-bit
+    PGM) and proxies (1 m everywhere, grey PFM) of that size spread over its
+    length."""
     width, height = 346, 260
     record = np.dtype([("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("t", "<u8")])
     rng = np.random.default_rng(n)
@@ -63,10 +64,15 @@ def generate_slice(n: int, root: Path) -> None:
             rec["t"] = np.arange(lo, lo + len(rec)) // EVENTS_PER_US
             fh.write(rec.tobytes())
     last_us = (n - 1) // EVENTS_PER_US
+    rasters = {  # build_manifest reads their headers only
+        "pgm": f"P5\n{width} {height}\n255\n".encode("ascii") + bytes(width * height),
+        "pfm": (f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
+                + np.ones(width * height, dtype="<f4").tobytes()),
+    }
     for name, suffix in (("frames", "pgm"), ("proxy", "pfm")):
         (root / name).mkdir()
-        for k in range(1, N_FRAMES + 1):  # build_manifest lists these, it does not read them
-            (root / name / f"{k * last_us // N_FRAMES:012d}.{suffix}").touch()
+        for k in range(1, N_FRAMES + 1):
+            (root / name / f"{k * last_us // N_FRAMES:012d}.{suffix}").write_bytes(rasters[suffix])
 
 
 def measure_slice(root: Path) -> dict:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import FormatError, ParameterError
 
 
-def _next_token(fh) -> bytes:
+def _next_token(fh, path) -> bytes:
     """Next whitespace-delimited PNM header token, honoring # comments.
 
     Consumes exactly one whitespace byte after the token so binary rasters
@@ -38,7 +38,7 @@ def _next_token(fh) -> bytes:
             fh.readline()
         c = fh.read(1)
     if not c:
-        raise FormatError("unexpected end of file in raster header")
+        raise FormatError(f"{path}: unexpected end of file in raster header")
     tok = b""
     while c and not c.isspace():
         tok += c
@@ -56,7 +56,7 @@ def _header_field(fh, path, what: str, parse=int):
     """Next header token parsed by ``parse``: a width, height or maxval must
     be a non-negative integer, a PFM scale (``parse=float``) finite and
     non-zero. Anything else is a FormatError."""
-    token = _next_token(fh)
+    token = _next_token(fh, path)
     try:
         value = parse(token)
     except ValueError:
@@ -149,7 +149,7 @@ def _raster_header(fh, path, channels: dict[bytes, int], third: str, sample_dtyp
     declares (a header can claim more bytes than memory holds: this is found
     before anything that size is read), and an empty raster whose side is
     longer than any array's."""
-    ident = _next_token(fh)
+    ident = _next_token(fh, path)
     if ident not in channels:
         raise FormatError(f"{path}: bad identifier {ident!r}, expected one of {[*channels]}")
     w = _header_field(fh, path, "width")
@@ -204,20 +204,12 @@ def _pfm_dtype(scale, path) -> np.dtype:
     return np.dtype("<f4" if scale < 0 else ">f4")  # a negative scale marks little-endian
 
 
-_PFM_CHANNELS = {b"PF": 3, b"Pf": 1}
-
-
-def _pfm_shape(path) -> tuple[int, int, int]:
-    """The (H, W, C) shape of the PFM file ``path``, C being 3 or 1, from its
-    header and size alone: a header or a size that ``read_pfm`` would reject
-    is a FormatError."""
-    with open(path, "rb") as fh:
-        return _raster_header(fh, path, _PFM_CHANNELS, "scale", _pfm_dtype)[0]
+_PFM = ({b"PF": 3, b"Pf": 1}, "scale", _pfm_dtype)
 
 
 def read_pfm(path) -> np.ndarray:
     """Read a PFM file into float64, shape (H, W) or (H, W, 3)."""
-    arr, scale = _read_raster(path, _PFM_CHANNELS, "scale", _pfm_dtype)
+    arr, scale = _read_raster(path, *_PFM)
     # rows run bottom-to-top; a signaling NaN reads as NaN, a sample scaled past float64 as inf
     with np.errstate(invalid="ignore", over="ignore"):
         arr = np.flipud(arr).astype(np.float64)
@@ -255,9 +247,13 @@ def _pnm_dtype(maxval, path) -> np.dtype:
     return np.dtype(np.uint8 if maxval < 256 else ">u2")
 
 
+_PGM = ({b"P5": 1}, "maxval", _pnm_dtype)
+_PPM = ({b"P6": 3}, "maxval", _pnm_dtype)
+
+
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary (P5) PGM. Returns (values, maxval); dtype follows depth."""
-    arr, maxval = _read_raster(path, {b"P5": 1}, "maxval", _pnm_dtype)
+    arr, maxval = _read_raster(path, *_PGM)
     return arr[:, :, 0].astype(np.uint16 if maxval >= 256 else np.uint8), maxval
 
 
@@ -277,10 +273,22 @@ def write_ppm(path, values: np.ndarray) -> None:
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary (P6) 8-bit PPM into uint8 (H, W, 3)."""
-    arr, maxval = _read_raster(path, {b"P6": 3}, "maxval", _pnm_dtype)
+    arr, maxval = _read_raster(path, *_PPM)
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
     return arr.copy()
+
+
+# the header of each raster suffix (in any case) evdepth reads
+_RASTER_SUFFIXES = {".pfm": _PFM, ".pgm": _PGM, ".ppm": _PPM}
+
+
+def _raster_shape(path) -> tuple[int, int, int]:
+    """The (H, W, C) shape of the PFM, PGM or PPM file ``path`` (by its
+    suffix) from its header and size alone: a header or a size that its
+    reader would reject is a FormatError."""
+    with open(path, "rb") as fh:
+        return _raster_header(fh, path, *_RASTER_SUFFIXES[Path(path).suffix.lower()])[0]
 
 
 # ---------------------------------------------------------------------------

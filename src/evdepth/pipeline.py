@@ -30,7 +30,8 @@ from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
 from .errors import BuildError, ContractError, FormatError, ParameterError
 from .events import (EventSlice, SliceMode, SliceSpec, _check_positive_int, _EvbSource,
                      _infer_format, _slice_bounds, read_events, slice_sbn, slice_sbt)
-from .imgio import _finite, _read_json, _write_json, depth_valid_mask, load_depth, load_mask_pgm
+from .imgio import (_RASTER_SUFFIXES, _finite, _raster_shape, _read_json, _write_json,
+                    depth_valid_mask, load_depth, load_mask_pgm)
 from .losses import LossReport, loss_total
 from .naming import files_by_stem, timestamped_files
 from .stacks import StackLayout, encode, save_stack_pfm, save_stack_ppm
@@ -141,6 +142,18 @@ def _slice_record(events, record: SampleRecord, slicing: SliceSpec) -> EventSlic
     return sl
 
 
+def _check_raster_size(path, events) -> None:
+    """A ContractError naming ``path`` unless the raster it names (PFM, PGM
+    or PPM; any other file, or None, passes unread) is the recording's size;
+    only its header is read."""
+    if path is None or Path(path).suffix.lower() not in _RASTER_SUFFIXES:
+        return
+    h, w = _raster_shape(path)[:2]
+    if (w, h) != (events.width, events.height):
+        raise ContractError(f"{path}: size {w}x{h}, but the events are from "
+                            f"a {events.width}x{events.height} sensor")
+
+
 def build_manifest(
     events_path,
     frames_dir,
@@ -162,6 +175,8 @@ def build_manifest(
 
     ``window_us`` applies in SBT mode only; ``count`` and ``bins`` must be
     left unset unless the mode is SBN and the layout voxel respectively.
+    Each frame, proxy, ground-truth and mask raster must be the recording's
+    size (ContractError); a PNG or JPG frame is paired by name only.
     """
     if layout == StackLayout.VOXEL.value and bins is None:
         bins = ENCODER_DEFAULTS.voxel_bins
@@ -194,6 +209,8 @@ def build_manifest(
                     continue
                 mask_path = str(mask.resolve())
             gt = gts.get(stem)
+            for path in (frame_path, proxy, gt, mask_path):
+                _check_raster_size(path, events)
             # the record needs the slice's bounds only, not its events
             lo, hi, t_start = _slice_bounds(events, t_d, encoder.slicing)
             records.append(

@@ -28,7 +28,7 @@ import numpy as np
 from .config import ENCODER_DEFAULTS
 from .errors import DegenerateIntervalError, FormatError, ParameterError
 from .events import EventSlice, _allocate, _check_positive_int
-from .imgio import _pfm_shape, read_pfm, write_pfm, write_ppm
+from .imgio import _raster_shape, read_pfm, write_pfm, write_ppm
 from .naming import files_by_stem
 
 
@@ -167,7 +167,7 @@ def _stack_files(directory) -> list[tuple[str, list[Path], tuple[int, int, int]]
     whole: dict[str, tuple[list[Path], tuple[int, int, int]]] = {}
     split: dict[str, dict[int, tuple[Path, tuple[int, int, int]]]] = {}
     for path in files_by_stem(directory, (".pfm",), "stack").values():
-        shape = _pfm_shape(path)
+        shape = _raster_shape(path)
         match = _CHANNEL_STEM.fullmatch(path.stem)
         if match is None:
             whole[path.stem] = ([path], shape)

@@ -482,6 +482,58 @@ class TestDatasetAndFusion:
         assert f"ambiguous depth files for '{600 * MS:09d}'" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("wrong", ["frames-and-proxies", "proxy", "gt", "mask"])
+    def test_raster_of_another_size_than_the_sensor_is_data_error(self, tmp_path, capsys,
+                                                                  wrong):
+        # a 346x260 recording; each wrong file is 640x480, the first in time order is named
+        events = tmp_path / "events.evb"
+        write_events(make_random_stream(np.random.default_rng(4), width=346, height=260,
+                                        n_events=500), events)
+        dirs = {name: tmp_path / name for name in ("frames", "proxy", "gt", "mask")}
+        for d in dirs.values():
+            d.mkdir()
+        stems = [f"{t_ms * MS:09d}" for t_ms in (300, 600, 900)]
+        wrong_files = ({(kind, k) for kind in ("frames", "proxy") for k in range(3)}
+                       if wrong == "frames-and-proxies" else {(wrong, 1)})
+        for k, stem in enumerate(stems):
+            size = {kind: (480, 640) if (kind, k) in wrong_files else (260, 346) for kind in dirs}
+            write_pgm(dirs["frames"] / f"{stem}.pgm", np.zeros(size["frames"], dtype=np.uint8))
+            save_depth_pfm(dirs["proxy"] / f"{stem}.pfm", np.ones(size["proxy"]))
+            save_depth_pgm16(dirs["gt"] / f"{stem}.pgm", np.ones(size["gt"]))
+            write_pgm(dirs["mask"] / f"{stem}.pgm", np.full(size["mask"], 255))
+        named = {"frames-and-proxies": dirs["frames"] / f"{stems[0]}.pgm",
+                 "proxy": dirs["proxy"] / f"{stems[1]}.pfm",
+                 "gt": dirs["gt"] / f"{stems[1]}.pgm",
+                 "mask": dirs["mask"] / f"{stems[1]}.pgm"}[wrong]
+        out = tmp_path / "m.json"
+        assert main(["dataset", "build", "--events", str(events), "--frames", str(dirs["frames"]),
+                     "--proxy", str(dirs["proxy"]), "--gt", str(dirs["gt"]),
+                     "--mask", str(dirs["mask"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named.resolve()}: size 640x480, ")
+        assert "346x260 sensor" in err
+        assert not out.exists()
+
+    def test_empty_proxy_is_data_error_naming_it(self, tmp_path, events_file, capsys):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        empty = proxies / f"{600 * MS:09d}.pfm"
+        empty.write_bytes(b"")
+        out = tmp_path / "m.json"
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {empty.resolve()}: unexpected end of file in raster header\n")
+        assert not out.exists()
+
+    def test_png_and_jpg_frames_are_paired_by_name_only(self, tmp_path, events_file, capsys):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        for k, frame in enumerate(sorted(frames.iterdir())):
+            frame.rename(frame.with_suffix(".png" if k % 2 else ".JPG")).write_bytes(b"")
+        out = tmp_path / "m.json"
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["records"]) == 3
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_is_data_error(self, tmp_path, events_file, capsys, lam):
         frames, proxies = self._build_dataset(tmp_path, events_file)

@@ -506,7 +506,7 @@ class TestExport:
         for name in ("frames", "proxy"):
             (tmp_path / name).mkdir()
             for k in range(1, 4):
-                (tmp_path / name / f"{k * n // 2:09d}.pfm").touch()
+                save_depth_pfm(tmp_path / name / f"{k * n // 2:09d}.pfm", np.ones((height, width)))
         manifest = build_manifest(events, tmp_path / "frames", tmp_path / "proxy",
                                   layout="voxel", mode="sbn", count=50_000, bins=5)
         export_stacks(manifest, tmp_path / "warm")
