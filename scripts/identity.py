@@ -125,7 +125,7 @@ def probe_loss_total(seed):
         for k_scales in (4, 6):  # 6 levels reach odd level sizes at 640x480
             report, grad = loss_total(pred, target, mask, 0.25, k_scales)
             out += [report.l_si, report.l_reg, report.total, report.affine.scale,
-                    report.affine.shift, np.array(report.empty_scales, dtype=np.int64), grad]
+                    report.affine.shift, grad]
     return out
 
 
@@ -150,8 +150,7 @@ def probe_loss_deep_pyramid(seed):
             h, w = crop
             report, grad = loss_total(p[:h, :w], t[:h, :w], mask[:h, :w], 0.25, k_scales,
                                       affine=affine)
-            out += [report.l_si, report.l_reg, report.affine.scale, report.affine.shift,
-                    np.array(report.empty_scales, dtype=np.int64), grad]
+            out += [report.l_si, report.l_reg, report.affine.scale, report.affine.shift, grad]
     return out
 
 

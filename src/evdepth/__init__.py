@@ -34,8 +34,7 @@ from .fusion import (
 from .losses import (
     AffineParams,
     LossReport,
-    RegLoss,
-    SiLoss,
+    LossTerm,
     loss_reg,
     loss_si,
     loss_total,

@@ -54,6 +54,7 @@ _CSV_HEADER_RE = re.compile(r"#\s*evcsv\s+v1\s+width=(\d+)\s+height=(\d+)\s*$")
 _CSV_RECORD_RE = re.compile(r"^[^\S\n]*[^#\s]", re.MULTILINE)
 
 MAX_SENSOR_DIM = 65535  # u16 on disk
+MAX_TIME_US = 2**63 - 1  # times, windows and counts: every slice interval fits int64
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class SliceSpec:
     """How to cut a slice ending at a reference time.
 
     Exactly one of ``window_us`` (SBT) / ``count`` (SBN) is active,
-    selected by ``mode``; the active value must be a positive integer, and
-    is kept as a Python int.
+    selected by ``mode``; the active value must be an integer in
+    [1, ``MAX_TIME_US``], and is kept as a Python int.
     """
 
     mode: SliceMode
@@ -88,18 +89,26 @@ class SliceSpec:
         if self.mode is SliceMode.SBT:
             if self.window_us is None or self.count is not None:
                 raise ParameterError("SBT spec takes window_us and no count")
-            _check_positive_int("window", self.window_us)
-            object.__setattr__(self, "window_us", int(self.window_us))
+            object.__setattr__(self, "window_us", _slice_int("window", self.window_us, 1))
         else:
             if self.count is None or self.window_us is not None:
                 raise ParameterError("SBN spec takes count and no window_us")
-            _check_positive_int("count", self.count)
-            object.__setattr__(self, "count", int(self.count))
+            object.__setattr__(self, "count", _slice_int("count", self.count, 1))
 
 
 def _check_positive_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _slice_int(name: str, value, lo: int) -> int:
+    """``value`` as a Python int (a numpy unsigned difference would wrap), or
+    a ParameterError unless it is an integer in [lo, ``MAX_TIME_US``]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+        lo <= value <= MAX_TIME_US
+    ):
+        raise ParameterError(f"{name} must be an integer in [{lo}, 2**63 - 1], got {value!r}")
+    return int(value)
 
 
 def _allocate(what: str, shape: tuple[int, ...], dtype, *, zeros: bool = True) -> np.ndarray:
@@ -276,9 +285,7 @@ def _slice_bounds(stream, t_d: int, spec: SliceSpec) -> tuple[int, int, int]:
     t_d - window <= t <= t_d and starts at t_d - window; SBN takes the last
     ``count`` records with t <= t_d and starts at the first one's timestamp,
     or at t_d when it is empty."""
-    if isinstance(t_d, bool) or not isinstance(t_d, (int, np.integer)) or t_d < 0:
-        raise ParameterError(f"t_d must be an integer >= 0, got {t_d!r}")
-    t_d = int(t_d)  # a numpy unsigned t_d - window would wrap
+    t_d = _slice_int("t_d", t_d, 0)
     hi = stream._search(t_d, "right")
     if spec.mode is SliceMode.SBT:
         t0 = t_d - spec.window_us

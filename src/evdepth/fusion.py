@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import FUSION_DEFAULTS
-from .errors import ContractError, FormatError, ParameterError
+from .errors import ContractError, DomainError, FormatError, ParameterError
 from .imgio import _atomic_write, _read_json, _write_json
 
 
@@ -301,28 +301,32 @@ def _steps(
     hidden, cell = [], []  # per scale, finest first
     step = 0  # not enumerate(): its reused result tuple would keep the last stack
     for stack in stacks:
-        pyramid = extractor(stack)
-        del stack  # a generator keeps its locals across the yield
-        if pyramid.scales != params.scales:
-            raise ContractError(
-                f"extractor scales {pyramid.scales} do not match params {params.scales}"
-            )
-        if not hidden:
-            hidden = [np.zeros_like(f) for f in pyramid.maps]
-            cell = [np.zeros_like(f) for f in pyramid.maps]
-        for i, s in enumerate(params.scales):
-            if pyramid.maps[i].shape != hidden[i].shape:
+        # an overflow or a non-finite input reaches the depth, tested below
+        with np.errstate(over="ignore", invalid="ignore"):
+            pyramid = extractor(stack)
+            del stack  # a generator keeps its locals across the yield
+            if pyramid.scales != params.scales:
                 raise ContractError(
-                    f"step {step}: shape drift at scale {s}: "
-                    f"{pyramid.maps[i].shape} vs {hidden[i].shape}"
+                    f"extractor scales {pyramid.scales} do not match params {params.scales}"
                 )
-            hidden[i], cell[i] = convlstm_step(
-                pyramid.maps[i], hidden[i], cell[i], params.kernels[s], params.biases[s]
-            )
-        del pyramid
-        fused = fuse(FeaturePyramid(params.scales, tuple(hidden)), params.projections)
-        depth = depth_head(fused, params.head_weight, params.head_bias)
-        del fused
+            if not hidden:
+                hidden = [np.zeros_like(f) for f in pyramid.maps]
+                cell = [np.zeros_like(f) for f in pyramid.maps]
+            for i, s in enumerate(params.scales):
+                if pyramid.maps[i].shape != hidden[i].shape:
+                    raise ContractError(
+                        f"step {step}: shape drift at scale {s}: "
+                        f"{pyramid.maps[i].shape} vs {hidden[i].shape}"
+                    )
+                hidden[i], cell[i] = convlstm_step(
+                    pyramid.maps[i], hidden[i], cell[i], params.kernels[s], params.biases[s]
+                )
+            del pyramid
+            fused = fuse(FeaturePyramid(params.scales, tuple(hidden)), params.projections)
+            depth = depth_head(fused, params.head_weight, params.head_bias)
+            del fused
+        if not np.isfinite(depth).all():
+            raise DomainError(f"step {step}: depth is not finite (non-finite input or overflow)")
         yield depth
         step += 1
 
@@ -335,7 +339,7 @@ def run_sequence(
     """Run the recurrent model over a stack sequence; one depth map per step.
 
     State starts at zero and carries across the whole sequence. Output maps
-    live at the finest stride.
+    live at the finest stride; a step whose depth is not finite is a DomainError.
     """
     return list(_steps(stacks, extractor, params))
 

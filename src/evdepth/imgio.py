@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import DomainError, FormatError, ParameterError
 
 
 def _next_token(fh, path) -> bytes:
@@ -186,7 +186,8 @@ def _read_raster(path, channels: dict[bytes, int], third: str, sample_dtype):
 
 
 def write_pfm(path, values: np.ndarray) -> None:
-    """Write (H, W) as grayscale 'Pf' or (H, W, 3) as color 'PF', float32."""
+    """Write (H, W) as grayscale 'Pf' or (H, W, 3) as color 'PF', float32; a
+    finite value past float32 range (it would be stored as inf) is a DomainError."""
     values = np.asarray(values)
     if values.ndim == 2:
         ident = "Pf"
@@ -196,7 +197,11 @@ def write_pfm(path, values: np.ndarray) -> None:
         raise ParameterError(f"PFM writer takes (H, W) or (H, W, 3), got {values.shape}")
     h, w = values.shape[:2]
     # PFM scanlines run bottom-to-top; a C-order copy is written as it is
-    data = np.flipud(values).astype("<f4", order="C")
+    with np.errstate(over="raise"):
+        try:
+            data = np.flipud(values).astype("<f4", order="C")
+        except FloatingPointError:
+            raise DomainError(f"{path}: a finite value past float32 range") from None
     _write_raster(path, f"{ident}\n{w} {h}\n-1.0\n", data.data)
 
 

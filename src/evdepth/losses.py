@@ -77,18 +77,12 @@ IDENTITY_AFFINE = AffineParams(1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class SiLoss:
+class LossTerm:
+    """One loss term: its value, its gradient and the (s, t) it was taken at."""
+
     value: float
     grad: np.ndarray
     affine: AffineParams
-
-
-@dataclass(frozen=True)
-class RegLoss:
-    value: float
-    grad: np.ndarray
-    affine: AffineParams
-    empty_scales: tuple[int, ...]  # 1-based scale indices with no valid pixels
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,6 @@ class LossReport:
     lam: float
     k_scales: int
     affine: AffineParams
-    empty_scales: tuple[int, ...] = ()
 
 
 def _check_pair(pred, target, mask, finite=True):
@@ -156,7 +149,7 @@ def lstsq_align(pred, target, mask=None, *, _checked=False) -> AffineParams:
     return aff
 
 
-def loss_si(pred, target, mask=None, *, affine=None, _checked=False) -> SiLoss:
+def loss_si(pred, target, mask=None, *, affine=None, _checked=False) -> LossTerm:
     """Scale-invariant loss: 1/(2|M|) * sum_M (s*pred + t - target)^2.
 
     ``affine=None`` solves for (s, t); a given ``affine`` is used as it is,
@@ -178,7 +171,7 @@ def loss_si(pred, target, mask=None, *, affine=None, _checked=False) -> SiLoss:
     residual *= aff.scale / m
     grad = np.zeros(pred.shape, dtype=np.float64)
     grad[mask] = residual
-    return SiLoss(value, grad, aff)
+    return LossTerm(value, grad, aff)
 
 
 def _pad_even(a):
@@ -237,14 +230,12 @@ def _add_upsample_adjoint(grad_fine, grad_coarse, counts):
 
 def _tv_term(values, mask):
     """Mean absolute forward differences over valid pairs, plus the gradient
-    of that term with respect to ``values``. Returns (term, grad, n_valid).
+    of that term with respect to ``values``. Returns (term, grad).
 
-    ``values`` must be finite; the pyramid levels of ``loss_reg`` are, being
-    +0.0 off their masks.
+    ``values`` must be finite and ``mask`` must hold a valid pixel; the
+    pyramid levels of ``loss_reg`` are and do.
     """
     n_valid = int(np.count_nonzero(mask))
-    if n_valid == 0:
-        return 0.0, np.zeros_like(values, order="C"), 0
     n, w = values.size, values.shape[1]
     flat, valid_px = values.ravel(), mask.ravel()
     buf = np.empty(n, dtype=np.float64)
@@ -283,7 +274,7 @@ def _tv_term(values, mask):
     u = 1.0 / n_valid
     grad = np.multiply(k3, u, dtype=np.float64)
     grad -= np.multiply(down[w:], u, out=buf, dtype=np.float64)
-    return float(term), grad.reshape(values.shape), n_valid
+    return float(term), grad.reshape(values.shape)
 
 
 def loss_reg(
@@ -294,14 +285,15 @@ def loss_reg(
     *,
     affine=None,
     _checked=False,
-) -> RegLoss:
+) -> LossTerm:
     """Multi-scale gradient regularization of the aligned residual.
 
     The residual R = s*pred + t - target is taken through ``k_scales`` dyadic
     levels (masked 2x2 averaging); each level contributes the mean |forward
     difference| over pairs of valid pixels, normalized by that level's valid
-    pixel count. Levels with no valid pixels contribute 0 and are reported
-    in ``empty_scales``. ``affine`` is as for ``loss_si``.
+    pixel count. Every level has a valid pixel: level 0 has at least two,
+    and a coarse pixel is valid when any of its four is. ``affine`` is as
+    for ``loss_si``.
     """
     pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
     if k_scales < 1:
@@ -330,13 +322,10 @@ def loss_reg(
         del residual
 
         value = 0.0
-        empty = []
         level_grads = []
         for k in range(k_scales):
-            term, grad_k, n_valid = _tv_term(values[k], masks[k])
+            term, grad_k = _tv_term(values[k], masks[k])
             values[k] = None  # free each level once its term is taken
-            if n_valid == 0:
-                empty.append(k + 1)
             value += term
             level_grads.append(grad_k)
     if not math.isfinite(value):
@@ -350,7 +339,7 @@ def loss_reg(
         grad = fine
     grad *= aff.scale
     np.copyto(grad, 0.0, where=off_mask)
-    return RegLoss(float(value), grad, aff, tuple(empty))
+    return LossTerm(float(value), grad, aff)
 
 
 def loss_total(
@@ -379,12 +368,6 @@ def loss_total(
     grad *= lam
     grad += si.grad
     report = LossReport(
-        l_si=si.value,
-        l_reg=reg.value,
-        total=total,
-        lam=lam,
-        k_scales=k_scales,
-        affine=aff,
-        empty_scales=reg.empty_scales,
+        l_si=si.value, l_reg=reg.value, total=total, lam=lam, k_scales=k_scales, affine=aff
     )
     return report, grad

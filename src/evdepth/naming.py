@@ -3,7 +3,9 @@
 Frame-like files are named by their acquisition time in zero-padded
 microseconds (``000050000.pgm``). A directory may instead carry a
 ``timestamps.txt`` index with one ``<filename>,<t_us>`` line per file,
-which takes precedence over stem parsing.
+which takes precedence over stem parsing. A time read from either is ASCII
+decimal digits, at most ``MAX_TIME_US`` (2**63 - 1); anything else is a
+FormatError naming the file (and the index line).
 
 Files that pair with a frame (proxy labels, ground truth, masks) share its
 stem; their suffix matches in any letter case.
@@ -14,16 +16,20 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import BuildError, FormatError
+from .events import MAX_TIME_US
 from .imgio import _read_text
 
 INDEX_FILENAME = "timestamps.txt"
 
 
-def parse_timestamp_stem(name: str) -> int:
-    stem = Path(name).stem
-    if not stem.isdigit():
-        raise FormatError(f"cannot parse microsecond timestamp from filename {name!r}")
-    return int(stem)
+def _time_us(text: str, where) -> int:
+    """``text`` as microseconds: ASCII decimal digits (``str.isdigit`` alone
+    takes '²' and '١٢') of at most ``MAX_TIME_US``, else a FormatError."""
+    digits = text.lstrip("0") or "0"  # int() refuses 4,301 digits, leading zeros too
+    if not (text.isascii() and text.isdigit() and len(digits) <= 19
+            and int(digits) <= MAX_TIME_US):
+        raise FormatError(f"{where}: time {text!r} is not ASCII decimal digits, at most 2**63 - 1")
+    return int(digits)
 
 
 def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Path]]:
@@ -43,20 +49,15 @@ def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Pat
             if not line or line.startswith("#"):
                 continue
             name, _, t_raw = line.partition(",")
-            name, t_raw = name.strip(), t_raw.strip()
-            if not t_raw or not t_raw.lstrip("-").isdigit():
-                raise FormatError(f"{index}:{lineno}: expected '<filename>,<t_us>', got {line!r}")
-            t = int(t_raw)
-            if t < 0:
-                raise FormatError(f"{index}:{lineno}: negative timestamp {t}")
-            p = dirpath / name
+            t = _time_us(t_raw.strip(), f"{index}:{lineno}: {line!r}")
+            p = dirpath / name.strip()
             if p.suffix.lower() in suffixes:
                 if not p.is_file():
                     raise BuildError(f"{index}:{lineno}: listed file missing: {p}")
                 out.append((t, p))
     else:
         out = [
-            (parse_timestamp_stem(p.name), p)
+            (_time_us(p.stem, p), p)
             for p in dirpath.iterdir()
             if p.is_file() and p.suffix.lower() in suffixes
         ]

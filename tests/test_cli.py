@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -120,6 +122,35 @@ class TestSimulate:
                      "--out", str(tmp_path / "o.evb")]) == 2
         assert "000001000.pgm: frame timestamp" in capsys.readouterr().err
 
+    # a time read from text is ASCII decimal digits, at most 2**63 - 1
+    BAD_TIMES = {
+        "index-double-minus": ("a.pgm", "000000000.pgm,0\na.pgm,--5\n", "timestamps.txt:2"),
+        "index-negative": ("a.pgm", "000000000.pgm,0\na.pgm,-5\n", "timestamps.txt:2"),
+        "index-past-int64": ("a.pgm", f"000000000.pgm,0\na.pgm,{2**63}\n", "timestamps.txt:2"),
+        "index-5000-digits": ("a.pgm", f"000000000.pgm,0\na.pgm,{'9' * 5000}\n",
+                              "timestamps.txt:2"),
+        "superscript-stem": ("\u00b200.pgm", None, "/\u00b200.pgm: time"),
+        "arabic-indic-stem": ("\u0661\u0662.pgm", None, "/\u0661\u0662.pgm: time"),
+        "stem-past-int64": (f"{10**20}.pgm", None, f"/{10**20}.pgm: time"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_TIMES, ids=list(BAD_TIMES))
+    def test_time_that_is_not_an_ascii_decimal_int64_is_data_error(self, tmp_path, capsys,
+                                                                     case):
+        name, index, named = self.BAD_TIMES[case]
+        frames = tmp_path / "frames"
+        write_frames(frames, [(0, 90)])
+        write_pgm(frames / name, np.full((8, 8), 120, dtype=np.uint8))
+        if index is not None:
+            (frames / "timestamps.txt").write_text(index)
+        with pytest.raises(FormatError, match=re.escape(named)):
+            timestamped_files(frames, (".pgm",))
+        assert main(["simulate", "--frames", str(frames), "--contrast", "0.1",
+                     "--out", str(tmp_path / "o.evb")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "o.evb").exists()
+
     def test_missing_dir_reports_path(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         assert main(["simulate", "--frames", str(missing), "--contrast", "0.1",
@@ -163,6 +194,17 @@ class TestSliceEncode:
         # default SBT window is 50 ms and default bins is 5 (one pfm per bin)
         assert payload["t_start_us"] == 500000 - 50 * MS
         assert len(payload["files"]) == 5
+
+    @pytest.mark.parametrize("args, named", [
+        (["--td-us", str(10**20), "--count", "1", "--layout", "tencode"], "t_d"),
+        (["--td-us", "100", "--dt-us", str(10**19), "--layout", "voxel"], "window"),
+        (["--td-us", "100", "--count", str(2**63), "--layout", "imagelike"], "count"),
+    ], ids=["t_d", "window", "count"])
+    def test_encode_past_int64_is_data_error(self, tmp_path, events_file, capsys, args, named):
+        assert main(["encode", "--events", str(events_file), *args,
+                     "--out", str(tmp_path / "s.pfm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be an integer in [") and err.count("\n") == 1
 
     def test_encode_empty_slice_warns_but_succeeds(self, tmp_path, events_file, capsys):
         out = tmp_path / "stack.pfm"
@@ -482,6 +524,17 @@ class TestDatasetAndFusion:
         assert f"ambiguous depth files for '{600 * MS:09d}'" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_frame_stem_past_int64_is_data_error(self, tmp_path, events_file, capsys):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        stem = f"{600 * MS:09d}"
+        (frames / f"{stem}.pgm").rename(frames / f"{10**20}.pgm")
+        (proxies / f"{stem}.pfm").rename(proxies / f"{10**20}.pfm")
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"/{10**20}.pgm: time" in err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("wrong", ["frames-and-proxies", "proxy", "gt", "mask"])
     def test_raster_of_another_size_than_the_sensor_is_data_error(self, tmp_path, capsys,
                                                                   wrong):
@@ -712,6 +765,25 @@ class TestDatasetAndFusion:
         assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(tmp_path / "d"),
                      "--params", str(bin_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("bias, message", [
+        (math.inf, "error: step 0: depth is not finite"),
+        (1e300, "error: {out}: a finite value past float32 range"),
+    ], ids=["inf", "past-float32"])
+    def test_fusion_run_to_a_depth_pfm_cannot_hold_is_data_error(self, tmp_path, capsys, bias,
+                                                                message):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / "000000000001.pfm", np.full((32, 32, 3), 0.5))
+        params = dataclasses.replace(make_model_params(seed=0), head_bias=bias)
+        save_model_params(params, tmp_path / "model.bin")
+        assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(tmp_path / "d"),
+                     "--params", str(tmp_path / "model.bin")]) == 2
+        out = tmp_path / "d" / "000000000001.depth.pfm"
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(out=out)) and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestBench:

@@ -31,7 +31,7 @@ from evdepth.fusion import make_model_params, save_model_params
 from evdepth.imgio import save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm, write_ppm
 from evdepth.metrics import aggregate, evaluate, write_reports_csv, write_reports_json
 from evdepth.pipeline import DatasetManifest, EncoderSpec, Provenance, SampleRecord, save_manifest
-from evdepth.stacks import StackLayout
+from evdepth.stacks import StackLayout, encode
 
 
 def small_stream():
@@ -147,6 +147,39 @@ class TestSliceSpec:
             with pytest.raises(ParameterError):
                 cut(source if on_file else small_stream(), t_d, arg)
 
+    # past 2**63 - 1 an interval no longer fits the int64 columns it is
+    # compared with, and the encoders overflowed converting it
+    TOO_LARGE = {
+        "window": (slice_sbt, 30, 2**63),
+        "count": (slice_sbn, 30, 2**63),
+        "t_d_sbt": (slice_sbt, 2**63, 10),
+        "t_d_sbn": (slice_sbn, 10**20, 2),
+        "uint64_window": (slice_sbt, 30, np.uint64(2**64 - 1)),
+    }
+
+    @pytest.mark.parametrize("on_file", [False, True], ids=["stream", "evb_source"])
+    @pytest.mark.parametrize("case", TOO_LARGE, ids=list(TOO_LARGE))
+    def test_window_count_or_t_d_past_int64_is_parameter_error(self, tmp_path, on_file, case):
+        cut, t_d, arg = self.TOO_LARGE[case]
+        path = tmp_path / "ev.evb"
+        write_events(small_stream(), path)
+        with events._EvbSource(path) as source:
+            with pytest.raises(ParameterError, match=r"\[[01], 2\*\*63 - 1\]"):
+                cut(source if on_file else small_stream(), t_d, arg)
+
+    @pytest.mark.parametrize("layout", ["voxel", "imagelike", "tencode"])
+    @pytest.mark.parametrize("cut, t_d, arg", [
+        (slice_sbt, 2**63 - 1, 2**63 - 1),
+        (slice_sbt, 0, 2**63 - 1),
+        (slice_sbt, 100, 2**63 - 1),
+        (slice_sbn, 2**63 - 1, 2**63 - 1),
+    ], ids=["sbt-both", "sbt-t_d-0", "sbt-window", "sbn-both"])
+    def test_int64_max_still_slices_and_encodes(self, layout, cut, t_d, arg):
+        sl = cut(small_stream(), t_d, arg)
+        assert sl.t_end_us == t_d and type(sl.t_start_us) is int
+        stack = encode(sl, StackLayout(layout))
+        assert np.isfinite(stack.values).all()
+
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16, np.uint64])
     def test_numpy_integers_slice_as_python_ints(self, dtype):
         # unsigned numpy scalars would wrap in t_d - window and hi - count
@@ -178,6 +211,13 @@ class TestStreamInvariants:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(FormatError):
             EventStream(8, 8, [1], [1], [1], [-5])
+
+    @pytest.mark.parametrize("short", ["xs", "ys", "ps", "ts"])
+    def test_columns_of_different_lengths_rejected(self, short):
+        cols = {"xs": [1, 2], "ys": [4, 5], "ps": [1, -1], "ts": [10, 60]}
+        cols[short] = cols[short][:1]
+        with pytest.raises(FormatError, match="mismatched lengths"):
+            EventStream(8, 8, **cols)
 
     def test_stream_arrays_immutable(self):
         s = small_stream()
@@ -388,6 +428,17 @@ class TestEvbFormat:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="exceeds signed 64-bit range"):
             read_events(p)
+
+    @pytest.mark.parametrize("size", [0, 4, 15])
+    def test_file_shorter_than_the_header(self, tmp_path, size):
+        p = tmp_path / "ev.evb"
+        write_events(small_stream(), p)
+        p.write_bytes(p.read_bytes()[:size])
+        for read in (read_events, events._EvbSource):
+            with pytest.raises(FormatError, match="truncated EVB header"):
+                read(p)
+        assert main(["encode", "--events", str(p), "--td-us", "100", "--dt-us", "50",
+                     "--out", str(tmp_path / "s.pfm")]) == 2
 
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "ev.evb"

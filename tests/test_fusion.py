@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evdepth import fusion
-from evdepth.errors import ContractError
+from evdepth.errors import ContractError, DomainError
 from evdepth.fusion import (
     FeaturePyramid,
     ModelParams,
@@ -416,6 +416,26 @@ class TestRunSequence:
         assert digest.hexdigest() == (
             "b1cc97e47e10f2d53df58d99afa0a1a68b85b508e2cda707983bc381259f16b7"
         )
+
+    @pytest.mark.parametrize("case", ["nan-stack", "huge-head", "huge-kernel"])
+    def test_step_whose_depth_is_not_finite_is_domain_error(self, case):
+        # an overflow or a nan used to come out as an inf or nan depth map,
+        # with a RuntimeWarning at most
+        rng = np.random.default_rng(13)
+        stacks = [rng.standard_normal((32, 32, 3)) for _ in range(2)]
+        params = make_model_params(seed=0)
+        if case == "nan-stack":
+            stacks[1][5, 7, 0] = math.nan
+        elif case == "huge-head":
+            params.head_weight[:] = 1e308
+        else:
+            params.kernels[8][:] = 1e308
+        steps = fusion._steps(iter(stacks), lambda a: toy_extractor(a, seed=0), params)
+        if case == "nan-stack":
+            assert np.isfinite(next(steps)).all()
+        with pytest.raises(DomainError, match=f"step {int(case == 'nan-stack')}: depth is not "
+                                              "finite"):
+            next(steps)
 
     def test_shape_drift_rejected(self):
         rng = np.random.default_rng(11)

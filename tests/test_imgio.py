@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evdepth import imgio
-from evdepth.errors import FormatError, ParameterError
+from evdepth.errors import DomainError, FormatError, ParameterError
 from evdepth.imgio import (
     depth_valid_mask,
     load_depth,
@@ -37,6 +37,19 @@ class TestPfm:
         p = tmp_path / "c.pfm"
         write_pfm(p, data)
         assert np.array_equal(read_pfm(p), data)
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e300])
+    def test_finite_value_past_float32_is_domain_error(self, tmp_path, value):
+        p = tmp_path / "d.pfm"
+        with pytest.raises(DomainError, match="past float32 range"):
+            write_pfm(p, np.array([[1.0, value]]))
+        assert not p.exists()
+
+    def test_non_finite_values_are_written_as_they_are(self, tmp_path):
+        p = tmp_path / "d.pfm"
+        write_pfm(p, np.array([[np.inf, -np.inf, np.nan, 3.4e38]]))
+        got = read_pfm(p)
+        assert got[0, :2].tolist() == [np.inf, -np.inf] and np.isnan(got[0, 2])
 
     def test_header_is_little_endian_negative_scale(self, tmp_path):
         p = tmp_path / "d.pfm"

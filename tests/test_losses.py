@@ -13,7 +13,6 @@ from evdepth.losses import (
     loss_total,
     lstsq_align,
 )
-from evdepth.losses import _tv_term  # defensive branch is unreachable via the API
 
 # --- independent reference implementations ---------------------------------
 
@@ -314,12 +313,6 @@ class TestLossReg:
     def test_k_scales_validation(self):
         with pytest.raises(ParameterError):
             loss_reg(np.ones((4, 4)), np.zeros((4, 4)), k_scales=0)
-
-    def test_empty_level_contributes_zero(self):
-        # unreachable through loss_reg (valid fine pixels survive every
-        # downsampling), so exercise the guard directly
-        term, grad, n = _tv_term(np.ones((4, 4)), np.zeros((4, 4), dtype=bool))
-        assert term == 0.0 and n == 0 and not grad.any()
 
     def test_masked_pixels_have_no_influence(self):
         rng = np.random.default_rng(18)

@@ -215,6 +215,18 @@ class TestBuildManifest:
         assert [r.t_d_us for r in manifest.records] == index_times
         assert [r.t_end_us for r in manifest.records] == index_times
 
+    def test_frame_times_up_to_int64_max_build_and_export(self, tmp_path):
+        events, frames, proxies, _, _ = build_scene(tmp_path, frame_times_ms=(50,))
+        last = f"{2**63 - 1}"
+        (frames / f"{50 * MS:09d}.pgm").rename(frames / f"{last}.pgm")
+        (proxies / f"{50 * MS:09d}.pfm").rename(proxies / f"{last}.pfm")
+        manifest = build_manifest(events, frames, proxies)
+        assert [r.t_d_us for r in manifest.records] == [2**63 - 1]
+        assert len(export_stacks(manifest, tmp_path / "stacks")) == 1
+        # the index allows leading zeros past what int() parses
+        (frames / "timestamps.txt").write_text(f"{last}.pgm,{'0' * 5000}{2**63 - 1}\n")
+        assert build_manifest(events, frames, proxies) == manifest
+
 
 class TestManifestFile:
     def test_round_trip(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Byte-mutation fuzzing of the raster, depth sidecar, evcsv and EVB readers.
+"""Byte-mutation fuzzing of the raster, depth sidecar, evcsv and EVB readers,
+of the dataset manifest, the parameter archive and the timestamp index.
 
 Every mutated file must either read or raise an EvDepthError subclass (exit 2
 from the CLI), never another exception or a RuntimeWarning. Mutations
@@ -8,6 +9,7 @@ overwrite, insert or delete single bytes, half of them inside the header
 
 import contextlib
 import io
+import re
 import struct
 import warnings
 
@@ -20,6 +22,7 @@ from evdepth import events
 from evdepth.cli import main
 from evdepth.errors import EvDepthError
 from evdepth.events import SliceMode, SliceSpec, read_events, slice_events
+from evdepth.fusion import load_model_params, make_model_params, save_model_params
 from evdepth.imgio import (
     load_depth,
     load_mask_pgm,
@@ -29,10 +32,12 @@ from evdepth.imgio import (
     save_depth_pfm,
     save_depth_pgm16,
     save_mask_pgm,
+    write_pfm,
     write_pgm,
     write_ppm,
 )
-from evdepth.pipeline import _open_recording
+from evdepth.naming import timestamped_files
+from evdepth.pipeline import _open_recording, build_manifest, load_manifest, save_manifest
 
 # header syntax and digits come up more often than other bytes
 BYTES = st.one_of(st.sampled_from(b"0123456789 \n\t#-+.eEfFP"), st.integers(0, 255))
@@ -69,6 +74,18 @@ def _reads_or_rejects(read, path):
             return read(path)
         except EvDepthError:
             return None
+
+
+def _exits_0_or_2(argv) -> int:
+    """``main(argv)``'s exit code, which must be 0, or 2 with one ``error:``
+    line on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code
 
 
 def _pfm(ident: bytes, order: str, scale: bytes, shape) -> bytes:
@@ -158,12 +175,8 @@ def test_evaluate_on_a_mutated_depth_file_exits_2(tmp_path, data):
     raw = (pred_dir / "f.pfm").read_bytes()
     (pred_dir / "f.pfm").write_bytes(_mutate(data, raw, _header_len(raw)))
     readable = _reads_or_rejects(load_depth, pred_dir / "f.pfm") is not None
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)])
-    assert code in (0, 2) and (readable or code == 2)
-    if not readable:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    code = _exits_0_or_2(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)])
+    assert readable or code == 2
 
 
 # an 8x6 sensor, 12 records: u16 x, u16 y, i8 p, u64 t after the 16-byte header
@@ -256,10 +269,113 @@ def test_encode_on_a_mutated_evb_exits_0_or_2(tmp_path, monkeypatch, data):
     path = tmp_path / "e.evb"
     path.write_bytes(_mutate_evb(data, ["width", "height", "x", "y", "p", "t"], ["overwrite"]))
     layout = data.draw(st.sampled_from(["tencode", "voxel"]), label="layout")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["encode", "--events", str(path), "--td-us", "80", "--dt-us", "50",
-                     "--layout", layout, "--out", str(tmp_path / "s.pfm")])
-    assert code in (0, 2)
-    if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    _exits_0_or_2(["encode", "--events", str(path), "--td-us", "80", "--dt-us", "50",
+                   "--layout", layout, "--out", str(tmp_path / "s.pfm")])
+
+
+# bytes that keep a JSON number one, mostly
+NUMBER_BYTES = st.sampled_from(b"01234567899-.e")
+_JSON_NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+
+
+def _mutate_json(data, raw: bytes, keep=()) -> bytes:
+    """``raw`` with 1-4 byte mutations, none inside a (start, stop) span of
+    ``keep``: most change a number (so the file stays JSON often enough to
+    reach the checks past the parse), the rest any byte anywhere. Positions are drawn on ``raw`` and applied from the last to
+    the first, so each lands where it was drawn."""
+    outside = [i for i in range(len(raw) + 1) if not any(a <= i < b for a, b in keep)]
+    numbers = sorted({i for m in _JSON_NUMBER.finditer(raw) for i in range(*m.span())}
+                     .intersection(outside))
+    edits = []
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        in_number = data.draw(st.integers(0, 3), label="kind") > 0
+        edits.append((data.draw(st.sampled_from(numbers if in_number else outside), label="position"),
+                      data.draw(st.sampled_from(("overwrite", "insert", "delete")), label="op"),
+                      data.draw(NUMBER_BYTES if in_number else BYTES, label="byte")))
+    out = bytearray(raw)
+    for pos, op, byte in sorted(edits, reverse=True):
+        if op == "insert":
+            out.insert(pos, byte)
+        elif pos < len(out):
+            if op == "overwrite":
+                out[pos] = byte
+            else:
+                del out[pos]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def recording(tmp_path_factory):
+    """The 8x6 ``EVB`` recording (t = 0, 10, ..., 110) with three frames and
+    their proxies, and the manifest of 30 us tencode slices built from them."""
+    root = tmp_path_factory.mktemp("recording")
+    (root / "e.evb").write_bytes(EVB)
+    for d in ("frames", "proxy"):
+        (root / d).mkdir()
+    for t in (40, 80, 110):
+        write_pgm(root / "frames" / f"{t:09d}.pgm", np.full((6, 8), t))
+        save_depth_pfm(root / "proxy" / f"{t:09d}.pfm", np.full((6, 8), 2.0))
+    save_manifest(build_manifest(root / "e.evb", root / "frames", root / "proxy", window_us=30),
+                  root / "m.json")
+    return root
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_manifest_loads_or_is_format_error_and_exports_or_exits_2(recording, tmp_path,
+                                                                         data):
+    """Path values are left as they are: a mutated path names a missing file,
+    an OSError (exit 3) by the exit-code contract."""
+    raw = (recording / "m.json").read_bytes()
+    paths = [m.span(1) for m in re.finditer(rb'_path": ("[^"]*")', raw)]
+    path = tmp_path / "m.json"
+    path.write_bytes(_mutate_json(data, raw, paths))
+    _reads_or_rejects(load_manifest, path)
+    _exits_0_or_2(["dataset", "export", "--manifest", str(path), "--out", str(tmp_path / "s")])
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    """A two-scale parameter archive (2 and 3 channels) and two 16x16 stacks."""
+    root = tmp_path_factory.mktemp("archive")
+    save_model_params(make_model_params(seed=5, scales=(4, 8), channels=(2, 3)), root / "p.bin")
+    (root / "stacks").mkdir()
+    rng = np.random.default_rng(6)
+    for k in range(2):
+        write_pfm(root / "stacks" / f"{k:012d}.pfm", rng.random((16, 16, 3)).astype(np.float32))
+    return root
+
+
+@pytest.mark.parametrize("part", [".json", ".bin"])
+@FUZZ
+@given(data=st.data())
+def test_mutated_parameter_archive_loads_or_is_format_error_and_runs_or_exits_2(
+    archive, tmp_path, part, data
+):
+    bin_path = tmp_path / "p.bin"
+    for suffix in (".json", ".bin"):
+        raw = (archive / "p").with_suffix(suffix).read_bytes()
+        if suffix == part:
+            raw = _mutate_json(data, raw) if part == ".json" else _mutate(data, raw, len(raw))
+        bin_path.with_suffix(suffix).write_bytes(raw)
+    _reads_or_rejects(load_model_params, bin_path)
+    _exits_0_or_2(["fusion", "run", "--stacks", str(archive / "stacks"), "--params",
+                   str(bin_path), "--out", str(tmp_path / "d")])
+
+
+INDEX = b"# name,t_us\na.pgm,0\nb.pgm,1000\nc.pgm,2500\n"
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_timestamp_index_reads_or_is_format_error_and_simulates_or_exits_2(
+    tmp_path, data
+):
+    frames = tmp_path / "frames"
+    frames.mkdir(exist_ok=True)
+    for name, value in (("a", 60), ("b", 90), ("c", 200)):
+        write_pgm(frames / f"{name}.pgm", np.full((6, 8), value))
+    (frames / "timestamps.txt").write_bytes(_mutate(data, INDEX, len(INDEX)))
+    _reads_or_rejects(lambda d: timestamped_files(d, (".pgm",)), frames)
+    _exits_0_or_2(["simulate", "--frames", str(frames), "--contrast", "0.1",
+                   "--out", str(tmp_path / "e.evb")])
