@@ -20,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
-from .errors import ContractError, DomainError, EvDepthError, FormatError, ParameterError
+from .errors import (ContractError, DomainError, EvDepthError, FormatError, ParameterError,
+                     _int_param)
 from .events import SliceMode, SliceSpec, read_events, slice_events, slice_sbt, write_events
 from .fusion import _steps, load_model_params, make_model_params, save_model_params, toy_extractor
 from .imgio import _finite, _read_json, _write_json, depth_valid_mask, load_depth, save_depth_pfm
@@ -256,6 +257,7 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
     malformed stack or a change of frame size is an error before any depth
     file is written. The run then holds one stack at a time: each is read,
     stepped and its depth written before the next is read."""
+    _int_param("seed", args.seed, 0)  # before --params-out is written
     stacks_dir = Path(args.stacks)
     stacks = _stack_files(stacks_dir)
     if not stacks:

@@ -37,19 +37,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    BoundsError,
-    FormatError,
-    OrderingError,
-    ParameterError,
-)
+from .errors import BoundsError, FormatError, OrderingError, ParameterError, _int_param
 from .imgio import _atomic_write, _read_text
 
 EVB_MAGIC = b"EVB1"
 _EVB_HEADER = struct.Struct("<4sHHQ")
 _EVB_RECORD_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("t", "<u8")])
 _EVB_CHUNK = 1 << 16  # records per read/write buffer: 832 KiB, about an L2 cache
-_CSV_HEADER_RE = re.compile(r"#\s*evcsv\s+v1\s+width=(\d+)\s+height=(\d+)\s*$")
+# sensor dims of at most 5 significant digits: int() refuses 4,301 digits
+_CSV_HEADER_RE = re.compile(r"#\s*evcsv\s+v1\s+width=0*(\d{1,5})\s+height=0*(\d{1,5})\s*$")
 # a line whose first non-blank character starts a record, not a ``#`` comment
 _CSV_RECORD_RE = re.compile(r"^[^\S\n]*[^#\s]", re.MULTILINE)
 
@@ -89,26 +85,12 @@ class SliceSpec:
         if self.mode is SliceMode.SBT:
             if self.window_us is None or self.count is not None:
                 raise ParameterError("SBT spec takes window_us and no count")
-            object.__setattr__(self, "window_us", _slice_int("window", self.window_us, 1))
+            window = _int_param("window", self.window_us, 1, MAX_TIME_US)
+            object.__setattr__(self, "window_us", window)
         else:
             if self.count is None or self.window_us is not None:
                 raise ParameterError("SBN spec takes count and no window_us")
-            object.__setattr__(self, "count", _slice_int("count", self.count, 1))
-
-
-def _check_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _slice_int(name: str, value, lo: int) -> int:
-    """``value`` as a Python int (a numpy unsigned difference would wrap), or
-    a ParameterError unless it is an integer in [lo, ``MAX_TIME_US``]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
-        lo <= value <= MAX_TIME_US
-    ):
-        raise ParameterError(f"{name} must be an integer in [{lo}, 2**63 - 1], got {value!r}")
-    return int(value)
+            object.__setattr__(self, "count", _int_param("count", self.count, 1, MAX_TIME_US))
 
 
 def _allocate(what: str, shape: tuple[int, ...], dtype, *, zeros: bool = True) -> np.ndarray:
@@ -123,9 +105,9 @@ def _allocate(what: str, shape: tuple[int, ...], dtype, *, zeros: bool = True) -
         raise ParameterError(f"{what}, more than fit in memory ({nbytes:,} bytes)") from None
 
 
-def _check_dims(width, height) -> None:
-    if not (1 <= width <= MAX_SENSOR_DIM and 1 <= height <= MAX_SENSOR_DIM):
-        raise ParameterError(f"sensor dims {width}x{height} outside [1, {MAX_SENSOR_DIM}]")
+def _check_dims(width, height) -> tuple[int, int]:
+    return (_int_param("sensor width", width, 1, MAX_SENSOR_DIM),
+            _int_param("sensor height", height, 1, MAX_SENSOR_DIM))
 
 
 def _record_faults(width, height, xs, ys, ps, ts, base=0, t_prev=None) -> list:
@@ -151,16 +133,17 @@ def _record_faults(width, height, xs, ys, ps, ts, base=0, t_prev=None) -> list:
     return faults
 
 
-def _validate_arrays(width, height, xs, ys, ps, ts):
-    """Raise for the first failing check: sensor dims, column lengths, then
-    the first bad polarity, pixel and timestamp, in that order."""
-    _check_dims(width, height)
+def _validate_arrays(width, height, xs, ys, ps, ts) -> tuple[int, int]:
+    """The sensor dims as ints, or the error of the first failing check: sensor
+    dims, column lengths, then the first bad polarity, pixel and timestamp."""
+    width, height = _check_dims(width, height)
     if not (len(xs) == len(ys) == len(ps) == len(ts)):
         raise FormatError("event arrays have mismatched lengths")
     if len(ts):
         for fault in _record_faults(width, height, xs, ys, ps, ts):
             if fault is not None:
                 raise fault
+    return width, height
 
 
 class EventStream:
@@ -190,9 +173,9 @@ class EventStream:
         return stream
 
     def _bind(self, width, height, xs, ys, ps, ts):
-        _validate_arrays(width, height, xs, ys, ps, ts)
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
+        width, height = _validate_arrays(width, height, xs, ys, ps, ts)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "ps", ps)
@@ -285,7 +268,7 @@ def _slice_bounds(stream, t_d: int, spec: SliceSpec) -> tuple[int, int, int]:
     t_d - window <= t <= t_d and starts at t_d - window; SBN takes the last
     ``count`` records with t <= t_d and starts at the first one's timestamp,
     or at t_d when it is empty."""
-    t_d = _slice_int("t_d", t_d, 0)
+    t_d = _int_param("t_d", t_d, 0, MAX_TIME_US)
     hi = stream._search(t_d, "right")
     if spec.mode is SliceMode.SBT:
         t0 = t_d - spec.window_us
@@ -374,7 +357,7 @@ def _read_csv(path: Path) -> EventStream:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-_CSV_FIELD_RE = re.compile(r"[+-]?[0-9]+")
+_CSV_FIELD_RE = re.compile(r"([+-]?)0*([0-9]+)")  # the sign, then the digits past leading zeros
 _INT64 = np.iinfo(np.int64)
 
 
@@ -395,9 +378,11 @@ def _rescan_csv_body(path: Path, body: str) -> np.ndarray:
         parts = [p.strip() for p in content.split(",")]
         if len(parts) != 4:
             raise FormatError(f"{where}: expected 4 fields, got {len(parts)}")
-        if not all(_CSV_FIELD_RE.fullmatch(p) for p in parts):
+        fields = [_CSV_FIELD_RE.fullmatch(p) for p in parts]
+        if not all(fields):
             raise FormatError(f"{where}: non-integer field in {line!r}")
-        row = [int(p) for p in parts]
+        # int() refuses 4,301 digits, leading zeros too: at most 19 significant ones
+        row = [int(f[1] + f[2]) if len(f[2]) <= 19 else math.inf for f in fields]
         if not all(_INT64.min <= v <= _INT64.max for v in row):
             raise FormatError(f"{where}: field out of int64 range in {line!r}")
         rows.append(row)

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import FUSION_DEFAULTS
-from .errors import ContractError, DomainError, FormatError, ParameterError
+from .errors import ContractError, DomainError, FormatError, ParameterError, _int_param
 from .imgio import _atomic_write, _read_json, _write_json
 
 
@@ -224,6 +224,17 @@ def depth_head(fused: np.ndarray, weight: np.ndarray, bias: float) -> np.ndarray
     return fused @ weight + bias
 
 
+def _model_ints(seed, scales, channels) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The seed (at least 0, no upper bound) and the scales and channel counts
+    (each at least 1, one channel count per scale) as Python ints."""
+    seed = _int_param("seed", seed, 0)
+    scales = tuple(_int_param("scale", s, 1) for s in scales)
+    channels = tuple(_int_param("channel count", c, 1) for c in channels)
+    if len(scales) != len(channels) or not scales:
+        raise ParameterError("need one channel count per scale")
+    return seed, scales, channels
+
+
 @functools.lru_cache(maxsize=16)
 def _toy_embedding(seed: int, s: int, c_in: int, c_s: int, hs: int, ws: int):
     """The seeded (projection, positional) pair of one scale, read-only."""
@@ -246,6 +257,7 @@ def toy_extractor(
     scale, plus a fixed positional term. Same seed, same stack: identical
     pyramid bits.
     """
+    seed, scales, channels = _model_ints(seed, scales, channels)
     values = np.asarray(stack, dtype=np.float64)
     if values.ndim != 3:
         raise ContractError(f"stack values must be (H, W, C), got {values.shape}")
@@ -259,7 +271,7 @@ def toy_extractor(
         patches = patches.reshape(hs, ws, s * s * c_in)
         projection, positional = _toy_embedding(seed, s, c_in, c_s, hs, ws)
         maps.append(patches @ projection + positional)
-    return FeaturePyramid(tuple(scales), tuple(maps))
+    return FeaturePyramid(scales, tuple(maps))
 
 
 def make_model_params(
@@ -268,8 +280,7 @@ def make_model_params(
     channels: tuple[int, ...] = FUSION_DEFAULTS.channels,
 ) -> ModelParams:
     """Seeded parameters with 3x3 gate kernels."""
-    if len(scales) != len(channels) or not scales:
-        raise ParameterError("need one channel count per scale")
+    seed, scales, channels = _model_ints(seed, scales, channels)
     kernels = {}
     biases = {}
     for s, c in zip(scales, channels):
@@ -284,8 +295,7 @@ def make_model_params(
         projections[c_scale] = rng.standard_normal((c_ch, f_ch)) / np.sqrt(c_ch)
     rng = np.random.default_rng([seed, 13])
     head_weight = rng.standard_normal(channels[0]) / np.sqrt(channels[0])
-    return ModelParams(tuple(scales), tuple(channels), kernels, biases, projections,
-                       head_weight, 0.0)
+    return ModelParams(scales, channels, kernels, biases, projections, head_weight, 0.0)
 
 
 def _steps(

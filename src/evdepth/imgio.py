@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ParameterError
+from .errors import DomainError, FormatError, ParameterError, _int_param
 
 
 def _next_token(fh, path) -> bytes:
@@ -234,11 +234,10 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
 
 def _pgm(values, maxval: int) -> tuple[str, bytes]:
     """The header and raster bytes of a binary PGM."""
+    maxval = _int_param("maxval", maxval, 1, 65535)
     values = np.asarray(values)
     if values.ndim != 2:
         raise ParameterError(f"PGM writer takes (H, W), got {values.shape}")
-    if not 1 <= maxval <= 65535:
-        raise ParameterError(f"maxval must be in [1, 65535], got {maxval}")
     if values.min() < 0 or values.max() > maxval:
         raise ParameterError("PGM sample outside [0, maxval]")
     h, w = values.shape

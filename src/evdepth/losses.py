@@ -24,8 +24,9 @@ overflow float64, found by testing the solved (s, t) and the finished loss
 values (an overflow off the mask is zeroed with the rest of what lies
 there, silently).
 ``_check_pair`` is the one check of the (pred, target, mask) contract, for
-this module and for ``metrics.evaluate``. Each public call runs it once:
-calls made on arrays already checked pass ``_checked=True``.
+this module and for ``metrics.evaluate``: shapes, the valid-pixel count, then
+finiteness (skipped by calls on arrays already checked, ``_checked=True``),
+each after any integer parameter. Each public call runs it once.
 
 The kernels work in place on arrays they allocate, never on an argument,
 and keep nothing between calls. Working set: a frame-sized result is freed
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LOSS_DEFAULTS
-from .errors import ContractError, DomainError, InsufficientSupportError, ParameterError
+from .errors import ContractError, DomainError, InsufficientSupportError, _int_param
 
 _DEGENERATE_REL_TOL = 1e-12
 _OVERFLOW = "aligned residual overflows float64 on the valid mask"
@@ -95,7 +96,10 @@ class LossReport:
     affine: AffineParams
 
 
-def _check_pair(pred, target, mask, finite=True):
+def _check_pair(pred, target, mask, min_valid: int, finite=True):
+    """(pred, target, mask, valid-pixel count) as float64, float64 and bool
+    arrays, checked in order: shapes, at least ``min_valid`` valid pixels,
+    then (with ``finite``) finite values on the mask."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 2:
@@ -108,13 +112,16 @@ def _check_pair(pred, target, mask, finite=True):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != pred.shape:
             raise ContractError(f"mask shape {mask.shape} does not match {pred.shape}")
+    m = int(np.count_nonzero(mask))
+    if m < min_valid:
+        raise InsufficientSupportError(f"too few valid pixels: {m}, need at least {min_valid}")
     if finite:
         ok = np.empty(pred.shape, dtype=bool)
         for name, values in (("prediction", pred), ("target", target)):
             np.isfinite(values, out=ok)
             if not np.less_equal(mask, ok, out=ok).all():  # valid implies finite
                 raise DomainError(f"{name} must be finite on the valid mask")
-    return pred, target, mask
+    return pred, target, mask, m
 
 
 def lstsq_align(pred, target, mask=None, *, _checked=False) -> AffineParams:
@@ -125,10 +132,7 @@ def lstsq_align(pred, target, mask=None, *, _checked=False) -> AffineParams:
     values whose sums overflow float64 give a scale or shift that is not
     finite: a DomainError.
     """
-    pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
-    m = int(np.count_nonzero(mask))
-    if m < 2:
-        raise InsufficientSupportError(f"alignment needs >= 2 valid pixels, got {m}")
+    pred, target, mask, m = _check_pair(pred, target, mask, 2, finite=not _checked)
     p = pred[mask]
     g = target[mask]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite solve is tested next
@@ -155,10 +159,7 @@ def loss_si(pred, target, mask=None, *, affine=None, _checked=False) -> LossTerm
     ``affine=None`` solves for (s, t); a given ``affine`` is used as it is,
     ``IDENTITY_AFFINE`` (s=1, t=0) for metric depth.
     """
-    pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
-    m = int(np.count_nonzero(mask))
-    if m < 2:
-        raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
+    pred, target, mask, m = _check_pair(pred, target, mask, 2, finite=not _checked)
     aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
     with np.errstate(over="ignore"):  # an overflow makes the value inf, tested next
         residual = pred[mask]
@@ -295,12 +296,8 @@ def loss_reg(
     and a coarse pixel is valid when any of its four is. ``affine`` is as
     for ``loss_si``.
     """
-    pred, target, mask = _check_pair(pred, target, mask, finite=not _checked)
-    if k_scales < 1:
-        raise ParameterError(f"k_scales must be >= 1, got {k_scales}")
-    m = int(np.count_nonzero(mask))
-    if m < 2:
-        raise InsufficientSupportError(f"loss needs >= 2 valid pixels, got {m}")
+    k_scales = _int_param("k_scales", k_scales, 1)
+    pred, target, mask, _ = _check_pair(pred, target, mask, 2, finite=not _checked)
     aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
     off_mask = ~mask
     # On the mask both operands are checked finite, so an invalid operation
@@ -353,10 +350,9 @@ def loss_total(
 ) -> tuple[LossReport, np.ndarray]:
     """Combined loss l_si + lam * l_reg with a single shared alignment
     (``affine`` as for ``loss_si``)."""
-    pred, target, mask = _check_pair(pred, target, mask)
+    k_scales = _int_param("k_scales", k_scales, 1)
+    pred, target, mask, _ = _check_pair(pred, target, mask, 2)
     aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
-    if k_scales < 1:  # loss_si's errors come before loss_reg's k_scales check
-        loss_si(pred, target, mask, affine=aff, _checked=True)
     # the regularization term first: its level-0 peak then runs without the
     # SI gradient alive beside it
     reg = loss_reg(pred, target, mask, k_scales, affine=aff, _checked=True)

@@ -8,8 +8,8 @@ Conventions fixed here because the usual write-ups leave them open:
     metrics; alignment can push values non-positive.
   - Delta thresholds compare strictly (ratio < 1.25^n).
   - A prediction that is not finite on the valid mask is a DomainError, as
-    is ground truth that is not finite and positive there; the shape and
-    finiteness checks are those of ``losses._check_pair``. So is a finite
+    is ground truth that is not finite and positive there; the shape, count
+    and finiteness checks are those of ``losses._check_pair``. So is a finite
     prediction whose error overflows float64 there.
 
 Each report can carry its pixel-level accumulators so a set of frames can be
@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import DEFAULT_CLAMP_MIN
-from .errors import DomainError, InsufficientSupportError, ParameterError
+from .errors import DomainError, ParameterError
 from .imgio import _atomic_write, _write_json
 from .losses import _check_pair, lstsq_align
 
@@ -106,11 +106,7 @@ def evaluate(
     with a lower bound <= 0 (``-inf`` leaves the floor off) a clamped
     prediction <= 0 on the mask raises ``DomainError``.
     """
-    pred, gt, mask = _check_pair(pred, gt, mask, finite=False)
-    n = int(np.count_nonzero(mask))
-    if n < 1 or (align and n < 2):
-        raise InsufficientSupportError(f"evaluation needs {2 if align else 1}+ valid pixels, got {n}")
-    _check_pair(pred, gt, mask)  # finiteness after the count, so too few pixels is reported first
+    pred, gt, mask, n = _check_pair(pred, gt, mask, 2 if align else 1)
     ok = np.greater(gt, 0.0)
     if not np.less_equal(mask, ok, out=ok).all():  # valid implies > 0
         raise DomainError("ground truth must be > 0 on the valid mask")

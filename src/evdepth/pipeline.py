@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
-from .errors import BuildError, ContractError, FormatError, ParameterError
-from .events import (EventSlice, SliceMode, SliceSpec, _check_positive_int, _EvbSource,
-                     _infer_format, _slice_bounds, read_events, slice_sbn, slice_sbt)
+from .errors import BuildError, ContractError, FormatError, ParameterError, _int_param
+from .events import (EventSlice, SliceMode, SliceSpec, _EvbSource, _infer_format, _slice_bounds,
+                     read_events, slice_sbn, slice_sbt)
 from .imgio import (_RASTER_SUFFIXES, _finite, _raster_shape, _read_json, _write_json,
                     depth_valid_mask, load_depth, load_mask_pgm)
 from .losses import LossReport, loss_total
@@ -78,7 +78,7 @@ class EncoderSpec:
         if (self.layout is StackLayout.VOXEL) != (self.bins is not None):
             raise ParameterError("bins applies to the voxel layout only, and voxel needs it")
         if self.bins is not None:
-            _check_positive_int("bin count", self.bins)
+            object.__setattr__(self, "bins", _int_param("bin count", self.bins, 1))
 
 
 def _member(kind, value):
@@ -106,7 +106,7 @@ class Provenance:
         lam = self.lam
         if type(lam) is bool or not isinstance(lam, (int, float)) or not _finite(lam):
             raise ParameterError(f"lambda must be a finite float, got {lam!r}")
-        _check_positive_int("k_scales", self.k_scales)
+        object.__setattr__(self, "k_scales", _int_param("k_scales", self.k_scales, 1))
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DomainError,
-    FormatError,
-    InsufficientInputError,
-    OrderingError,
-    ParameterError,
-)
+from .errors import (ContractError, DomainError, FormatError, InsufficientInputError,
+                     OrderingError, ParameterError, _int_param)
 from .events import EventStream, _allocate
 from .imgio import read_pgm
 from .naming import timestamped_files
@@ -51,18 +45,13 @@ class IntensityFrame:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        t = _int_param("frame timestamp", self.timestamp_us, 0, MAX_FRAME_TIME_US)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ContractError(f"frame values must be (H, W), got {values.shape}")
-        t = self.timestamp_us
-        is_int = isinstance(t, (int, np.integer)) and not isinstance(t, bool)
-        if not (is_int and 0 <= t <= MAX_FRAME_TIME_US):
-            raise ParameterError(
-                f"frame timestamp {t!r} is not an integer in [0, {MAX_FRAME_TIME_US}] us"
-            )
         if not np.all(np.isfinite(values)) or (values <= 0).any():
             raise DomainError("frame intensities must be finite and strictly positive")
-        object.__setattr__(self, "timestamp_us", int(t))
+        object.__setattr__(self, "timestamp_us", t)
         object.__setattr__(self, "values", values)
 
     @property
@@ -81,9 +70,9 @@ class SimConfig:
     contrast_threshold: float
 
     def __post_init__(self) -> None:
-        if not (self.contrast_threshold > 0):
+        if not (0 < self.contrast_threshold < np.inf):  # inf would make 0 * C a NaN level
             raise ParameterError(
-                f"contrast threshold must be > 0, got {self.contrast_threshold}"
+                f"contrast threshold must be finite and > 0, got {self.contrast_threshold}"
             )
 
 
@@ -119,11 +108,12 @@ def _crossings(frames: Sequence[IntensityFrame], c: float):
     for prev, cur in zip(frames, frames[1:]):
         log_cur = np.log(cur.values).ravel()
         y = log_cur - ref
-        y /= c
         # (ref - log_cur) / C is exactly -y, so n_pos and n_neg are never
-        # both positive, and n_pos - n_neg is y truncated toward zero
+        # both positive, and n_pos - n_neg is y truncated toward zero; a y
+        # past float range is inf, which the conversion refuses
         try:
-            with np.errstate(invalid="raise"):
+            with np.errstate(over="ignore", invalid="raise"):
+                y /= c
                 steps = y.astype(np.int64)
         except FloatingPointError:
             raise ParameterError(

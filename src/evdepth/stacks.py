@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENCODER_DEFAULTS
-from .errors import DegenerateIntervalError, FormatError, ParameterError
-from .events import EventSlice, _allocate, _check_positive_int
+from .errors import DegenerateIntervalError, FormatError, ParameterError, _int_param
+from .events import EventSlice, _allocate
 from .imgio import _raster_shape, read_pfm, write_pfm, write_ppm
 from .naming import files_by_stem
 
@@ -74,7 +74,7 @@ def _zeros(sl: EventSlice, layout: StackLayout, channels: int) -> np.ndarray:
 
 
 def encode_voxel(sl: EventSlice, bins: int) -> EventStack:
-    _check_positive_int("bin count", bins)
+    bins = _int_param("bin count", bins, 1)
     duration = _check_interval(sl)
     grid = _zeros(sl, StackLayout.VOXEL, bins)
     if len(sl):

@@ -16,13 +16,14 @@ from conftest import make_random_stream
 from evdepth import config
 from evdepth.cli import main
 from evdepth.errors import FormatError
-from evdepth.events import read_events, slice_sbt, write_events
+from evdepth.events import EventStream, read_events, slice_sbt, write_events
 from evdepth.fusion import (load_model_params, make_model_params, run_sequence, save_model_params,
                             toy_extractor)
 from evdepth.imgio import read_pfm, save_depth_pfm, save_depth_pgm16, write_pfm, write_pgm
 from evdepth.naming import timestamped_files
 from evdepth.simulator import MAX_FRAME_TIME_US
-from evdepth.stacks import StackLayout, encode, encode_tencode, load_stack_pfms, save_stack_pfm
+from evdepth.stacks import (StackLayout, encode, encode_tencode, load_stack_pfms, save_stack_pfm,
+                            save_stack_ppm)
 
 MS = 1000
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,10 +44,22 @@ def events_file(tmp_path):
 
 
 class TestExitCodes:
-    def test_usage_error_is_one(self, capsys):
+    def test_usage_error_is_one(self, tmp_path, events_file, capsys):
         assert main(["slice", "--events", "x.evb"]) == 1  # --td-us missing
         assert main(["not-a-command"]) == 1
         assert main([]) == 1
+        assert main(["slice", "--events", str(events_file), "--td-us", "10",
+                     "--out", str(tmp_path / "o.evb")]) == 1  # no --dt-us or --count
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(tmp_path),
+                     "--proxy", str(tmp_path), "--mode", "sbn",
+                     "--out", str(tmp_path / "m.json")]) == 1  # --mode sbn without --count
+        assert main(["encode", "--events", str(events_file), "--td-us", "500000",
+                     "--out", str(tmp_path / "s.png")]) == 1  # neither .pfm nor .ppm
+        err = capsys.readouterr().err
+        assert "slice needs --dt-us (SBT) or --count (SBN)" in err
+        assert "--mode sbn needs --count" in err
+        assert "output must end in .pfm or .ppm, got 's.png'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.evb"]
 
     def test_data_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -71,6 +84,18 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not an ASCII evcsv file")
+
+    @pytest.mark.parametrize("header, record", [
+        ("width=8 height=6", "1,1,1," + "9" * 5000),
+        ("width=" + "9" * 5000 + " height=6", "1,1,1,5"),
+    ], ids=["time", "width"])
+    def test_evcsv_field_of_5000_digits_is_data_error(self, tmp_path, capsys, header, record):
+        bad = tmp_path / "big.csv"
+        bad.write_text(f"# evcsv v1 {header}\n{record}\n")
+        assert main(["encode", "--events", str(bad), "--td-us", "10", "--dt-us", "5",
+                     "--out", str(tmp_path / "s.pfm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
     def test_io_error_is_three(self, tmp_path, capsys):
         assert main(["slice", "--events", str(tmp_path / "missing.evb"), "--td-us", "10",
@@ -183,8 +208,14 @@ class TestSliceEncode:
                      "--dt-us", "100000", "--layout", "tencode", "--out", str(out)]) == 0
         golden = tmp_path / "golden.pfm"
         stream = read_events(events_file)
-        save_stack_pfm(encode_tencode(slice_sbt(stream, 500000, 100000)), golden)
+        stack = encode_tencode(slice_sbt(stream, 500000, 100000))
+        save_stack_pfm(stack, golden)
         assert out.read_bytes() == golden.read_bytes()
+        # an 8-bit PPM of the same stack, by the output's suffix
+        assert main(["encode", "--events", str(events_file), "--td-us", "500000", "--dt-us",
+                     "100000", "--layout", "tencode", "--out", str(out.with_suffix(".PPM"))]) == 0
+        save_stack_ppm(stack, golden.with_suffix(".ppm"))
+        assert out.with_suffix(".PPM").read_bytes() == golden.with_suffix(".ppm").read_bytes()
 
     def test_encode_default_window_and_bins(self, tmp_path, events_file, capsys):
         out = tmp_path / "stack.pfm"
@@ -615,6 +646,18 @@ class TestDatasetAndFusion:
         depth = read_pfm(files_a[0])
         assert depth.shape == (8, 8)  # finest stride of 32x32 input
 
+    @pytest.mark.parametrize("params", [False, True], ids=["seeded", "loaded"])
+    def test_negative_seed_is_data_error(self, tmp_path, capsys, params):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / f"{0:012d}.pfm", np.full((32, 32, 3), 0.5, dtype=np.float32))
+        save_model_params(make_model_params(seed=0), tmp_path / "p.bin")
+        argv = ["fusion", "run", "--stacks", str(stacks_dir), "--out", str(tmp_path / "d"),
+                "--seed=-1", "--params-out", str(tmp_path / "q.bin")]
+        assert main(argv + (["--params", str(tmp_path / "p.bin")] if params else [])) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "d").exists() and not (tmp_path / "q.bin").exists()
+
     def test_params_out_inside_a_fresh_out_dir(self, tmp_path, capsys):
         stacks_dir = tmp_path / "stacks"
         stacks_dir.mkdir()
@@ -828,6 +871,74 @@ class TestBench:
 
     def test_unknown_layout_is_usage_error(self, events_file):
         assert main(["bench", "--events", str(events_file), "--layouts", "hexgrid"]) == 1
+
+
+class TestNumericFlags:
+    INTS = ["-1", "0", "1", str(2**63 - 1), str(2**63), str(-(2**63) - 1), str(10**30)]
+    FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320"]
+
+    def test_no_value_raises_out_of_main(self, tmp_path, capsys):
+        """Every int and float flag of every subcommand, at the edges of its
+        type, ends in an exit code (an error is one line on stderr), never in
+        an exception out of ``main``. ``--repetitions`` runs on an empty
+        recording, which bench rejects before its loop: a valid count of
+        2**63 - 1 would encode that many times."""
+        # an 8x6 sensor: one event every 10 us up to 110 us, three frames with
+        # proxy and ground-truth depth, and a 16x16 stack
+        stream = make_random_stream(np.random.default_rng(8), width=8, height=6, n_events=12,
+                                    t_max=110)
+        write_events(stream, tmp_path / "e.evb")
+        write_events(EventStream.empty(8, 6), tmp_path / "empty.evb")
+        for d in ("frames", "proxy", "gt", "stacks"):
+            (tmp_path / d).mkdir()
+        for k, t in enumerate((40, 80, 110)):
+            write_pgm(tmp_path / "frames" / f"{t:09d}.pgm", np.full((6, 8), 60 + 40 * k))
+            save_depth_pfm(tmp_path / "proxy" / f"{t:09d}.pfm", np.full((6, 8), 2.0 + k))
+            save_depth_pfm(tmp_path / "gt" / f"{t:09d}.pfm", np.linspace(1, 9, 48).reshape(6, 8))
+        write_pfm(tmp_path / "stacks" / "0.pfm", np.full((16, 16, 3), 0.5, dtype=np.float32))
+        (tmp_path / "base.json").write_text('{"layouts": {"tencode": {"events_per_s": 1e6}}}')
+        ev, out = str(tmp_path / "e.evb"), str(tmp_path / "out")
+        cut = ["--events", ev, "--out", out + ".pfm"]
+        build = ["dataset", "build", "--events", ev, "--frames", str(tmp_path / "frames"),
+                 "--proxy", str(tmp_path / "proxy"), "--out", out + ".json"]
+        bench = ["bench", "--layouts", "tencode", "--baseline", str(tmp_path / "base.json")]
+        cases = [
+            (["simulate", "--frames", str(tmp_path / "frames"), "--out", out + ".evb"],
+             "--contrast", self.FLOATS),
+            (["slice", *cut, "--dt-us", "30"], "--td-us", self.INTS),
+            (["slice", *cut, "--td-us", "80"], "--dt-us", self.INTS),
+            (["slice", *cut, "--td-us", "80"], "--count", self.INTS),
+            (["encode", *cut, "--dt-us", "30"], "--td-us", self.INTS),
+            (["encode", *cut, "--td-us", "80"], "--dt-us", self.INTS),
+            (["encode", *cut, "--td-us", "80"], "--count", self.INTS),
+            (["encode", *cut, "--td-us", "80", "--layout", "voxel"], "--bins", self.INTS),
+            (["evaluate", "--pred-dir", str(tmp_path / "proxy"), "--gt-dir", str(tmp_path / "gt")],
+             "--clamp-min", self.FLOATS),
+            (["evaluate", "--pred-dir", str(tmp_path / "proxy"), "--gt-dir", str(tmp_path / "gt")],
+             "--clamp-max", self.FLOATS),
+            (build, "--dt-us", self.INTS),
+            ([*build, "--mode", "sbn"], "--count", self.INTS),
+            ([*build, "--layout", "voxel"], "--bins", self.INTS),
+            (build, "--k-scales", self.INTS),
+            (build, "--lam", self.FLOATS),
+            (["fusion", "run", "--stacks", str(tmp_path / "stacks"), "--out", out],
+             "--seed", self.INTS),
+            ([*bench, "--events", str(tmp_path / "empty.evb")], "--repetitions", self.INTS),
+            ([*bench, "--events", ev, "--repetitions", "1"], "--bins", self.INTS),
+            ([*bench, "--events", ev, "--repetitions", "1"], "--tolerance", self.FLOATS),
+        ]
+        escaped, bad_errors = [], []
+        for argv, flag, values in cases:
+            for value in values:
+                try:
+                    code = main([*argv, f"{flag}={value}"])
+                except BaseException as exc:  # noqa: BLE001 -- the contract is that none escapes
+                    escaped.append((argv[0], flag, value, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if code == 2 and not (err.startswith("error: ") and err.count("\n") == 1):
+                    bad_errors.append((argv[0], flag, value, err))
+        assert escaped == [] and bad_errors == []
 
 
 class TestThreadsEnv:

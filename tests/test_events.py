@@ -164,7 +164,7 @@ class TestSliceSpec:
         path = tmp_path / "ev.evb"
         write_events(small_stream(), path)
         with events._EvbSource(path) as source:
-            with pytest.raises(ParameterError, match=r"\[[01], 2\*\*63 - 1\]"):
+            with pytest.raises(ParameterError, match=rf"in \[[01], {2**63 - 1}\], got "):
                 cut(source if on_file else small_stream(), t_d, arg)
 
     @pytest.mark.parametrize("layout", ["voxel", "imagelike", "tencode"])
@@ -211,6 +211,11 @@ class TestStreamInvariants:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(FormatError):
             EventStream(8, 8, [1], [1], [1], [-5])
+
+    @pytest.mark.parametrize("dims", [(8.5, 8), (8, True), (0, 8), (8, 65536)])
+    def test_sensor_dims_that_are_not_integers_in_range_rejected(self, dims):
+        with pytest.raises(ParameterError, match=r"^sensor (width|height) must be an integer in "):
+            EventStream(*dims, [0], [0], [1], [10])
 
     @pytest.mark.parametrize("short", ["xs", "ys", "ps", "ts"])
     def test_columns_of_different_lengths_rejected(self, short):
@@ -306,6 +311,19 @@ class TestCsvFormat:
         assert (s.width, s.height) == (346, 260)
         assert s[0] == Event(3, 4, 1, 1000)
 
+    @pytest.mark.parametrize("dims, error", [
+        ("width=" + "9" * 5000 + " height=6", FormatError),
+        ("width=000000000000000000008 height=123456", FormatError),
+        ("width=000000000000000000008 height=70000", ParameterError),
+    ], ids=["5000-digits", "six-digits", "past-u16"])
+    def test_header_dims_past_u16_are_rejected(self, tmp_path, dims, error):
+        p = tmp_path / "ev.csv"
+        p.write_text(f"# evcsv v1 {dims}\n3,4,1,1000\n")
+        with pytest.raises(error):
+            read_events(p)
+        p.write_text("# evcsv v1 width=0008 height=06\n3,4,1,1000\n")
+        assert (read_events(p).width, read_events(p).height) == (8, 6)
+
     def test_polarity_zero_is_parse_error(self, tmp_path):
         p = tmp_path / "ev.csv"
         p.write_text("# evcsv v1 width=8 height=8\n1,1,0,10\n")
@@ -323,6 +341,10 @@ class TestCsvFormat:
         p.write_text("# evcsv v1 width=8 height=8\n1,1,1,10\n1,1,1\n")
         with pytest.raises(FormatError, match="record 1"):
             read_events(p)
+        # every record short: np.loadtxt reads them, as three columns
+        p.write_text("# evcsv v1 width=8 height=8\n1,1,1\n2,2,-1\n")
+        with pytest.raises(FormatError, match="expected 4 columns x,y,p,t, got 3"):
+            read_events(p)
 
     @pytest.mark.parametrize(
         "body, message",
@@ -330,8 +352,12 @@ class TestCsvFormat:
          ("1,1,1,10\n-9223372036854775809,1,1,20\n", "field out of int64 range"),
          ("1,1,1,10\n   \n", "expected 4 fields, got 1"),
          ("1,1,1,10\n  # note\n", "expected 4 fields, got 1"),
-         ("1,1,1,10\n1_0,1,1,20\n", "non-integer field")],
-        ids=["past-int64", "below-int64", "blank-line", "indented-comment", "underscore"],
+         ("1,1,1,10\n1_0,1,1,20\n", "non-integer field"),
+         ("1,1,1,10\n1,1,1," + "9" * 5000 + "\n", "field out of int64 range"),
+         ("1,1,1,10\n1,1,1,-" + "0" * 4990 + "1" * 20 + "\n", "field out of int64 range"),
+         ("1,1,1,+" + "0" * 4990 + "7\n1,1,1\n", "expected 4 fields, got 3")],
+        ids=["past-int64", "below-int64", "blank-line", "indented-comment", "underscore",
+             "5000-digits", "zeros-then-20-digits", "after-5000-digit-zero-padded-time"],
     )
     def test_rejected_body_names_record_and_line(self, tmp_path, body, message):
         p = tmp_path / "ev.csv"
@@ -621,7 +647,8 @@ class TestEvbSource:
         cols = list(chunk_columns(10))
         path = tmp_path / "ev.evb"
         path.write_bytes(reference_evb_bytes(*dims, *cols))
-        with pytest.raises(ParameterError, match="sensor dims"):
+        with pytest.raises(ParameterError,
+                           match=r"sensor (width|height) must be an integer in \[1, 65535\]"):
             events._EvbSource(path)
         cols[3] = cols[3].astype(np.uint64)
         cols[3][4] = 2**63

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evdepth import fusion
-from evdepth.errors import ContractError, DomainError
+from evdepth.errors import ContractError, DomainError, ParameterError
 from evdepth.fusion import (
     FeaturePyramid,
     ModelParams,
@@ -353,6 +353,25 @@ class TestToyExtractor:
         with pytest.raises(ContractError):
             toy_extractor(np.zeros((60, 64, 3)), seed=0)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"scales": (0,), "channels": (4,)}, "scale"),
+        ({"scales": (4.0,), "channels": (4,)}, "scale"),
+        ({"channels": (16, True, 64)}, "channel count"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ], ids=["zero-scale", "float-scale", "bool-channels", "negative-seed", "float-seed"])
+    def test_bad_integer_argument_is_parameter_error(self, kwargs, named):
+        for fn in (lambda: toy_extractor(np.zeros((32, 32, 3)), **kwargs),
+                   lambda: make_model_params(**kwargs)):
+            with pytest.raises(ParameterError, match=f"^{named} must be an integer >= "):
+                fn()
+
+    def test_seed_has_no_upper_bound(self):
+        stack = np.random.default_rng(17).standard_normal((32, 32, 3))
+        depths = run_sequence([stack], lambda a: toy_extractor(a, seed=10**30),
+                              make_model_params(seed=10**30))
+        assert np.isfinite(depths[0]).all()
+
 
 class TestRunSequence:
     def test_zero_params_give_zero_outputs(self):
@@ -492,6 +511,15 @@ class TestParamsArchive:
         extractor = lambda a: toy_extractor(a, seed=4)
         for x, y in zip(run_sequence(stacks, extractor, params), run_sequence(stacks, extractor, loaded)):
             assert np.array_equal(x, y)
+
+    def test_numpy_integer_arguments_are_saved_as_ints(self, tmp_path):
+        params = make_model_params(np.int64(3), np.array([4, 8]), (np.uint8(2), np.int32(3)))
+        assert params.scales == (4, 8) and params.channels == (2, 3)
+        assert all(type(n) is int for n in params.scales + params.channels)
+        save_model_params(params, tmp_path / "m.bin")
+        loaded = load_model_params(tmp_path / "m.bin")
+        assert loaded.scales == (4, 8) and loaded.channels == (2, 3)
+        assert np.array_equal(loaded.head_weight, make_model_params(3, (4, 8), (2, 3)).head_weight)
 
     def test_manifest_lists_names_shapes_offsets(self, tmp_path):
         import json

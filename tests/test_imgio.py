@@ -206,6 +206,14 @@ class TestPgmPpm:
         with pytest.raises(ParameterError):
             write_pgm(tmp_path / "g.pgm", np.array([[300]]), maxval=255)
 
+    # 10**5000 has more digits than str() converts: the message gives its bit length
+    @pytest.mark.parametrize("maxval", [255.5, True, 0, 65536, "255", 10**5000],
+                             ids=["float", "bool", "zero", "65536", "text", "5001-digits"])
+    def test_pgm_maxval_that_is_not_an_integer_in_range_is_parameter_error(self, tmp_path, maxval):
+        with pytest.raises(ParameterError, match=r"maxval must be an integer in \[1, 65535\]"):
+            write_pgm(tmp_path / "g.pgm", np.zeros((2, 2)), maxval=maxval)
+        assert not (tmp_path / "g.pgm").exists()
+
 
 class TestRasterHeaderFields:
     @pytest.mark.parametrize(

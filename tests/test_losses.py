@@ -13,6 +13,7 @@ from evdepth.losses import (
     loss_total,
     lstsq_align,
 )
+from evdepth.metrics import evaluate
 
 # --- independent reference implementations ---------------------------------
 
@@ -386,19 +387,31 @@ class TestLossTotal:
         with pytest.raises(InsufficientSupportError):
             loss_total(np.ones((4, 4)), np.ones((4, 4)), mask)
 
-    def test_si_checks_come_before_the_k_scales_check(self):
-        # loss_reg runs first, but a bad k_scales is reported only once
-        # loss_si's own checks have passed
+    def test_k_scales_is_checked_first(self):
+        # an integer parameter is checked before the pair: a bad k_scales is
+        # reported where the pair has too few valid pixels, or where its
+        # residuals of 1e200 are finite but their squares are not
         pred = np.ones((4, 4))
         one_pixel = np.zeros((4, 4), dtype=bool)
         one_pixel[1, 2] = True
-        with pytest.raises(InsufficientSupportError):
-            loss_total(pred, pred, one_pixel, k_scales=0, affine=IDENTITY_AFFINE)
-        # residuals of 1e200 are finite, their squares are not
-        with pytest.raises(DomainError):
-            loss_total(1e200 * pred, 0 * pred, None, k_scales=0, affine=IDENTITY_AFFINE)
-        with pytest.raises(ParameterError, match="k_scales"):
-            loss_total(pred, 2 * pred, None, k_scales=0, affine=IDENTITY_AFFINE)
+        for p, target, mask in ((pred, pred, one_pixel), (1e200 * pred, 0 * pred, None),
+                                (pred, 2 * pred, None)):
+            with pytest.raises(ParameterError, match="k_scales"):
+                loss_total(p, target, mask, k_scales=0, affine=IDENTITY_AFFINE)
+
+    @pytest.mark.parametrize("k_scales", [2.0, True, "2", None])
+    def test_non_integer_k_scales_is_parameter_error(self, k_scales):
+        pred, target, mask = make_depth_pair(np.random.default_rng(27), (8, 8))
+        message = f"k_scales must be an integer >= 1, got {k_scales!r}"
+        for fn in (loss_total, loss_reg):
+            with pytest.raises(ParameterError, match=message):
+                fn(pred, target, mask, k_scales=k_scales)
+
+    def test_numpy_integer_k_scales_is_reported_as_int(self):
+        pred, target, mask = make_depth_pair(np.random.default_rng(28), (8, 8))
+        report, grad = loss_total(pred, target, mask, k_scales=np.uint8(3))
+        assert type(report.k_scales) is int
+        assert report == loss_total(pred, target, mask, k_scales=3)[0]
 
     def test_peak_stays_under_four_and_a_half_frames(self):
         # the regularization term runs before the SI term, so its level-0
@@ -518,3 +531,34 @@ class TestNonFinite:
             pred, target = np.ones((8, 8)), np.full((8, 8), 1e308)
         with pytest.raises(DomainError, match="alignment overflows float64"):
             lstsq_align(pred, target)
+
+
+# --- one order of checks ------------------------------------------------------
+
+ENTRY_POINTS = {
+    "align": lambda p, t, m, k: lstsq_align(p, t, m),
+    "si": lambda p, t, m, k: loss_si(p, t, m),
+    "reg": lambda p, t, m, k: loss_reg(p, t, m, k),
+    "total": lambda p, t, m, k: loss_total(p, t, m, k_scales=k),
+    "evaluate": lambda p, t, m, k: evaluate(p, t, m),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_checks_run_in_one_order(name):
+    # integer parameters, then shapes, then the valid count, then finiteness:
+    # each case also fails every check after the one it expects
+    fn = ENTRY_POINTS[name]
+    pred = np.ones((4, 4))
+    pred[0, 0] = np.nan
+    one_pixel = np.zeros((4, 4), dtype=bool)
+    one_pixel[0, 0] = True
+    if name in ("reg", "total"):
+        with pytest.raises(ParameterError, match="k_scales"):
+            fn(pred, np.ones((4, 5)), one_pixel, 0)
+    with pytest.raises(ContractError):
+        fn(pred, np.ones((4, 5)), one_pixel, 2)
+    with pytest.raises(InsufficientSupportError):
+        fn(pred, np.ones((4, 4)), one_pixel, 2)
+    with pytest.raises(DomainError, match="prediction must be finite"):
+        fn(pred, np.ones((4, 4)), None, 2)

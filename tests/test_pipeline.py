@@ -192,6 +192,16 @@ class TestBuildManifest:
         assert manifest.provenance.lam == 0.25
         assert manifest.provenance.k_scales == 4
 
+    def test_numpy_integer_parameters_are_saved_as_ints(self, tmp_path):
+        events, frames, proxies, _, _ = build_scene(tmp_path)
+        manifest = build_manifest(events, frames, proxies, mode="sbn", count=np.int64(100),
+                                  layout="voxel", bins=np.uint8(3), k_scales=np.int16(2))
+        save_manifest(manifest, tmp_path / "m.json")
+        loaded = load_manifest(tmp_path / "m.json")
+        assert loaded == manifest
+        assert (loaded.encoder.slicing.count, loaded.encoder.bins, loaded.provenance.k_scales) == (
+            100, 3, 2)
+
     def test_mode_validation(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 """Byte-mutation fuzzing of the raster, depth sidecar, evcsv and EVB readers,
-of the dataset manifest, the parameter archive and the timestamp index.
+of the dataset manifest, the parameter archive, the timestamp index and the
+``bench --baseline`` report.
 
 Every mutated file must either read or raise an EvDepthError subclass (exit 2
 from the CLI), never another exception or a RuntimeWarning. Mutations
@@ -9,6 +10,8 @@ overwrite, insert or delete single bytes, half of them inside the header
 
 import contextlib
 import io
+import json
+import math
 import re
 import struct
 import warnings
@@ -19,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evdepth import events
-from evdepth.cli import main
+from evdepth.cli import _baseline_rates, main
 from evdepth.errors import EvDepthError
 from evdepth.events import SliceMode, SliceSpec, read_events, slice_events
 from evdepth.fusion import load_model_params, make_model_params, save_model_params
@@ -204,10 +207,11 @@ def _mutate_evb(data, fields, ops) -> bytes:
         op = data.draw(st.sampled_from(ops), label="op")
         if op == "insert":
             out.insert(pos, data.draw(BYTES, label="byte"))
-        elif op == "overwrite":
-            out[pos] = data.draw(BYTES, label="byte")
-        else:
-            del out[pos]
+        elif pos < len(out):  # an earlier delete may have cut the last byte
+            if op == "overwrite":
+                out[pos] = data.draw(BYTES, label="byte")
+            else:
+                del out[pos]
     return bytes(out)
 
 
@@ -250,6 +254,11 @@ def test_mutated_evb_gives_one_verdict_from_both_readers(tmp_path, evb_chunks, d
         lambda: _sliced(path))
 
 
+# numpy's own, taken once: the patch below lasts for every example of a test
+# run, so an example that took np.zeros would wrap the previous one's wrapper
+NP_ZEROS = np.zeros
+
+
 @FUZZ
 @given(data=st.data())
 def test_encode_on_a_mutated_evb_exits_0_or_2(tmp_path, monkeypatch, data):
@@ -258,12 +267,11 @@ def test_encode_on_a_mutated_evb_exits_0_or_2(tmp_path, monkeypatch, data):
     to 65535x65535; stacks past 2**20 samples are refused here as if memory
     ran out, so the allocation guard must turn each into exit 2 without
     using the memory."""
-    zeros = np.zeros
 
     def small_zeros(shape, *args, **kwargs):
         if np.prod(shape, dtype=object) > 2**20:
             raise MemoryError
-        return zeros(shape, *args, **kwargs)
+        return NP_ZEROS(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", small_zeros)
     path = tmp_path / "e.evb"
@@ -379,3 +387,27 @@ def test_mutated_timestamp_index_reads_or_is_format_error_and_simulates_or_exits
     _reads_or_rejects(lambda d: timestamped_files(d, (".pgm",)), frames)
     _exits_0_or_2(["simulate", "--frames", str(frames), "--contrast", "0.1",
                    "--out", str(tmp_path / "e.evb")])
+
+
+# a bench report as ``evdepth bench --out`` writes it, trimmed to two layouts
+BASELINE = json.dumps({
+    "layouts": {
+        "tencode": {"events_per_s": 5452146.079056179, "hash": "8800bf6ce5165079",
+                    "median_s": 1.8341401449997647, "times_s": [1.975156276999769]},
+        "voxel": {"events_per_s": 7019967.719030086, "hash": "99d71c4f5b0bd6e4",
+                  "median_s": 1.4245079749998695, "times_s": [1.2976905119994626]},
+    },
+    "n_events": 10000000, "peak_rss_kb": 1234567, "repetitions": 1,
+}, indent=2, sort_keys=True).encode()
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_bench_baseline_loads_or_is_format_error_and_benches_or_exits_2(tmp_path, data):
+    path = tmp_path / "base.json"
+    path.write_bytes(_mutate_json(data, BASELINE))
+    rates = _reads_or_rejects(_baseline_rates, path)
+    assert rates is None or all(math.isfinite(r) and r > 0 for r in rates.values())
+    (tmp_path / "e.csv").write_bytes(EVCSV)
+    _exits_0_or_2(["bench", "--events", str(tmp_path / "e.csv"), "--layouts", "tencode",
+                   "--repetitions", "1", "--baseline", str(path)])

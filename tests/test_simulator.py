@@ -200,8 +200,10 @@ class TestSimulatorErrors:
             simulate(frames, SimConfig(0.1))
 
     def test_bad_threshold(self):
-        with pytest.raises(ParameterError):
-            SimConfig(0.0)
+        # an infinite threshold would make the level step 0 * inf, a NaN
+        for c in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="contrast threshold must be finite and > 0"):
+                SimConfig(c)
 
 
 class TestFrameTimes:
@@ -210,7 +212,8 @@ class TestFrameTimes:
         ids=["float-zero", "float", "bool", "negative", "past-bound", "2**64", "text"],
     )
     def test_rejected_naming_the_time(self, t):
-        with pytest.raises(ParameterError, match=f"frame timestamp {re.escape(repr(t))} "):
+        bounds = re.escape(f"in [0, {MAX_FRAME_TIME_US}], got {t!r}")
+        with pytest.raises(ParameterError, match=f"frame timestamp must be an integer {bounds}"):
             IntensityFrame(t, np.ones((2, 2)))
 
     def test_numpy_integer_time_is_stored_as_int(self):
@@ -371,6 +374,11 @@ class TestPairLayout:
                   IntensityFrame(10, np.full((2, 2), 1e300))]
         with pytest.raises(ParameterError, match="contrast threshold 1e-17 is too small"):
             simulate(frames, SimConfig(1e-17))
+        # a log change over a subnormal threshold is past float range: no
+        # overflow warning, the same error
+        frames = [IntensityFrame(0, np.full((2, 2), 0.5)), IntensityFrame(10, np.ones((2, 2)))]
+        with pytest.raises(ParameterError, match="contrast threshold 1e-320 is too small"):
+            simulate(frames, SimConfig(1e-320))
 
     @pytest.mark.parametrize("c, events", [(5e-18, "1.774e+19"), (1e-14, "8.872e+15")],
                              ids=["past-int64", "past-memory"])

@@ -140,7 +140,8 @@ class TestVoxel:
     @pytest.mark.parametrize("bins", [True, 2.5, "5"])
     def test_non_integer_bins_rejected(self, bins):
         sl = one_event_slice(0, 0, 1, 100, 50, 100)
-        with pytest.raises(ParameterError, match="bin count must be a positive integer"):
+        message = f"bin count must be an integer >= 1, got {bins!r}"
+        with pytest.raises(ParameterError, match=message):
             encode_voxel(sl, bins)
 
     def test_degenerate_interval_rejected(self):
