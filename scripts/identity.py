@@ -131,10 +131,12 @@ def probe_loss_total(seed):
 
 def probe_loss_deep_pyramid(seed):
     """Mixed-magnitude residuals through pyramids that reach coarse width 2
-    (640x480, 10 scales) and width 1 (a narrow odd crop, 4 and 9 scales), so
-    the order of each block sum's four adds shows in the bits: aligned
-    residuals spanning twelve decades, and, under the identity map, residuals
-    drawn from {+-1e16, +-1, 3, 1e-3} (1e16 + 1 rounds back to 1e16)."""
+    (640x480, 10 scales), width 1 (a narrow odd crop, 4 and 9 scales) and 1x1
+    (that crop at 12 scales: 1x1 at level 9, where the pyramid stops), so the
+    order of each block sum's four adds, and the level count, show in the
+    bits: aligned residuals spanning twelve decades, and, under the identity
+    map, residuals drawn from {+-1e16, +-1, 3, 1e-3} (1e16 + 1 rounds back to
+    1e16)."""
     from evdepth.losses import AffineParams, loss_total
 
     rng = np.random.default_rng([seed, 7])
@@ -146,7 +148,8 @@ def probe_loss_deep_pyramid(seed):
     zeros = np.zeros(SUPERVISE_SHAPE)
     out = []
     for p, t, affine in ((pred, target, None), (blocks, zeros, AffineParams(1.0, 0.0))):
-        for crop, k_scales in ((SUPERVISE_SHAPE, 10), (NARROW_CROP, 4), (NARROW_CROP, 9)):
+        for crop, k_scales in ((SUPERVISE_SHAPE, 10), (NARROW_CROP, 4), (NARROW_CROP, 9),
+                               (NARROW_CROP, 12)):
             h, w = crop
             report, grad = loss_total(p[:h, :w], t[:h, :w], mask[:h, :w], 0.25, k_scales,
                                       affine=affine)

@@ -21,23 +21,16 @@ from pathlib import Path
 
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
 from .errors import (ContractError, DomainError, EvDepthError, FormatError, ParameterError,
-                     _int_param)
+                     _int_param, _real_param)
 from .events import SliceMode, SliceSpec, read_events, slice_events, slice_sbt, write_events
 from .fusion import _steps, load_model_params, make_model_params, save_model_params, toy_extractor
-from .imgio import _finite, _read_json, _write_json, depth_valid_mask, load_depth, save_depth_pfm
+from .imgio import (DEPTH_SUFFIXES, _finite, _read_json, _write_json, depth_valid_mask, load_depth,
+                    save_depth_pfm)
 from .losses import lstsq_align
 from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
 from .naming import files_by_stem
-from .pipeline import (
-    DEPTH_SUFFIXES,
-    MASK_SUFFIXES,
-    _load_mask,
-    _open_recording,
-    build_manifest,
-    export_stacks,
-    load_manifest,
-    save_manifest,
-)
+from .pipeline import (MASK_SUFFIXES, _load_mask, _open_recording, build_manifest, export_stacks,
+                       load_manifest, save_manifest)
 from .simulator import SimConfig, frames_from_dir, simulate
 from .stacks import StackLayout, _read_stack, _stack_files, encode, save_stack_pfm, save_stack_ppm
 
@@ -162,10 +155,9 @@ def cmd_align(args) -> tuple[dict, str]:
 
 def cmd_evaluate(args) -> tuple[dict, str]:
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
-    if not pred_dir.is_dir():
-        raise FileNotFoundError(f"not a directory: {pred_dir}")
-    if not gt_dir.is_dir():
-        raise FileNotFoundError(f"not a directory: {gt_dir}")
+    for directory in (pred_dir, gt_dir):
+        if not directory.is_dir():
+            raise FileNotFoundError(f"not a directory: {directory}")
     preds = files_by_stem(pred_dir, DEPTH_SUFFIXES, "depth")
     gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth")
     only_pred = sorted(set(preds) - set(gts))
@@ -315,6 +307,7 @@ def cmd_bench(args) -> tuple[dict, str]:
             raise _UsageError(f"unknown layout {layout!r}; choose from {', '.join(_LAYOUTS)}")
     if args.repetitions < 1:
         raise _UsageError("--repetitions must be >= 1")
+    tolerance = _real_param("tolerance", args.tolerance, 0, float("inf"), closed=True)
     baseline = _baseline_rates(args.baseline) if args.baseline else None
     stream = read_events(args.events)
     if len(stream) == 0:
@@ -367,13 +360,13 @@ def cmd_bench(args) -> tuple[dict, str]:
                 print(f"baseline: no entry for {layout}", file=sys.stderr)
                 continue
             ratio = r["events_per_s"] / base
-            if ratio < 1.0 - args.tolerance:
+            if ratio < 1.0 - tolerance:
                 print(
                     f"REGRESSION {layout}: {r['events_per_s']:,.0f} events/s vs "
                     f"baseline {base:,.0f} ({ratio:.2f}x)",
                     file=sys.stderr,
                 )
-            elif ratio > 1.0 + args.tolerance:
+            elif ratio > 1.0 + tolerance:
                 print(f"improvement {layout}: {ratio:.2f}x baseline", file=sys.stderr)
     return payload, "\n".join(lines)
 

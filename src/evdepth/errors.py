@@ -2,10 +2,12 @@
 
 Everything raised on purpose derives from EvDepthError so the CLI can map
 data/contract problems to exit code 2 while plain OSError stays exit code 3.
-``_int_param`` is the one check of an integer parameter; it lives here, where
-every module can import it without a cycle.
+``_int_param``, ``_real_param`` and ``_choice_param`` are the one check of an
+integer, a real and a choice parameter; they live here, where every module
+can import them without a cycle.
 """
 
+import numbers
 import operator
 
 
@@ -53,6 +55,12 @@ class BuildError(EvDepthError):
     """Dataset manifest construction failed (missing or inconsistent inputs)."""
 
 
+def _shown(value) -> str:
+    """repr(value), or the bit length of an int too long for repr() (4,301 digits)."""
+    big = isinstance(value, int) and value.bit_length() > 256
+    return f"a {value.bit_length()}-bit integer" if big else repr(value)
+
+
 def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
     """``value`` as a Python int, or a ParameterError naming ``name`` unless it
     is an integer (a numpy one too, but not a bool) in [lo, hi], or at least
@@ -62,8 +70,31 @@ def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
     except TypeError:
         n = None
     if n is None or n < lo or (hi is not None and n > hi):
-        big = n is not None and n.bit_length() > 256  # repr() refuses 4,301 digits
-        shown = f"a {n.bit_length()}-bit integer" if big else repr(value)
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ParameterError(f"{name} must be an integer {bounds}, got {shown}")
+        raise ParameterError(f"{name} must be an integer {bounds}, got {_shown(value)}")
     return n
+
+
+def _real_param(name: str, value, lo: float, hi: float, closed: bool = False) -> float:
+    """``value`` as a Python float, or a ParameterError naming ``name`` unless it
+    is a real number (a numpy one too, but not a bool or NaN) in (lo, hi), or
+    in [lo, hi] when ``closed``."""
+    try:
+        x = None if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:  # an int past float range
+        x = None
+    if x is None or not (lo <= x <= hi if closed else lo < x < hi):
+        bounds = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+        raise ParameterError(f"{name} must be a real number in {bounds}, got {_shown(value)}")
+    return x
+
+
+def _choice_param(name: str, value, choices):
+    """The one of ``choices`` that ``value`` is, or a ParameterError naming
+    ``name``. ``choices`` is a tuple of strings, or an Enum with string values,
+    whose members are matched by identity or by value."""
+    values = [getattr(choice, "value", choice) for choice in choices]
+    for choice, v in zip(choices, values):
+        if value is choice or (isinstance(value, str) and value == v):
+            return choice
+    raise ParameterError(f"{name} must be one of {'|'.join(values)}, got {value!r}")

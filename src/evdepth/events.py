@@ -37,7 +37,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BoundsError, FormatError, OrderingError, ParameterError, _int_param
+from .errors import (BoundsError, EvDepthError, FormatError, OrderingError, ParameterError,
+                     _choice_param, _int_param)
 from .imgio import _atomic_write, _read_text
 
 EVB_MAGIC = b"EVB1"
@@ -82,6 +83,7 @@ class SliceSpec:
     count: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", _choice_param("slice mode", self.mode, SliceMode))
         if self.mode is SliceMode.SBT:
             if self.window_us is None or self.count is not None:
                 raise ParameterError("SBT spec takes window_us and no count")
@@ -303,17 +305,12 @@ def slice_events(stream, t_d: int, spec: SliceSpec) -> EventSlice:
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        f = fmt.lower()
-        if f not in ("csv", "evb"):
-            raise ParameterError(f"unknown event format {fmt!r}")
-        return f
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".evb":
-        return "evb"
-    raise ParameterError(f"cannot infer event format from {path.name!r}; pass fmt=")
+    """``fmt`` (in any case), or with none the format ``path``'s suffix names."""
+    if fmt is None and path.suffix.lower() not in (".csv", ".evb"):
+        raise ParameterError(f"cannot infer event format from {path.name!r}; pass fmt=")
+    fmt = path.suffix[1:] if fmt is None else fmt
+    return _choice_param("event format", fmt.lower() if isinstance(fmt, str) else fmt,
+                         ("csv", "evb"))
 
 
 def read_events(path, fmt: str | None = None) -> EventStream:
@@ -353,7 +350,7 @@ def _read_csv(path: Path) -> EventStream:
         data = np.zeros((0, 4), dtype=np.int64)
     try:
         return EventStream(width, height, data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-    except (FormatError, OrderingError, BoundsError) as exc:
+    except EvDepthError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -457,7 +454,7 @@ def _read_evb(path: Path) -> EventStream:
         raise FormatError(f"{path}: timestamp exceeds signed 64-bit range")
     try:
         return EventStream._adopt(width, height, xs, ys, ps, ts)
-    except (FormatError, OrderingError, BoundsError) as exc:
+    except EvDepthError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -518,10 +515,13 @@ class _EvbSource:
             t_prev = ts[-1]
         if out_of_range:
             raise FormatError(f"{self.path}: timestamp exceeds signed 64-bit range")
-        _check_dims(width, height)
-        for fault in faults:
-            if fault is not None:
-                raise type(fault)(f"{self.path}: {fault}")
+        try:
+            _check_dims(width, height)
+            for fault in faults:
+                if fault is not None:
+                    raise fault
+        except EvDepthError as exc:
+            raise type(exc)(f"{self.path}: {exc}") from None
         return index
 
     def _read(self, lo: int, hi: int):

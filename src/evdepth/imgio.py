@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ParameterError, _int_param
+from .errors import DomainError, FormatError, ParameterError, _int_param, _real_param
 
 
 def _next_token(fh, path) -> bytes:
@@ -328,8 +328,7 @@ def save_depth_pgm16(path, depth: np.ndarray, scale_m_per_unit: float | None = N
     top = float(values.max()) if values.size else 1.0
     if scale_m_per_unit is None:
         scale_m_per_unit = top / 65535.0
-    if not (_finite(scale_m_per_unit) and scale_m_per_unit > 0):
-        raise ParameterError(f"scale_m_per_unit must be finite and > 0, got {scale_m_per_unit}")
+    scale_m_per_unit = _real_param("scale_m_per_unit", scale_m_per_unit, 0, np.inf)
     with np.errstate(over="ignore"):  # an overflow is a unit count past 65535, raised next
         q = np.floor(values / scale_m_per_unit + 0.5)
     if values.size and q.max() > 65535:
@@ -363,13 +362,16 @@ def load_depth_pgm16(path) -> np.ndarray:
     return raster.astype(np.float64) * scale
 
 
+# the loader of each depth-map suffix (in any case)
+DEPTH_SUFFIXES = {".pfm": load_depth_pfm, ".pgm": load_depth_pgm16}
+
+
 def load_depth(path) -> np.ndarray:
     path = Path(path)
-    if path.suffix.lower() == ".pfm":
-        return load_depth_pfm(path)
-    if path.suffix.lower() == ".pgm":
-        return load_depth_pgm16(path)
-    raise ParameterError(f"unsupported depth format {path.suffix!r}")
+    load = DEPTH_SUFFIXES.get(path.suffix.lower())
+    if load is None:
+        raise ParameterError(f"unsupported depth format {path.suffix!r}")
+    return load(path)
 
 
 def depth_valid_mask(depth: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ there, silently).
 ``_check_pair`` is the one check of the (pred, target, mask) contract, for
 this module and for ``metrics.evaluate``: shapes, the valid-pixel count, then
 finiteness (skipped by calls on arrays already checked, ``_checked=True``),
-each after any integer parameter. Each public call runs it once.
+each after any integer or real parameter. Each public call runs it once.
 
 The kernels work in place on arrays they allocate, never on an argument,
 and keep nothing between calls. Working set: a frame-sized result is freed
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LOSS_DEFAULTS
-from .errors import ContractError, DomainError, InsufficientSupportError, _int_param
+from .errors import ContractError, DomainError, InsufficientSupportError, _int_param, _real_param
 
 _DEGENERATE_REL_TOL = 1e-12
 _OVERFLOW = "aligned residual overflows float64 on the valid mask"
@@ -290,11 +290,11 @@ def loss_reg(
     """Multi-scale gradient regularization of the aligned residual.
 
     The residual R = s*pred + t - target is taken through ``k_scales`` dyadic
-    levels (masked 2x2 averaging); each level contributes the mean |forward
-    difference| over pairs of valid pixels, normalized by that level's valid
-    pixel count. Every level has a valid pixel: level 0 has at least two,
-    and a coarse pixel is valid when any of its four is. ``affine`` is as
-    for ``loss_si``.
+    levels (masked 2x2 averaging; those past a 1x1 level add 0, and are not
+    built); each level contributes the mean |forward difference| over pairs
+    of valid pixels, normalized by that level's valid pixel count. Every
+    level has a valid pixel: level 0 has at least two, and a coarse pixel is
+    valid when any of its four is. ``affine`` is as for ``loss_si``.
     """
     k_scales = _int_param("k_scales", k_scales, 1)
     pred, target, mask, _ = _check_pair(pred, target, mask, 2, finite=not _checked)
@@ -312,6 +312,8 @@ def loss_reg(
 
         values, masks, counts = [residual], [mask], []
         for _ in range(k_scales - 1):
+            if values[-1].size == 1:  # no level from a 1x1 one on has a pixel pair
+                break
             coarse, coarse_mask, cnt = _downsample_masked(values[-1], masks[-1])
             values.append(coarse)
             masks.append(coarse_mask)
@@ -320,7 +322,7 @@ def loss_reg(
 
         value = 0.0
         level_grads = []
-        for k in range(k_scales):
+        for k in range(len(values)):
             term, grad_k = _tv_term(values[k], masks[k])
             values[k] = None  # free each level once its term is taken
             value += term
@@ -350,6 +352,7 @@ def loss_total(
 ) -> tuple[LossReport, np.ndarray]:
     """Combined loss l_si + lam * l_reg with a single shared alignment
     (``affine`` as for ``loss_si``)."""
+    lam = _real_param("lam", lam, -math.inf, math.inf)
     k_scales = _int_param("k_scales", k_scales, 1)
     pred, target, mask, _ = _check_pair(pred, target, mask, 2)
     aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)

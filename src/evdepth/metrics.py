@@ -25,23 +25,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import DEFAULT_CLAMP_MIN
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _choice_param, _real_param
 from .imgio import _atomic_write, _write_json
 from .losses import _check_pair, lstsq_align
-
-REPORT_FIELDS = (
-    "abs_rel",
-    "sq_rel",
-    "rmse",
-    "rmse_log",
-    "si_log",
-    "delta1",
-    "delta2",
-    "delta3",
-    "n_valid",
-    "aligned",
-)
-
 
 @dataclass(frozen=True)
 class PixelPool:
@@ -76,6 +62,9 @@ class MetricsReport:
         return {name: getattr(self, name) for name in REPORT_FIELDS}
 
 
+REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.name != "pool")
+
+
 def _report_from_pool(pool: PixelPool, aligned: bool) -> MetricsReport:
     n = pool.n
     mean_d = pool.sum_log_diff / n
@@ -106,13 +95,13 @@ def evaluate(
     with a lower bound <= 0 (``-inf`` leaves the floor off) a clamped
     prediction <= 0 on the mask raises ``DomainError``.
     """
+    lo, hi = (_real_param("clamp bound", b, -math.inf, math.inf, closed=True) for b in clamp)
+    if not lo <= hi:
+        raise ParameterError(f"clamp bounds out of order: {clamp}")
     pred, gt, mask, n = _check_pair(pred, gt, mask, 2 if align else 1)
     ok = np.greater(gt, 0.0)
     if not np.less_equal(mask, ok, out=ok).all():  # valid implies > 0
         raise DomainError("ground truth must be > 0 on the valid mask")
-    lo, hi = clamp
-    if not lo <= hi:
-        raise ParameterError(f"clamp bounds out of order: {clamp}")
     aff = lstsq_align(pred, gt, mask, _checked=True) if align else None
     p = pred[mask]
     g = gt[mask]
@@ -165,6 +154,7 @@ def aggregate(reports, weights: str = "uniform") -> MetricsReport:
     accumulators, reproducing a single evaluation over all pixels at once
     (requires reports that still carry their pools).
     """
+    weights = _choice_param("weights", weights, ("uniform", "per-pixel"))
     reports = list(reports)
     if not reports:
         raise ParameterError("cannot aggregate zero reports")
@@ -179,13 +169,11 @@ def aggregate(reports, weights: str = "uniform") -> MetricsReport:
         return MetricsReport(
             n_valid=sum(r.n_valid for r in reports), aligned=aligned, pool=None, **means
         )
-    if weights == "per-pixel":
-        if any(r.pool is None for r in reports):
-            raise ParameterError("per-pixel aggregation needs reports carrying accumulators")
-        pools = [r.pool for r in reports]
-        merged = PixelPool(**{f.name: sum(getattr(p, f.name) for p in pools) for f in fields(PixelPool)})
-        return _report_from_pool(merged, aligned=aligned)
-    raise ParameterError(f"unknown aggregation mode {weights!r}")
+    if any(r.pool is None for r in reports):
+        raise ParameterError("per-pixel aggregation needs reports carrying accumulators")
+    pools = [r.pool for r in reports]
+    merged = PixelPool(**{f.name: sum(getattr(p, f.name) for p in pools) for f in fields(PixelPool)})
+    return _report_from_pool(merged, aligned=aligned)
 
 
 # ---------------------------------------------------------------------------

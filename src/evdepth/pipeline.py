@@ -27,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
-from .errors import BuildError, ContractError, FormatError, ParameterError, _int_param
+from .errors import (BuildError, ContractError, FormatError, ParameterError, _choice_param,
+                     _int_param, _real_param)
 from .events import (EventSlice, SliceMode, SliceSpec, _EvbSource, _infer_format, _slice_bounds,
                      read_events, slice_sbn, slice_sbt)
-from .imgio import (_RASTER_SUFFIXES, _finite, _raster_shape, _read_json, _write_json,
+from .imgio import (_RASTER_SUFFIXES, DEPTH_SUFFIXES, _raster_shape, _read_json, _write_json,
                     depth_valid_mask, load_depth, load_mask_pgm)
 from .losses import LossReport, loss_total
 from .naming import files_by_stem, timestamped_files
@@ -38,7 +39,6 @@ from .stacks import StackLayout, encode, save_stack_pfm, save_stack_ppm
 
 MANIFEST_VERSION = 1
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pfm", ".png", ".jpg")
-DEPTH_SUFFIXES = (".pfm", ".pgm")
 MASK_SUFFIXES = (".pgm",)
 
 
@@ -75,23 +75,11 @@ class EncoderSpec:
     bins: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "layout", _choice_param("layout", self.layout, StackLayout))
         if (self.layout is StackLayout.VOXEL) != (self.bins is not None):
             raise ParameterError("bins applies to the voxel layout only, and voxel needs it")
         if self.bins is not None:
             object.__setattr__(self, "bins", _int_param("bin count", self.bins, 1))
-
-
-def _member(kind, value):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ParameterError(f"unknown {kind.__name__} {value!r}") from None
-
-
-def _encoder_spec(layout: str, mode: str, window_us, count, bins) -> EncoderSpec:
-    """EncoderSpec from its manifest fields; any bad value is a ParameterError."""
-    slicing = SliceSpec(_member(SliceMode, mode), window_us, count)
-    return EncoderSpec(_member(StackLayout, layout), slicing, bins)
 
 
 @dataclass(frozen=True)
@@ -103,9 +91,7 @@ class Provenance:
     def __post_init__(self) -> None:
         if not isinstance(self.teacher, str):
             raise ParameterError(f"teacher must be a string, got {self.teacher!r}")
-        lam = self.lam
-        if type(lam) is bool or not isinstance(lam, (int, float)) or not _finite(lam):
-            raise ParameterError(f"lambda must be a finite float, got {lam!r}")
+        object.__setattr__(self, "lam", _real_param("lambda", self.lam, -np.inf, np.inf))
         object.__setattr__(self, "k_scales", _int_param("k_scales", self.k_scales, 1))
 
 
@@ -180,7 +166,8 @@ def build_manifest(
     """
     if layout == StackLayout.VOXEL.value and bins is None:
         bins = ENCODER_DEFAULTS.voxel_bins
-    encoder = _encoder_spec(layout, mode, window_us if mode == "sbt" else None, count, bins)
+    slicing = SliceSpec(mode, window_us if mode == "sbt" else None, count)
+    encoder = EncoderSpec(layout, slicing, bins)
     provenance = Provenance(teacher=teacher, lam=lam, k_scales=k_scales)
 
     events_path = Path(events_path).resolve()
@@ -271,9 +258,8 @@ def load_manifest(path) -> DatasetManifest:
     try:
         enc = payload["encoder"]
         prov = payload["provenance"]
-        encoder = _encoder_spec(
-            enc["layout"], enc["mode"], enc["window_us"], enc["count"], enc["bins"]
-        )
+        slicing = SliceSpec(enc["mode"], enc["window_us"], enc["count"])
+        encoder = EncoderSpec(enc["layout"], slicing, enc["bins"])
         provenance = Provenance(
             teacher=prov["teacher"], lam=prov["lambda"], k_scales=prov["k_scales"]
         )
@@ -345,8 +331,7 @@ def training_step(
     ``gt`` on the ground-truth depth under its own validity; ``combined``
     adds both (the record must carry both targets).
     """
-    if mode not in ("proxy", "gt", "combined"):
-        raise ParameterError(f"mode must be proxy|gt|combined, got {mode!r}")
+    mode = _choice_param("mode", mode, ("proxy", "gt", "combined"))
     pred = np.asarray(pred, dtype=np.float64)
     if pred.shape != (record.height, record.width):
         raise ContractError(
@@ -386,8 +371,7 @@ def training_step(
 
 def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[Path]:
     """Encode every record to ``<t_d:012>.pfm/.ppm``; reruns are byte-identical."""
-    if fmt not in ("pfm", "ppm"):
-        raise ParameterError(f"format must be pfm or ppm, got {fmt!r}")
+    fmt = _choice_param("format", fmt, ("pfm", "ppm"))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     encoder = manifest.encoder

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ContractError, DomainError, FormatError, InsufficientInputError,
-                     OrderingError, ParameterError, _int_param)
+                     OrderingError, ParameterError, _int_param, _real_param)
 from .events import EventStream, _allocate
 from .imgio import read_pgm
 from .naming import timestamped_files
@@ -69,11 +69,9 @@ class SimConfig:
 
     contrast_threshold: float
 
-    def __post_init__(self) -> None:
-        if not (0 < self.contrast_threshold < np.inf):  # inf would make 0 * C a NaN level
-            raise ParameterError(
-                f"contrast threshold must be finite and > 0, got {self.contrast_threshold}"
-            )
+    def __post_init__(self) -> None:  # an infinite C would make 0 * C a NaN level
+        c = _real_param("contrast threshold", self.contrast_threshold, 0, np.inf)
+        object.__setattr__(self, "contrast_threshold", c)
 
 
 def frame_from_pgm(path, timestamp_us: int) -> IntensityFrame:
@@ -219,7 +217,7 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     # lies in its own frame pair's [t_a, t_b]; past it an event can round out
     # of its pair, and only one global sort orders the stream.
     sort_per_pair = times[-1] <= 2**53
-    c = float(config.contrast_threshold)
+    c = config.contrast_threshold
     # count, then fill: the columns are allocated once at their exact size;
     # float64 counts are exact below 2**53, where an int64 sum could wrap
     totals = []

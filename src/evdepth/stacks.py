@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENCODER_DEFAULTS
-from .errors import DegenerateIntervalError, FormatError, ParameterError, _int_param
+from .errors import DegenerateIntervalError, FormatError, ParameterError, _choice_param, _int_param
 from .events import EventSlice, _allocate
 from .imgio import _raster_shape, read_pfm, write_pfm, write_ppm
 from .naming import files_by_stem
@@ -121,6 +121,7 @@ def encode_tencode(sl: EventSlice) -> EventStack:
 
 
 def encode(sl: EventSlice, layout: StackLayout, bins: int = ENCODER_DEFAULTS.voxel_bins) -> EventStack:
+    layout = _choice_param("layout", layout, StackLayout)
     if layout is StackLayout.VOXEL:
         return encode_voxel(sl, bins)
     if layout is StackLayout.IMAGE_LIKE:

@@ -656,6 +656,24 @@ class TestEvbSource:
         with pytest.raises(FormatError, match="exceeds signed 64-bit range"):
             events._EvbSource(path)
 
+    @pytest.mark.parametrize("name", ["wide.csv", "narrow.evb"])
+    def test_bad_header_dims_name_the_file(self, tmp_path, name, capsys):
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            path.write_text("# evcsv v1 width=8 height=70000\n1,1,1,10\n")
+            fault = "sensor height must be an integer in [1, 65535], got 70000"
+            readers = (read_events,)
+        else:
+            path.write_bytes(reference_evb_bytes(0, 30, *chunk_columns(10)))
+            fault = "sensor width must be an integer in [1, 65535], got 0"
+            readers = (read_events, events._EvbSource)
+        for read in readers:
+            with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {fault}')}$"):
+                read(path)
+        assert main(["slice", "--events", str(path), "--td-us", "10", "--dt-us", "5",
+                     "--out", str(tmp_path / "out.evb")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {fault}\n"
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(1, STEP + 1),
            tie=st.sampled_from([0.0, 0.5, 0.99]), data=st.data())

@@ -413,6 +413,27 @@ class TestLossTotal:
         assert type(report.k_scales) is int
         assert report == loss_total(pred, target, mask, k_scales=3)[0]
 
+    def test_no_level_is_built_past_1x1(self, monkeypatch):
+        """An 8x8 pyramid is 1x1 at level 3, so 10**18 scales build the same
+        three coarse levels as 64 scales do, give their bits, and return at
+        once; the count of scales is reported as given."""
+        pred, target, mask = make_depth_pair(np.random.default_rng(29), (8, 8))
+        ref, ref_grad = loss_total(pred, target, mask, k_scales=64)
+        built = []
+        downsample = losses._downsample_masked
+
+        def counted(values, level_mask):
+            built.append(values.shape)
+            assert len(built) <= 3, "a level past 1x1 was built"
+            return downsample(values, level_mask)
+
+        monkeypatch.setattr(losses, "_downsample_masked", counted)
+        report, grad = loss_total(pred, target, mask, k_scales=10**18)
+        assert built == [(8, 8), (4, 4), (2, 2)]
+        assert report.k_scales == 10**18
+        bits = [np.float64([r.l_si, r.l_reg, r.total]).tobytes() for r in (report, ref)]
+        assert bits[0] == bits[1] and grad.tobytes() == ref_grad.tobytes()
+
     def test_peak_stays_under_four_and_a_half_frames(self):
         # the regularization term runs before the SI term, so its level-0
         # peak never has the SI gradient beside it

@@ -121,6 +121,8 @@ def pnm_files(tmp_path):
     rng = np.random.default_rng(1)
     save_depth_pgm16(tmp_path / "d16.pgm", rng.uniform(0.5, 30.0, (4, 5)))
     write_pgm(tmp_path / "g8.pgm", rng.integers(0, 256, (4, 5)))
+    # a mutation to a 16-bit header makes load_depth read g8.pgm with this sidecar
+    (tmp_path / "g8.pgm.json").write_text(json.dumps({"scale_m_per_unit": 0.001}))
     save_mask_pgm(tmp_path / "m8.pgm", rng.random((4, 5)) < 0.7)
     write_ppm(tmp_path / "c.ppm", rng.random((3, 4, 3)))
     return tmp_path
