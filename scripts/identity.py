@@ -13,16 +13,20 @@ benchmark hash float32 and cannot see one.
 
 Prints one JSON object: per probe the two hashes and whether they are equal,
 and for a probe that differs the first seed and item index (the position in
-the list the probe returns) whose bytes differ. Exits 0 when every probe is
-equal, 1 when any differs, 2 on a bad argument or a tree that cannot be
-exported or run. GEMM and SIMD reductions may sum differently on another CPU
-or BLAS build, so compare two trees on one machine; the hashes themselves are
-not portable.
+the list the probe returns) whose bytes differ; per tree, the OpenBLAS kernel
+its probes ran on. Exits 0 when every probe is equal, 1 when any differs, 2 on
+a bad argument or a tree that cannot be exported or run. GEMM and SIMD
+reductions may sum differently on another CPU or BLAS build, so compare two
+trees on one machine; the hashes themselves are not portable. numpy's bundled
+OpenBLAS picks its GEMM kernel by CPU, and ``OPENBLAS_CORETYPE=Haswell`` (say)
+forces another: run the comparison under each kernel a change must hold on,
+never one whose instructions the CPU lacks.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -583,6 +587,19 @@ PROBES = {
 }
 
 
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on here (``SkylakeX``,
+    ``Haswell``, ...), or "unknown" when numpy bundles no OpenBLAS that
+    reports it."""
+    root = Path(np.__file__).parent
+    for lib in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode("ascii")
+    return "unknown"
+
+
 def run_probes(tree: Path) -> dict[str, dict | str]:
     """Per probe: the digest over every seed's items, and one digest per item
     of each seed (so a difference can be traced to a seed and an item); or
@@ -656,7 +673,7 @@ def _export(spec: str, workdir: Path) -> tuple[Path, dict]:
     return tree, {"tree": spec, "commit": commit}
 
 
-def _probe_tree(tree: Path) -> dict[str, str]:
+def _probe_tree(tree: Path) -> dict:
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
     env.pop("PYTHONPATH", None)
@@ -670,10 +687,12 @@ def _probe_tree(tree: Path) -> dict[str, str]:
 def compare(spec_a: str, spec_b: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="evdepth-identity-") as tmp:
         trees = [_export(spec, Path(tmp)) for spec in (spec_a, spec_b)]
-        hashes = [_probe_tree(tree) for tree, _ in trees]
+        runs = [_probe_tree(tree) for tree, _ in trees]
+    for (_, info), run in zip(trees, runs):
+        info["openblas_core"] = run["openblas_core"]
     probes = {}
     for name in PROBES:
-        a, b = hashes[0].get(name), hashes[1].get(name)
+        a, b = (run["probes"].get(name) for run in runs)
         if isinstance(a, dict) and isinstance(b, dict):
             first = _first_difference(a, b)
             probes[name] = {"a": a["digest"], "b": b["digest"], "equal": first is None}
@@ -699,7 +718,8 @@ def main(argv=None) -> int:
     parser.add_argument("--probe-tree", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.probe_tree:
-        print(json.dumps(run_probes(Path(args.probe_tree))))
+        probes = run_probes(Path(args.probe_tree))
+        print(json.dumps({"openblas_core": openblas_core(), "probes": probes}))
         return 0
     if len(args.trees) != 2:
         parser.print_usage(sys.stderr)

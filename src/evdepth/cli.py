@@ -22,17 +22,20 @@ from pathlib import Path
 from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
 from .errors import (ContractError, DomainError, EvDepthError, FormatError, ParameterError,
                      _int_param, _real_param)
-from .events import SliceMode, SliceSpec, read_events, slice_events, slice_sbt, write_events
+from .events import (SliceMode, SliceSpec, _infer_format, _ref_time, read_events, slice_events,
+                     slice_sbt, write_events)
 from .fusion import _steps, load_model_params, make_model_params, save_model_params, toy_extractor
 from .imgio import (DEPTH_SUFFIXES, _finite, _read_json, _write_json, depth_valid_mask, load_depth,
                     save_depth_pfm)
 from .losses import lstsq_align
-from .metrics import aggregate, evaluate, reports_payload, write_reports_csv, write_reports_json
+from .metrics import (_clamp_bounds, aggregate, evaluate, reports_payload, write_reports_csv,
+                      write_reports_json)
 from .naming import files_by_stem
-from .pipeline import (MASK_SUFFIXES, _load_mask, _open_recording, build_manifest, export_stacks,
-                       load_manifest, save_manifest)
+from .pipeline import (MASK_SUFFIXES, EncoderSpec, _load_mask, _open_recording, build_manifest,
+                       export_stacks, load_manifest, save_manifest)
 from .simulator import SimConfig, frames_from_dir, simulate
-from .stacks import StackLayout, _read_stack, _stack_files, encode, save_stack_pfm, save_stack_ppm
+from .stacks import (StackLayout, _bin_count, _read_stack, _stack_files, encode, save_stack_pfm,
+                     save_stack_ppm)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,21 +62,16 @@ class _UsageError(Exception):
 
 
 def cmd_simulate(args) -> tuple[dict, str]:
+    config = SimConfig(args.contrast)
+    _infer_format(Path(args.out), args.format)
     frames = frames_from_dir(args.frames)
-    stream = simulate(frames, SimConfig(args.contrast))
+    stream = simulate(frames, config)
     write_events(stream, args.out, fmt=args.format)
     n_pos = int((stream.ps > 0).sum())
-    payload = {
-        "frames": len(frames),
-        "n_events": len(stream),
-        "n_positive": n_pos,
-        "n_negative": len(stream) - n_pos,
-        "out": str(args.out),
-    }
-    return payload, (
-        f"simulated {len(stream)} events ({n_pos} positive, "
-        f"{len(stream) - n_pos} negative) from {len(frames)} frames -> {args.out}"
-    )
+    payload = {"frames": len(frames), "n_events": len(stream), "n_positive": n_pos,
+               "n_negative": len(stream) - n_pos, "out": str(args.out)}
+    return payload, (f"simulated {len(stream)} events ({n_pos} positive, "
+                     f"{len(stream) - n_pos} negative) from {len(frames)} frames -> {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,40 +99,34 @@ def cmd_slice(args) -> tuple[dict, str]:
     if args.dt_us is None and args.count is None:
         raise _UsageError("slice needs --dt-us (SBT) or --count (SBN)")
     spec = _slice_spec(args)
+    t_d = _ref_time(args.td_us)
+    _infer_format(Path(args.out), args.format)
     with _open_recording(args.events) as events:
-        sl = slice_events(events, args.td_us, spec)
+        sl = slice_events(events, t_d, spec)
     write_events(sl.to_stream(), args.out, fmt=args.format)
-    payload = {
-        "n_events": len(sl),
-        "t_start_us": sl.t_start_us,
-        "t_end_us": sl.t_end_us,
-        "out": str(args.out),
-    }
+    payload = {"n_events": len(sl), "t_start_us": sl.t_start_us, "t_end_us": sl.t_end_us,
+               "out": str(args.out)}
     return payload, f"{len(sl)} events in [{sl.t_start_us}, {sl.t_end_us}] us -> {args.out}"
 
 
 def cmd_encode(args) -> tuple[dict, str]:
-    spec = _slice_spec(args)
-    with _open_recording(args.events) as events:
-        sl = slice_events(events, args.td_us, spec)
-    if len(sl) == 0:
-        print(f"warning: empty slice at t_d={args.td_us} us, writing all-zero stack", file=sys.stderr)
-    stack = encode(sl, StackLayout(args.layout), bins=args.bins)
+    layout = StackLayout(args.layout)
+    encoder = EncoderSpec(layout, _slice_spec(args),
+                          args.bins if layout is StackLayout.VOXEL else None)
+    t_d = _ref_time(args.td_us)
     out = Path(args.out)
-    if out.suffix.lower() == ".ppm":
-        written = [save_stack_ppm(stack, out)]
-    elif out.suffix.lower() == ".pfm":
-        written = save_stack_pfm(stack, out)
-    else:
+    if out.suffix.lower() not in (".pfm", ".ppm"):
         raise _UsageError(f"output must end in .pfm or .ppm, got {out.name!r}")
+    with _open_recording(args.events) as events:
+        sl = slice_events(events, t_d, encoder.slicing)
+    if len(sl) == 0:
+        print(f"warning: empty slice at t_d={t_d} us, writing all-zero stack", file=sys.stderr)
+    stack = encode(sl, encoder.layout, bins=encoder.bins)
+    ppm = out.suffix.lower() == ".ppm"
+    written = [save_stack_ppm(stack, out)] if ppm else save_stack_pfm(stack, out)
     files = [str(p) for p in written]
-    payload = {
-        "layout": args.layout,
-        "n_events": len(sl),
-        "t_start_us": sl.t_start_us,
-        "t_end_us": sl.t_end_us,
-        "files": files,
-    }
+    payload = {"layout": args.layout, "n_events": len(sl), "t_start_us": sl.t_start_us,
+               "t_end_us": sl.t_end_us, "files": files}
     return payload, f"encoded {len(sl)} events as {args.layout} -> {', '.join(files)}"
 
 
@@ -154,6 +146,8 @@ def cmd_align(args) -> tuple[dict, str]:
 
 
 def cmd_evaluate(args) -> tuple[dict, str]:
+    clamp = _clamp_bounds((args.clamp_min, args.clamp_max))
+    workers = max_threads()
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     for directory in (pred_dir, gt_dir):
         if not directory.is_dir():
@@ -171,8 +165,6 @@ def cmd_evaluate(args) -> tuple[dict, str]:
         raise ParameterError(f"no depth files under {pred_dir}")
     mask_dir = Path(args.mask_dir) if args.mask_dir else None
     masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
-    clamp = (args.clamp_min, args.clamp_max)
-    align = not args.no_align
 
     def one(stem: str):
         pred = load_depth(preds[stem])
@@ -182,11 +174,10 @@ def cmd_evaluate(args) -> tuple[dict, str]:
             if stem not in masks:
                 raise FileNotFoundError(f"missing mask for frame {stem!r}: {mask_dir / stem}.pgm")
             mask &= _load_mask(masks[stem], mask.shape)
-        return stem, evaluate(pred, gt, mask, align=align, clamp=clamp)
+        return stem, evaluate(pred, gt, mask, align=not args.no_align, clamp=clamp)
 
-    stems = sorted(preds)
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        frames = list(pool.map(one, stems))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        frames = list(pool.map(one, sorted(preds)))
     agg = aggregate([r for _, r in frames], weights=args.agg)
     if args.json_out:
         write_reports_json(args.json_out, frames, agg)
@@ -207,30 +198,17 @@ def cmd_evaluate(args) -> tuple[dict, str]:
 
 def cmd_dataset_build(args) -> tuple[dict, str]:
     spec = _slice_spec(args, args.mode)
-    if args.bins is not None and args.layout != StackLayout.VOXEL.value:
+    if args.bins is not None and StackLayout(args.layout) is not StackLayout.VOXEL:
         raise _UsageError("--bins needs --layout voxel")
     manifest = build_manifest(
-        args.events,
-        args.frames,
-        args.proxy,
-        window_us=spec.window_us,
-        mode=spec.mode.value,
-        count=spec.count,
-        layout=args.layout,
-        bins=args.bins,
-        gt_dir=args.gt,
-        mask_dir=args.mask,
-        teacher=args.teacher,
-        lam=args.lam,
-        k_scales=args.k_scales,
-        drop_empty=args.drop_empty,
-    )
+        args.events, args.frames, args.proxy, window_us=spec.window_us, mode=spec.mode,
+        count=spec.count, layout=args.layout, bins=args.bins, gt_dir=args.gt, mask_dir=args.mask,
+        teacher=args.teacher, lam=args.lam, k_scales=args.k_scales, drop_empty=args.drop_empty)
     save_manifest(manifest, args.out)
     n_empty = sum(r.empty_slice for r in manifest.records)
     payload = {"records": len(manifest.records), "empty_slices": n_empty, "out": str(args.out)}
-    return payload, (
-        f"manifest with {len(manifest.records)} records ({n_empty} empty slices) -> {args.out}"
-    )
+    return payload, (f"manifest with {len(manifest.records)} records ({n_empty} empty slices) "
+                     f"-> {args.out}")
 
 
 def cmd_dataset_export(args) -> tuple[dict, str]:
@@ -308,6 +286,7 @@ def cmd_bench(args) -> tuple[dict, str]:
     if args.repetitions < 1:
         raise _UsageError("--repetitions must be >= 1")
     tolerance = _real_param("tolerance", args.tolerance, 0, float("inf"), closed=True)
+    bins = _bin_count(args.bins) if StackLayout.VOXEL in map(StackLayout, layouts) else None
     baseline = _baseline_rates(args.baseline) if args.baseline else None
     stream = read_events(args.events)
     if len(stream) == 0:
@@ -322,7 +301,7 @@ def cmd_bench(args) -> tuple[dict, str]:
         digest = None
         for _ in range(args.repetitions):
             start = time.perf_counter()
-            stack = encode(sl, StackLayout(layout), bins=args.bins)
+            stack = encode(sl, StackLayout(layout), bins=bins)
             elapsed = time.perf_counter() - start
             times.append(elapsed)
             h = hashlib.sha256(stack.values.tobytes()).hexdigest()[:16]

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import _int_param
+
 US_PER_MS = 1_000
 
 
@@ -43,16 +45,14 @@ THREADS_ENV_VAR = "EVDEPTH_THREADS"
 
 
 def max_threads() -> int:
-    """Worker cap for internally parallel operations.
-
-    Reads EVDEPTH_THREADS; unset or invalid values fall back to a small
-    CPU-bound default. A value of 1 forces serial execution.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "")
+    """Worker cap for internally parallel operations: EVDEPTH_THREADS, an integer
+    >= 1 (anything else is a ParameterError), or 8 when it is unset; at most the
+    usable CPU count either way. A value of 1 forces serial execution."""
+    raw = os.environ.get(THREADS_ENV_VAR)
     try:
-        n = int(raw)
+        n = 8 if raw is None else int(raw)
     except ValueError:
-        n = 0
-    if n < 1:
-        n = min(8, os.cpu_count() or 1)
-    return n
+        n = raw
+    n = _int_param(THREADS_ENV_VAR, n, 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(n, cpus or 1)

@@ -2,13 +2,15 @@
 
 Everything raised on purpose derives from EvDepthError so the CLI can map
 data/contract problems to exit code 2 while plain OSError stays exit code 3.
-``_int_param``, ``_real_param`` and ``_choice_param`` are the one check of an
-integer, a real and a choice parameter; they live here, where every module
-can import them without a cycle.
+``_int_param``, ``_real_param``, ``_bool_param`` and ``_choice_param`` are the
+one check of an integer, a real, a flag and a choice parameter; they live here,
+where every module can import them without a cycle.
 """
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class EvDepthError(Exception):
@@ -87,6 +89,14 @@ def _real_param(name: str, value, lo: float, hi: float, closed: bool = False) ->
         bounds = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
         raise ParameterError(f"{name} must be a real number in {bounds}, got {_shown(value)}")
     return x
+
+
+def _bool_param(name: str, value) -> bool:
+    """``value`` as a Python bool, or a ParameterError naming ``name`` unless it
+    is a bool (a numpy one too): "no", 0 and None are not flags."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be a bool, got {_shown(value)}")
+    return bool(value)
 
 
 def _choice_param(name: str, value, choices):

@@ -264,13 +264,17 @@ class EventSlice:
         return EventStream(self.width, self.height, self.xs, self.ys, self.ps, self.ts)
 
 
+def _ref_time(t_d) -> int:
+    return _int_param("t_d", t_d, 0, MAX_TIME_US)
+
+
 def _slice_bounds(stream, t_d: int, spec: SliceSpec) -> tuple[int, int, int]:
     """(lo, hi, t_start) of the slice ``spec`` describes, ending at ``t_d``,
     for an ``EventStream`` or an ``_EvbSource``: SBT takes the records with
     t_d - window <= t <= t_d and starts at t_d - window; SBN takes the last
     ``count`` records with t <= t_d and starts at the first one's timestamp,
     or at t_d when it is empty."""
-    t_d = _int_param("t_d", t_d, 0, MAX_TIME_US)
+    t_d = _ref_time(t_d)
     hi = stream._search(t_d, "right")
     if spec.mode is SliceMode.SBT:
         t0 = t_d - spec.window_us

@@ -224,15 +224,14 @@ def depth_head(fused: np.ndarray, weight: np.ndarray, bias: float) -> np.ndarray
     return fused @ weight + bias
 
 
-def _model_ints(seed, scales, channels) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The seed (at least 0, no upper bound) and the scales and channel counts
-    (each at least 1, one channel count per scale) as Python ints."""
-    seed = _int_param("seed", seed, 0)
+def _model_shape(scales, channels) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The scales and channel counts (each at least 1, one channel count per
+    scale) as Python ints; an argument that is not iterable is a TypeError."""
     scales = tuple(_int_param("scale", s, 1) for s in scales)
     channels = tuple(_int_param("channel count", c, 1) for c in channels)
     if len(scales) != len(channels) or not scales:
         raise ParameterError("need one channel count per scale")
-    return seed, scales, channels
+    return scales, channels
 
 
 @functools.lru_cache(maxsize=16)
@@ -257,7 +256,8 @@ def toy_extractor(
     scale, plus a fixed positional term. Same seed, same stack: identical
     pyramid bits.
     """
-    seed, scales, channels = _model_ints(seed, scales, channels)
+    seed = _int_param("seed", seed, 0)
+    scales, channels = _model_shape(scales, channels)
     values = np.asarray(stack, dtype=np.float64)
     if values.ndim != 3:
         raise ContractError(f"stack values must be (H, W, C), got {values.shape}")
@@ -280,7 +280,8 @@ def make_model_params(
     channels: tuple[int, ...] = FUSION_DEFAULTS.channels,
 ) -> ModelParams:
     """Seeded parameters with 3x3 gate kernels."""
-    seed, scales, channels = _model_ints(seed, scales, channels)
+    seed = _int_param("seed", seed, 0)
+    scales, channels = _model_shape(scales, channels)
     kernels = {}
     biases = {}
     for s, c in zip(scales, channels):
@@ -384,11 +385,6 @@ def save_model_params(params: ModelParams, bin_path) -> None:
     _write_json(bin_path.with_suffix(".json"), manifest)
 
 
-def _int_list(value, minimum: int = 0) -> bool:
-    """True for a JSON list of integers (not booleans), each >= ``minimum``."""
-    return isinstance(value, list) and all(type(v) is int and v >= minimum for v in value)
-
-
 def load_model_params(bin_path) -> ModelParams:
     """Read an archive written by save_model_params. A malformed manifest
     field, a missing tensor or a truncated archive is a FormatError."""
@@ -398,23 +394,26 @@ def load_model_params(bin_path) -> ModelParams:
     if not (isinstance(manifest, dict) and manifest.get("version") == 1
             and manifest.get("dtype") == "<f8"):
         raise FormatError(f"{json_path}: unsupported parameter manifest")
-    scales, channels, specs = (manifest.get(k) for k in ("scales", "channels", "tensors"))
-    if not (_int_list(scales, 1) and _int_list(channels, 1) and 0 < len(scales) == len(channels)):
-        raise FormatError(f"{json_path}: need positive integer scales, one channel count each")
-    if not isinstance(specs, list) or not all(
-        isinstance(t, dict) and isinstance(t.get("name"), str)
-        and _int_list(t.get("shape")) and _int_list([t.get("offset")])
-        for t in specs
-    ):
-        raise FormatError(f"{json_path}: every tensor needs a name, a shape and an offset")
+    try:
+        scales, channels = _model_shape(manifest["scales"], manifest["channels"])
+        specs = [(t["name"], tuple(_int_param("tensor dimension", d, 0) for d in t["shape"]),
+                  _int_param("tensor offset", t["offset"], 0)) for t in manifest["tensors"]]
+        if not all(isinstance(name, str) for name, _, _ in specs):
+            raise FormatError(f"{json_path}: every tensor name must be a string")
+    except KeyError as exc:
+        raise FormatError(f"{json_path}: missing key {exc}") from None
+    except (ParameterError, TypeError) as exc:
+        raise FormatError(f"{json_path}: {exc}") from None
     raw = bin_path.read_bytes()
     tensors = {}
-    for spec in specs:
-        start, shape = spec["offset"], tuple(spec["shape"])
+    for name, shape, start in specs:
         end = start + math.prod(shape) * 8
         if end > len(raw):
-            raise FormatError(f"{bin_path}: archive truncated at tensor {spec['name']}")
-        tensors[spec["name"]] = np.frombuffer(raw[start:end], "<f8").reshape(shape).astype(np.float64)
+            raise FormatError(f"{bin_path}: archive truncated at tensor {name}")
+        try:
+            tensors[name] = np.frombuffer(raw[start:end], "<f8").reshape(shape).astype(np.float64)
+        except ValueError:  # an empty tensor with a side numpy refuses
+            raise FormatError(f"{json_path}: tensor {name} shape {shape} out of range") from None
     try:
         kernels = {s: tensors[f"lstm.{s}.kernel"] for s in scales}
         biases = {s: tensors[f"lstm.{s}.bias"] for s in scales}
@@ -424,5 +423,5 @@ def load_model_params(bin_path) -> ModelParams:
         raise FormatError(f"{json_path}: missing tensor {exc}") from None
     if head_bias.shape != (1,):
         raise FormatError(f"{json_path}: head.bias must hold one value")
-    return ModelParams(tuple(scales), tuple(channels), kernels, biases, projections,
-                       head_weight, float(head_bias[0]))
+    return ModelParams(scales, channels, kernels, biases, projections, head_weight,
+                       float(head_bias[0]))

@@ -341,6 +341,10 @@ def loss_reg(
     return LossTerm(float(value), grad, aff)
 
 
+def _loss_params(lam, k_scales) -> tuple[float, int]:
+    return _real_param("lam", lam, -math.inf, math.inf), _int_param("k_scales", k_scales, 1)
+
+
 def loss_total(
     pred,
     target,
@@ -352,8 +356,7 @@ def loss_total(
 ) -> tuple[LossReport, np.ndarray]:
     """Combined loss l_si + lam * l_reg with a single shared alignment
     (``affine`` as for ``loss_si``)."""
-    lam = _real_param("lam", lam, -math.inf, math.inf)
-    k_scales = _int_param("k_scales", k_scales, 1)
+    lam, k_scales = _loss_params(lam, k_scales)
     pred, target, mask, _ = _check_pair(pred, target, mask, 2)
     aff = affine if affine is not None else lstsq_align(pred, target, mask, _checked=True)
     # the regularization term first: its level-0 peak then runs without the

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import DEFAULT_CLAMP_MIN
-from .errors import DomainError, ParameterError, _choice_param, _real_param
+from .errors import DomainError, ParameterError, _bool_param, _choice_param, _real_param
 from .imgio import _atomic_write, _write_json
 from .losses import _check_pair, lstsq_align
 
@@ -84,6 +84,14 @@ def _report_from_pool(pool: PixelPool, aligned: bool) -> MetricsReport:
     )
 
 
+def _clamp_bounds(clamp) -> tuple[float, float]:
+    """The (lo, hi) clamp of ``evaluate``: two reals, each may be infinite, lo <= hi."""
+    lo, hi = (_real_param("clamp bound", b, -math.inf, math.inf, closed=True) for b in clamp)
+    if not lo <= hi:
+        raise ParameterError(f"clamp bounds out of order: {clamp}")
+    return lo, hi
+
+
 def evaluate(
     pred, gt, mask=None, align=True, clamp=(DEFAULT_CLAMP_MIN, math.inf)
 ) -> MetricsReport:
@@ -95,9 +103,8 @@ def evaluate(
     with a lower bound <= 0 (``-inf`` leaves the floor off) a clamped
     prediction <= 0 on the mask raises ``DomainError``.
     """
-    lo, hi = (_real_param("clamp bound", b, -math.inf, math.inf, closed=True) for b in clamp)
-    if not lo <= hi:
-        raise ParameterError(f"clamp bounds out of order: {clamp}")
+    lo, hi = _clamp_bounds(clamp)
+    align = _bool_param("align", align)
     pred, gt, mask, n = _check_pair(pred, gt, mask, 2 if align else 1)
     ok = np.greater(gt, 0.0)
     if not np.less_equal(mask, ok, out=ok).all():  # valid implies > 0
@@ -144,7 +151,7 @@ def evaluate(
         n_delta2=n_delta[1],
         n_delta3=n_delta[2],
     )
-    return _report_from_pool(pool, aligned=bool(align))
+    return _report_from_pool(pool, aligned=align)
 
 
 def aggregate(reports, weights: str = "uniform") -> MetricsReport:

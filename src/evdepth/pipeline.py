@@ -27,15 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
-from .errors import (BuildError, ContractError, FormatError, ParameterError, _choice_param,
-                     _int_param, _real_param)
-from .events import (EventSlice, SliceMode, SliceSpec, _EvbSource, _infer_format, _slice_bounds,
-                     read_events, slice_sbn, slice_sbt)
+from .errors import (BuildError, ContractError, FormatError, ParameterError, _bool_param,
+                     _choice_param, _int_param, _real_param, _shown)
+from .events import (MAX_SENSOR_DIM, MAX_TIME_US, EventSlice, SliceMode, SliceSpec, _EvbSource,
+                     _infer_format, _slice_bounds, read_events, slice_sbn, slice_sbt)
 from .imgio import (_RASTER_SUFFIXES, DEPTH_SUFFIXES, _raster_shape, _read_json, _write_json,
                     depth_valid_mask, load_depth, load_mask_pgm)
-from .losses import LossReport, loss_total
+from .losses import LossReport, _loss_params, loss_total
 from .naming import files_by_stem, timestamped_files
-from .stacks import StackLayout, encode, save_stack_pfm, save_stack_ppm
+from .stacks import StackLayout, _bin_count, encode, save_stack_pfm, save_stack_ppm
 
 MANIFEST_VERSION = 1
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pfm", ".png", ".jpg")
@@ -44,7 +44,8 @@ MASK_SUFFIXES = (".pgm",)
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One manifest record; the field names are its JSON keys in the file."""
+    """One manifest record, whose fields are checked as it is made; their names
+    are its JSON keys in the file."""
 
     t_d_us: int
     events_path: str
@@ -57,9 +58,19 @@ class SampleRecord:
     height: int
     empty_slice: bool
 
-
-# the exact JSON value types each SampleRecord annotation admits (a bool is no int)
-_RECORD_TYPES = {"int": (int,), "str": (str,), "str | None": (str, type(None)), "bool": (bool,)}
+    def __post_init__(self) -> None:
+        # an SBT slice starts at t_d - window, which may lie before time 0
+        for name, lo in (("t_d_us", 0), ("t_start_us", -MAX_TIME_US), ("t_end_us", 0)):
+            object.__setattr__(self, name, _int_param(name, getattr(self, name), lo, MAX_TIME_US))
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _int_param(name, getattr(self, name), 1, MAX_SENSOR_DIM))
+        for name, optional in (("events_path", False), ("proxy_path", False),
+                               ("gt_path", True), ("mask_path", True)):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (optional and value is None)):
+                kinds = "a string or None" if optional else "a string"
+                raise ParameterError(f"{name} must be {kinds}, got {_shown(value)}")
+        object.__setattr__(self, "empty_slice", _bool_param("empty_slice", self.empty_slice))
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,7 @@ class EncoderSpec:
         if (self.layout is StackLayout.VOXEL) != (self.bins is not None):
             raise ParameterError("bins applies to the voxel layout only, and voxel needs it")
         if self.bins is not None:
-            object.__setattr__(self, "bins", _int_param("bin count", self.bins, 1))
+            object.__setattr__(self, "bins", _bin_count(self.bins))
 
 
 @dataclass(frozen=True)
@@ -164,11 +175,13 @@ def build_manifest(
     Each frame, proxy, ground-truth and mask raster must be the recording's
     size (ContractError); a PNG or JPG frame is paired by name only.
     """
-    if layout == StackLayout.VOXEL.value and bins is None:
+    # a count selects SBN, where the (defaulted) window does not apply
+    slicing = SliceSpec(mode, window_us if count is None else None, count)
+    if bins is None and _choice_param("layout", layout, StackLayout) is StackLayout.VOXEL:
         bins = ENCODER_DEFAULTS.voxel_bins
-    slicing = SliceSpec(mode, window_us if mode == "sbt" else None, count)
     encoder = EncoderSpec(layout, slicing, bins)
     provenance = Provenance(teacher=teacher, lam=lam, k_scales=k_scales)
+    drop_empty = _bool_param("drop_empty", drop_empty)
 
     events_path = Path(events_path).resolve()
     with _open_recording(events_path) as events:
@@ -200,29 +213,16 @@ def build_manifest(
                 _check_raster_size(path, events)
             # the record needs the slice's bounds only, not its events
             lo, hi, t_start = _slice_bounds(events, t_d, encoder.slicing)
-            records.append(
-                SampleRecord(
-                    t_d_us=t_d,
-                    events_path=str(events_path),
-                    t_start_us=t_start,
-                    t_end_us=t_d,
-                    proxy_path=str(proxy.resolve()),
-                    gt_path=str(gt.resolve()) if gt else None,
-                    mask_path=mask_path,
-                    width=events.width,
-                    height=events.height,
-                    empty_slice=hi == lo,
-                )
-            )
+            records.append(SampleRecord(
+                t_d_us=t_d, events_path=str(events_path), t_start_us=t_start, t_end_us=t_d,
+                proxy_path=str(proxy.resolve()), gt_path=str(gt.resolve()) if gt else None,
+                mask_path=mask_path, width=events.width, height=events.height,
+                empty_slice=hi == lo))
     if missing:
         raise BuildError("missing proxy/mask files for frames: " + ", ".join(missing))
     if drop_empty:
         records = [r for r in records if not r.empty_slice]
-    return DatasetManifest(
-        encoder=encoder,
-        provenance=provenance,
-        records=tuple(records),
-    )
+    return DatasetManifest(encoder=encoder, provenance=provenance, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +256,11 @@ def load_manifest(path) -> DatasetManifest:
     if version != MANIFEST_VERSION:
         raise FormatError(f"{path}: unsupported manifest version {version!r}")
     try:
-        enc = payload["encoder"]
-        prov = payload["provenance"]
+        enc, prov = payload["encoder"], payload["provenance"]
         slicing = SliceSpec(enc["mode"], enc["window_us"], enc["count"])
         encoder = EncoderSpec(enc["layout"], slicing, enc["bins"])
-        provenance = Provenance(
-            teacher=prov["teacher"], lam=prov["lambda"], k_scales=prov["k_scales"]
-        )
+        provenance = Provenance(prov["teacher"], lam=prov["lambda"], k_scales=prov["k_scales"])
         records = tuple(SampleRecord(**r) for r in payload["records"])
-        for r in records:
-            for field in dataclasses.fields(SampleRecord):
-                value = getattr(r, field.name)
-                if type(value) not in _RECORD_TYPES[field.type]:
-                    raise FormatError(f"{path}: record field {field.name} holds {value!r}")
         for prev, r in zip(records, records[1:]):
             if r.t_d_us <= prev.t_d_us:
                 raise FormatError(f"{path}: record timestamps must strictly increase at {r.t_d_us}")
@@ -299,22 +291,14 @@ def _load_mask(path, shape) -> np.ndarray:
     return mask
 
 
-def _record_mask(record: SampleRecord, shape) -> np.ndarray:
-    if record.mask_path is None:
-        return np.ones(shape, dtype=bool)
-    return _load_mask(record.mask_path, shape)
-
-
 def _load_target(path_str: str, record: SampleRecord, kind: str) -> np.ndarray:
     path = Path(path_str)
     if not path.is_file():
         raise FileNotFoundError(f"record t_d={record.t_d_us}: missing {kind} file {path}")
     target = load_depth(path)
     if target.shape != (record.height, record.width):
-        raise ContractError(
-            f"record t_d={record.t_d_us}: {kind} shape {target.shape}, "
-            f"expected {(record.height, record.width)}"
-        )
+        raise ContractError(f"record t_d={record.t_d_us}: {kind} shape {target.shape}, "
+                            f"expected {(record.height, record.width)}")
     return target
 
 
@@ -332,15 +316,16 @@ def training_step(
     adds both (the record must carry both targets).
     """
     mode = _choice_param("mode", mode, ("proxy", "gt", "combined"))
+    lam, k_scales = _loss_params(lam, k_scales)  # before any file is read
     pred = np.asarray(pred, dtype=np.float64)
     if pred.shape != (record.height, record.width):
         raise ContractError(
-            f"prediction shape {pred.shape}, sensor is {(record.height, record.width)}"
-        )
+            f"prediction shape {pred.shape}, sensor is {(record.height, record.width)}")
     proxy_report = gt_report = None
     total = 0.0
     grads = []
-    mask = _record_mask(record, pred.shape)
+    mask = (np.ones(pred.shape, dtype=bool) if record.mask_path is None
+            else _load_mask(record.mask_path, pred.shape))
     if mode in ("proxy", "combined"):
         proxy = _load_target(record.proxy_path, record, "proxy")
         proxy_report, proxy_grad = loss_total(pred, proxy, mask, lam, k_scales)

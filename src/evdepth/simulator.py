@@ -36,6 +36,10 @@ from .naming import timestamped_files
 MAX_FRAME_TIME_US = 2**63 - 2**11
 
 
+def _frame_time(t) -> int:
+    return _int_param("frame timestamp", t, 0, MAX_FRAME_TIME_US)
+
+
 @dataclass(frozen=True)
 class IntensityFrame:
     """Linear-intensity raster (strictly positive) at an integer time in
@@ -45,7 +49,7 @@ class IntensityFrame:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        t = _int_param("frame timestamp", self.timestamp_us, 0, MAX_FRAME_TIME_US)
+        t = _frame_time(self.timestamp_us)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ContractError(f"frame values must be (H, W), got {values.shape}")
@@ -76,13 +80,14 @@ class SimConfig:
 
 def frame_from_pgm(path, timestamp_us: int) -> IntensityFrame:
     """Load an 8-bit PGM, mapping value v to intensity (v + 1) / 256."""
+    try:
+        timestamp_us = _frame_time(timestamp_us)  # before the file is read
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
     raster, maxval = read_pgm(path)
     if maxval > 255:
         raise FormatError(f"{path}: simulator frames must be 8-bit PGM, maxval {maxval}")
-    try:
-        return IntensityFrame(timestamp_us, (raster.astype(np.float64) + 1.0) / 256.0)
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
+    return IntensityFrame(timestamp_us, (raster.astype(np.float64) + 1.0) / 256.0)
 
 
 def frames_from_dir(dirpath) -> list[IntensityFrame]:

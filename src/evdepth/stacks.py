@@ -73,8 +73,12 @@ def _zeros(sl: EventSlice, layout: StackLayout, channels: int) -> np.ndarray:
     return _allocate(what, (sl.height, sl.width, channels), np.float64)
 
 
+def _bin_count(bins) -> int:
+    return _int_param("bin count", bins, 1)
+
+
 def encode_voxel(sl: EventSlice, bins: int) -> EventStack:
-    bins = _int_param("bin count", bins, 1)
+    bins = _bin_count(bins)
     duration = _check_interval(sl)
     grid = _zeros(sl, StackLayout.VOXEL, bins)
     if len(sl):

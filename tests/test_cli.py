@@ -15,7 +15,7 @@ import pytest
 from conftest import make_random_stream
 from evdepth import config
 from evdepth.cli import main
-from evdepth.errors import FormatError
+from evdepth.errors import FormatError, ParameterError
 from evdepth.events import EventStream, read_events, slice_sbt, write_events
 from evdepth.fusion import (load_model_params, make_model_params, run_sequence, save_model_params,
                             toy_extractor)
@@ -783,11 +783,12 @@ class TestDatasetAndFusion:
             lambda m: m.update(scales=True),
             lambda m: m.update(channels=[16, 32]),
             lambda m: m["tensors"][-1].update(shape=[]),
+            lambda m: m["tensors"][-1].update(shape=[0, 2**62]),
         ],
         ids=[
             "invalid-json", "not-an-object", "no-version", "no-tensors", "tensors-not-list",
             "negative-offset", "text-dim", "no-name", "text-scale", "bool-scales",
-            "short-channels", "scalar-head-bias",
+            "short-channels", "scalar-head-bias", "empty-tensor-huge-side",
         ],
     )
     def test_malformed_params_manifest_is_data_error(self, tmp_path, capsys, mutation):
@@ -943,9 +944,18 @@ class TestNumericFlags:
 
 class TestThreadsEnv:
     def test_env_var_caps_workers(self, monkeypatch):
+        """The count is capped at the usable CPUs; a huge value is only
+        returned here, no pool is started with it."""
+        cpus = len(os.sched_getaffinity(0))
         monkeypatch.setenv(config.THREADS_ENV_VAR, "2")
-        assert config.max_threads() == 2
-        monkeypatch.setenv(config.THREADS_ENV_VAR, "not-a-number")
-        assert config.max_threads() >= 1
+        assert config.max_threads() == min(2, cpus)
+        monkeypatch.setenv(config.THREADS_ENV_VAR, str(10**30))
+        assert config.max_threads() == cpus
         monkeypatch.delenv(config.THREADS_ENV_VAR)
-        assert config.max_threads() >= 1
+        assert config.max_threads() == min(8, cpus)
+
+    @pytest.mark.parametrize("value", ["not-a-number", "0", "-1", "2.5", "", "1" * 5000])
+    def test_a_bad_value_is_a_parameter_error(self, monkeypatch, value):
+        monkeypatch.setenv(config.THREADS_ENV_VAR, value)
+        with pytest.raises(ParameterError, match="EVDEPTH_THREADS must be an integer >= 1"):
+            config.max_threads()

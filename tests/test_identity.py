@@ -1,5 +1,6 @@
 """scripts/identity.py: the arguments it refuses before any probe runs."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,6 @@ def test_the_marking_tree_is_probed_when_both_trees_are_good(tree):
     result = run_identity(str(tree), str(tree))
     assert result.returncode == 1, result.stderr
     assert (tree / "probed").exists()
+    # the OpenBLAS kernel each tree ran on ("unknown" without numpy's bundled one)
+    report = json.loads(result.stdout)
+    assert report["a"]["openblas_core"] == report["b"]["openblas_core"] != ""

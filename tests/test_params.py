@@ -1,13 +1,16 @@
-"""One table over every real-valued and every choice parameter.
+"""One table over every real-valued, every choice and every flag parameter.
 
 Each real is checked by ``errors._real_param``: a bool, a string, None and
 NaN are a ParameterError naming the parameter and its interval, and so is an
 infinity the interval leaves out; a numpy float is accepted and kept as a
 Python float. Each choice is checked by ``errors._choice_param``: anything
 but one of its values (or an enum member) is a ParameterError naming the
-parameter and the choices. Both checks run before any shape or count check.
+parameter and the choices. Each flag is checked by ``errors._bool_param``:
+anything but a bool (a numpy one too) is a ParameterError naming it. The
+checks run before any shape or count check.
 """
 
+import dataclasses
 import io
 import math
 import re
@@ -23,7 +26,8 @@ from evdepth.events import SliceMode, SliceSpec, read_events, slice_sbt, write_e
 from evdepth.imgio import save_depth_pfm, save_depth_pgm16
 from evdepth.losses import loss_total
 from evdepth.metrics import aggregate, evaluate
-from evdepth.pipeline import EncoderSpec, Provenance, SampleRecord, export_stacks, training_step
+from evdepth.pipeline import (EncoderSpec, Provenance, SampleRecord, build_manifest, export_stacks,
+                              training_step)
 from evdepth.simulator import SimConfig
 from evdepth.stacks import StackLayout, encode
 
@@ -166,3 +170,31 @@ def test_specs_take_a_mode_and_a_layout_by_their_values():
 def test_an_event_format_matches_in_any_case(tmp_path, events_slice):
     write_events(events_slice.to_stream(), tmp_path / "e.bin", fmt="EVB")
     assert read_events(tmp_path / "e.bin", fmt="Evb") == events_slice.to_stream()
+
+
+# ---------------------------------------------------------------------------
+# Flags
+
+
+# name -> (parameter name, call(value, tmp_path, record) -> the value the site
+# keeps); build_manifest checks its flag before it opens the missing recording
+BOOLS = {
+    "evaluate": ("align", lambda v, tmp, rec: evaluate(_pred(), 2.0 * _pred(), align=v).aligned),
+    "build_manifest": ("drop_empty",
+                       lambda v, tmp, rec: build_manifest(tmp / "e.evb", tmp, tmp, drop_empty=v)),
+    "SampleRecord": ("empty_slice",
+                     lambda v, tmp, rec: dataclasses.replace(rec, empty_slice=v).empty_slice),
+}
+
+
+@pytest.mark.parametrize(("site", "value"), [(site, value) for site in sorted(BOOLS)
+                                             for value in ("no", "True", 0, 1, None, 1.0)])
+def test_a_bad_flag_is_a_parameter_error_naming_it(site, value, tmp_path, record):
+    name, call = BOOLS[site]
+    with pytest.raises(ParameterError, match=re.escape(f"{name} must be a bool, got {value!r}")):
+        call(value, tmp_path, record)
+
+
+@pytest.mark.parametrize("site", ["evaluate", "SampleRecord"])
+def test_a_numpy_bool_is_kept_as_a_python_bool(site, tmp_path, record):
+    assert BOOLS[site][1](np.True_, tmp_path, record) is True

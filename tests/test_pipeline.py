@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from evdepth.pipeline import (
     save_manifest,
     training_step,
 )
-from evdepth.stacks import encode_tencode
+from evdepth.stacks import StackLayout, encode_tencode
 
 MS = 1000
 
@@ -213,6 +214,15 @@ class TestBuildManifest:
         with pytest.raises(ParameterError):  # bins would be dropped by a non-voxel layout
             build_manifest(events, frames, proxies, layout="tencode", bins=3)
 
+    @pytest.mark.parametrize("mode, layout", [(SliceMode.SBT, StackLayout.TENCODE),
+                                              (SliceMode.SBN, StackLayout.VOXEL)])
+    def test_members_build_what_their_values_build(self, tmp_path, mode, layout):
+        events, frames, proxies, _, _ = build_scene(tmp_path)
+        count = 100 if mode is SliceMode.SBN else None
+        by_member = build_manifest(events, frames, proxies, mode=mode, count=count, layout=layout)
+        assert by_member == build_manifest(events, frames, proxies, mode=mode.value, count=count,
+                                           layout=layout.value)
+
     def test_timestamp_index_file_overrides_stems(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)
         # remap existing frame files to new timestamps via the index
@@ -299,6 +309,11 @@ class TestManifestFile:
             lambda m: m["provenance"].update(k_scales=0),
             lambda m: m["provenance"].update(k_scales=True),
             lambda m: m["provenance"].update(k_scales=2.0),
+            lambda m: m["records"][0].update(width=0),
+            lambda m: m["records"][0].update(height=65536),
+            lambda m: m["records"][0].update(t_d_us=-1),
+            lambda m: m["records"][0].update(t_end_us=2**63),
+            lambda m: m["records"][0].update(t_start_us=-(2**63)),
         ],
         ids=[
             "no-encoder", "no-provenance", "no-record-key", "unknown-mode", "unknown-layout",
@@ -307,7 +322,8 @@ class TestManifestFile:
             "int-gt-path", "list-mask-path", "int-empty-slice", "null-proxy-path",
             "bool-bins", "bool-window", "bool-count", "int-teacher", "text-lambda",
             "bool-lambda", "nan-lambda", "inf-lambda", "huge-int-lambda", "null-k-scales",
-            "zero-k-scales", "bool-k-scales", "float-k-scales",
+            "zero-k-scales", "bool-k-scales", "float-k-scales", "zero-width", "huge-height",
+            "negative-t_d", "huge-t_end", "huge-negative-t_start",
         ],
     )
     def test_malformed_manifest_is_format_error(self, tmp_path, capsys, mutate):
@@ -317,7 +333,7 @@ class TestManifestFile:
         payload = json.loads(path.read_text())
         mutate(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
             load_manifest(path)
         assert main(["dataset", "export", "--manifest", str(path),
                      "--out", str(tmp_path / "stacks")]) == 2
