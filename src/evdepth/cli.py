@@ -23,19 +23,19 @@ from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_D
 from .errors import (ContractError, DomainError, EvDepthError, FormatError, ParameterError,
                      _int_param, _real_param)
 from .events import (SliceMode, SliceSpec, _infer_format, _ref_time, read_events, slice_events,
-                     slice_sbt, write_events)
-from .fusion import _steps, load_model_params, make_model_params, save_model_params, toy_extractor
+                     write_events)
+from .fusion import (_seed, _steps, load_model_params, make_model_params, save_model_params,
+                     toy_extractor)
 from .imgio import (DEPTH_SUFFIXES, _finite, _read_json, _write_json, depth_valid_mask, load_depth,
                     save_depth_pfm)
 from .losses import lstsq_align
 from .metrics import (_clamp_bounds, aggregate, evaluate, reports_payload, write_reports_csv,
                       write_reports_json)
 from .naming import files_by_stem
-from .pipeline import (MASK_SUFFIXES, EncoderSpec, _load_mask, _open_recording, build_manifest,
-                       export_stacks, load_manifest, save_manifest)
+from .pipeline import (MASK_SUFFIXES, EncoderSpec, _load_mask, _open_recording, _write_stack,
+                       build_manifest, export_stacks, load_manifest, save_manifest)
 from .simulator import SimConfig, frames_from_dir, simulate
-from .stacks import (StackLayout, _bin_count, _read_stack, _stack_files, encode, save_stack_pfm,
-                     save_stack_ppm)
+from .stacks import StackLayout, _bin_count, _check_format, _read_stack, _stack_files, encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,6 +95,15 @@ def _slice_spec(args, mode: str | None = None) -> SliceSpec:
     return SliceSpec(SliceMode.SBT, window_us=window)
 
 
+def _voxel_bins(bins, layouts) -> int | None:
+    """--bins, or its default, if a layout is voxel; given with none, it would be ignored."""
+    if StackLayout.VOXEL.value in layouts:
+        return _bin_count(ENCODER_DEFAULTS.voxel_bins if bins is None else bins)
+    if bins is not None:
+        raise _UsageError("--bins needs --layout voxel")
+    return None
+
+
 def cmd_slice(args) -> tuple[dict, str]:
     if args.dt_us is None and args.count is None:
         raise _UsageError("slice needs --dt-us (SBT) or --count (SBN)")
@@ -110,21 +119,19 @@ def cmd_slice(args) -> tuple[dict, str]:
 
 
 def cmd_encode(args) -> tuple[dict, str]:
-    layout = StackLayout(args.layout)
-    encoder = EncoderSpec(layout, _slice_spec(args),
-                          args.bins if layout is StackLayout.VOXEL else None)
+    encoder = EncoderSpec(args.layout, _slice_spec(args), _voxel_bins(args.bins, (args.layout,)))
     t_d = _ref_time(args.td_us)
     out = Path(args.out)
-    if out.suffix.lower() not in (".pfm", ".ppm"):
+    fmt = out.suffix.lower()[1:]
+    if fmt not in ("pfm", "ppm"):
         raise _UsageError(f"output must end in .pfm or .ppm, got {out.name!r}")
+    _check_format(encoder.layout, fmt)
     with _open_recording(args.events) as events:
         sl = slice_events(events, t_d, encoder.slicing)
     if len(sl) == 0:
         print(f"warning: empty slice at t_d={t_d} us, writing all-zero stack", file=sys.stderr)
     stack = encode(sl, encoder.layout, bins=encoder.bins)
-    ppm = out.suffix.lower() == ".ppm"
-    written = [save_stack_ppm(stack, out)] if ppm else save_stack_pfm(stack, out)
-    files = [str(p) for p in written]
+    files = [str(p) for p in _write_stack(stack, out, fmt)]
     payload = {"layout": args.layout, "n_events": len(sl), "t_start_us": sl.t_start_us,
                "t_end_us": sl.t_end_us, "files": files}
     return payload, f"encoded {len(sl)} events as {args.layout} -> {', '.join(files)}"
@@ -198,11 +205,10 @@ def cmd_evaluate(args) -> tuple[dict, str]:
 
 def cmd_dataset_build(args) -> tuple[dict, str]:
     spec = _slice_spec(args, args.mode)
-    if args.bins is not None and StackLayout(args.layout) is not StackLayout.VOXEL:
-        raise _UsageError("--bins needs --layout voxel")
+    bins = _voxel_bins(args.bins, (args.layout,))
     manifest = build_manifest(
         args.events, args.frames, args.proxy, window_us=spec.window_us, mode=spec.mode,
-        count=spec.count, layout=args.layout, bins=args.bins, gt_dir=args.gt, mask_dir=args.mask,
+        count=spec.count, layout=args.layout, bins=bins, gt_dir=args.gt, mask_dir=args.mask,
         teacher=args.teacher, lam=args.lam, k_scales=args.k_scales, drop_empty=args.drop_empty)
     save_manifest(manifest, args.out)
     n_empty = sum(r.empty_slice for r in manifest.records)
@@ -227,7 +233,7 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
     malformed stack or a change of frame size is an error before any depth
     file is written. The run then holds one stack at a time: each is read,
     stepped and its depth written before the next is read."""
-    _int_param("seed", args.seed, 0)  # before --params-out is written
+    _seed(args.seed)  # before --params-out is written
     stacks_dir = Path(args.stacks)
     stacks = _stack_files(stacks_dir)
     if not stacks:
@@ -237,10 +243,7 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
         if (h, w) != (height, width):
             raise ContractError(
                 f"{stacks_dir}: stack {stem} is {w}x{h}, stack {first} is {width}x{height}")
-    if args.params:
-        params = load_model_params(args.params)
-    else:
-        params = make_model_params(seed=args.seed)
+    params = load_model_params(args.params) if args.params else make_model_params(seed=args.seed)
     if args.params_out:
         Path(args.params_out).parent.mkdir(parents=True, exist_ok=True)
         save_model_params(params, args.params_out)
@@ -283,10 +286,9 @@ def cmd_bench(args) -> tuple[dict, str]:
     for layout in layouts:
         if layout not in _LAYOUTS:
             raise _UsageError(f"unknown layout {layout!r}; choose from {', '.join(_LAYOUTS)}")
-    if args.repetitions < 1:
-        raise _UsageError("--repetitions must be >= 1")
+    bins = _voxel_bins(args.bins, layouts)
+    repetitions = _int_param("repetitions", args.repetitions, 1)
     tolerance = _real_param("tolerance", args.tolerance, 0, float("inf"), closed=True)
-    bins = _bin_count(args.bins) if StackLayout.VOXEL in map(StackLayout, layouts) else None
     baseline = _baseline_rates(args.baseline) if args.baseline else None
     stream = read_events(args.events)
     if len(stream) == 0:
@@ -294,21 +296,19 @@ def cmd_bench(args) -> tuple[dict, str]:
     t0, t1 = int(stream.ts[0]), int(stream.ts[-1])
     if t1 <= t0:
         raise DomainError("cannot bench a zero-duration stream")
-    sl = slice_sbt(stream, t1, t1 - t0)
+    sl = slice_events(stream, t1, SliceSpec(SliceMode.SBT, window_us=t1 - t0))
     results = {}
     for layout in layouts:
         times = []
         digest = None
-        for _ in range(args.repetitions):
+        for _ in range(repetitions):
             start = time.perf_counter()
-            stack = encode(sl, StackLayout(layout), bins=bins)
-            elapsed = time.perf_counter() - start
-            times.append(elapsed)
+            stack = encode(sl, layout, bins=bins)
+            times.append(time.perf_counter() - start)
             h = hashlib.sha256(stack.values.tobytes()).hexdigest()[:16]
-            if digest is None:
-                digest = h
-            elif digest != h:
+            if digest not in (None, h):
                 raise EvDepthError(f"{layout}: nondeterministic encode (hash {h} != {digest})")
+            digest = h
         median = statistics.median(times)
         results[layout] = {
             "times_s": times,
@@ -319,13 +319,13 @@ def cmd_bench(args) -> tuple[dict, str]:
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     payload = {
         "n_events": len(stream),
-        "repetitions": args.repetitions,
+        "repetitions": repetitions,
         "layouts": results,
         "peak_rss_kb": peak_rss_kb,
     }
     if args.out:
         _write_json(args.out, payload)
-    lines = [f"bench over {len(stream)} events, {args.repetitions} repetition(s):"]
+    lines = [f"bench over {len(stream)} events, {repetitions} repetition(s):"]
     for layout, r in results.items():
         lines.append(
             f"  {layout:<10} median {r['median_s']:.3f} s   "
@@ -340,11 +340,8 @@ def cmd_bench(args) -> tuple[dict, str]:
                 continue
             ratio = r["events_per_s"] / base
             if ratio < 1.0 - tolerance:
-                print(
-                    f"REGRESSION {layout}: {r['events_per_s']:,.0f} events/s vs "
-                    f"baseline {base:,.0f} ({ratio:.2f}x)",
-                    file=sys.stderr,
-                )
+                print(f"REGRESSION {layout}: {r['events_per_s']:,.0f} events/s vs "
+                      f"baseline {base:,.0f} ({ratio:.2f}x)", file=sys.stderr)
             elif ratio > 1.0 + tolerance:
                 print(f"improvement {layout}: {ratio:.2f}x baseline", file=sys.stderr)
     return payload, "\n".join(lines)
@@ -376,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "evb"), default=None)
         else:
             p.add_argument("--layout", choices=_LAYOUTS, default=StackLayout.TENCODE.value)
-            p.add_argument("--bins", type=int, default=ENCODER_DEFAULTS.voxel_bins)
+            p.add_argument("--bins", type=int, default=None)
         p.set_defaults(func=func)
 
     p = sub.add_parser("align", help="least-squares scale/shift of pred onto target")
@@ -439,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--layouts", default="all", help="comma-separated, or 'all'")
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--bins", type=int, default=ENCODER_DEFAULTS.voxel_bins)
+    p.add_argument("--bins", type=int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--baseline", default=None, help="JSON report to compare against")
     p.add_argument("--tolerance", type=float, default=0.2)

@@ -234,6 +234,11 @@ def _model_shape(scales, channels) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return scales, channels
 
 
+def _seed(seed) -> int:
+    """The model seed as a Python int: an integer of at least 0, unbounded."""
+    return _int_param("seed", seed, 0)
+
+
 @functools.lru_cache(maxsize=16)
 def _toy_embedding(seed: int, s: int, c_in: int, c_s: int, hs: int, ws: int):
     """The seeded (projection, positional) pair of one scale, read-only."""
@@ -256,7 +261,7 @@ def toy_extractor(
     scale, plus a fixed positional term. Same seed, same stack: identical
     pyramid bits.
     """
-    seed = _int_param("seed", seed, 0)
+    seed = _seed(seed)
     scales, channels = _model_shape(scales, channels)
     values = np.asarray(stack, dtype=np.float64)
     if values.ndim != 3:
@@ -280,7 +285,7 @@ def make_model_params(
     channels: tuple[int, ...] = FUSION_DEFAULTS.channels,
 ) -> ModelParams:
     """Seeded parameters with 3x3 gate kernels."""
-    seed = _int_param("seed", seed, 0)
+    seed = _seed(seed)
     scales, channels = _model_shape(scales, channels)
     kernels = {}
     biases = {}

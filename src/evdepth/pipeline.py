@@ -35,7 +35,7 @@ from .imgio import (_RASTER_SUFFIXES, DEPTH_SUFFIXES, _raster_shape, _read_json,
                     depth_valid_mask, load_depth, load_mask_pgm)
 from .losses import LossReport, _loss_params, loss_total
 from .naming import files_by_stem, timestamped_files
-from .stacks import StackLayout, _bin_count, encode, save_stack_pfm, save_stack_ppm
+from .stacks import StackLayout, _bin_count, _check_format, encode, save_stack_pfm, save_stack_ppm
 
 MANIFEST_VERSION = 1
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pfm", ".png", ".jpg")
@@ -354,12 +354,21 @@ def training_step(
 # Stack export
 
 
+def _write_stack(stack, path: Path, fmt: str) -> list[Path]:
+    """Write ``stack`` to ``path`` as "pfm" or "ppm"; the paths written."""
+    # this module's save_stack_pfm/ppm: evbench/tracing.py wraps save_stack_pfm here
+    if fmt == "pfm":
+        return save_stack_pfm(stack, path)
+    return [save_stack_ppm(stack, path)]
+
+
 def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[Path]:
     """Encode every record to ``<t_d:012>.pfm/.ppm``; reruns are byte-identical."""
     fmt = _choice_param("format", fmt, ("pfm", "ppm"))
+    encoder = manifest.encoder
+    _check_format(encoder.layout, fmt)  # before a directory or recording is touched
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    encoder = manifest.encoder
     written = []
     with contextlib.ExitStack() as opened:
         recordings = {}
@@ -370,10 +379,6 @@ def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[
                 recordings[record.events_path] = events
             sl = _slice_record(events, record, encoder.slicing)
             stack = encode(sl, encoder.layout, bins=encoder.bins)
-            target = out_dir / f"{record.t_d_us:012d}.{fmt}"
-            if fmt == "pfm":
-                written.extend(save_stack_pfm(stack, target))
-            else:
-                written.append(save_stack_ppm(stack, target))
+            written.extend(_write_stack(stack, out_dir / f"{record.t_d_us:012d}.{fmt}", fmt))
             del sl, stack  # freed before the next record's slice is read
     return written

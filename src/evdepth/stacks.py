@@ -133,10 +133,16 @@ def encode(sl: EventSlice, layout: StackLayout, bins: int = ENCODER_DEFAULTS.vox
     return encode_tencode(sl)
 
 
+def _check_format(layout: StackLayout, fmt: str) -> None:
+    """A ParameterError unless stacks of ``layout`` can be written as ``fmt``
+    ("pfm" or "ppm"): an 8-bit PPM cannot hold a voxel stack's signed sums."""
+    if fmt == "ppm" and layout is StackLayout.VOXEL:
+        raise ParameterError("voxel stacks carry signed accumulations; export them as PFM")
+
+
 def save_stack_ppm(stack: EventStack, path) -> Path:
     """8-bit PPM export; only meaningful for the [0, 1]-valued 3-channel layouts."""
-    if stack.layout is StackLayout.VOXEL:
-        raise ParameterError("voxel stacks carry signed accumulations; export them as PFM")
+    _check_format(stack.layout, "ppm")
     write_ppm(path, stack.values)
     return Path(path)
 

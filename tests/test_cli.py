@@ -874,6 +874,50 @@ class TestBench:
         assert main(["bench", "--events", str(events_file), "--layouts", "hexgrid"]) == 1
 
 
+class TestStackRulesBeforeFiles:
+    """A stack command's bad flag is found before a directory is made or a
+    recording is opened: the same exit code and one ``error:`` line whether
+    the recording is there or has moved."""
+
+    CASES = {
+        "encode-voxel-ppm": (["encode", "--events", "{ev}", "--td-us", "500000",
+                              "--layout", "voxel", "--out", "{out}.ppm"], 2),
+        "export-voxel-ppm": (["dataset", "export", "--manifest", "{manifest}", "--format", "ppm",
+                              "--out", "{out}"], 2),
+        "encode-tencode-bins": (["encode", "--events", "{ev}", "--td-us", "500000",
+                                 "--layout", "tencode", "--bins", "0", "--out", "{out}.pfm"], 1),
+        "bench-tencode-bins": (["bench", "--events", "{ev}", "--layouts", "tencode",
+                                "--bins", "0", "--out", "{out}.json"], 1),
+        "bench-zero-repetitions": (["bench", "--events", "{ev}", "--repetitions", "0",
+                                    "--out", "{out}.json"], 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_exit_code_with_or_without_the_recording(self, tmp_path, events_file, capsys,
+                                                         case):
+        frames, proxies = tmp_path / "frames", tmp_path / "proxy"
+        frames.mkdir()
+        proxies.mkdir()
+        for t_ms in (300, 600):
+            write_pgm(frames / f"{t_ms * MS:09d}.pgm", np.full((12, 16), 100, dtype=np.uint8))
+            save_depth_pfm(proxies / f"{t_ms * MS:09d}.pfm", np.full((12, 16), 2.0))
+        manifest = tmp_path / "manifest.json"
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--layout", "voxel", "--out", str(manifest)]) == 0
+        capsys.readouterr()
+        argv, code = self.CASES[case]
+        argv = [a.format(ev=events_file, manifest=manifest, out=tmp_path / "out") for a in argv]
+        runs = []
+        for moved in (False, True):
+            if moved:
+                events_file.rename(tmp_path / "moved.evb")
+            got = main(argv)
+            err = capsys.readouterr().err
+            runs.append((got, err.startswith("error: "), err.count("\n")))
+            assert list(tmp_path.glob("out*")) == []
+        assert runs == [(code, True, 1)] * 2
+
+
 class TestNumericFlags:
     INTS = ["-1", "0", "1", str(2**63 - 1), str(2**63), str(-(2**63) - 1), str(10**30)]
     FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320"]
@@ -925,7 +969,8 @@ class TestNumericFlags:
             (["fusion", "run", "--stacks", str(tmp_path / "stacks"), "--out", out],
              "--seed", self.INTS),
             ([*bench, "--events", str(tmp_path / "empty.evb")], "--repetitions", self.INTS),
-            ([*bench, "--events", ev, "--repetitions", "1"], "--bins", self.INTS),
+            ([*bench, "--events", ev, "--repetitions", "1", "--layouts", "voxel"], "--bins",
+             self.INTS),
             ([*bench, "--events", ev, "--repetitions", "1"], "--tolerance", self.FLOATS),
         ]
         escaped, bad_errors = [], []
