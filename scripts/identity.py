@@ -255,7 +255,8 @@ def probe_encode(seed):
         t_d = k * FRAME_STEP_US
         for sl in (slice_sbt(stream, t_d, FRAME_STEP_US), slice_sbn(stream, t_d, 50_000)):
             for layout in StackLayout:
-                out.append(encode(sl, layout, bins=5).values)
+                bins = 5 if layout is StackLayout.VOXEL else None  # the others take no bins
+                out.append(encode(sl, layout, bins=bins).values)
     return out
 
 
@@ -278,7 +279,8 @@ def _tied_stream(seed):
 def probe_export(seed):
     """``build_manifest`` records (times, dims, empty flags) and the bytes
     ``export_stacks`` writes, for tencode SBT, voxel SBN with a count inside
-    the stream and voxel SBN with a count past its length; from an EVB file
+    the stream and voxel SBN with a count past its length, then tencode with
+    every default and voxel SBN with the default bin count; from an EVB file
     and from its evcsv twin. Frames fall before the first event, on tied
     timestamps, in the gap and after the last event."""
     from evdepth.events import write_events
@@ -293,6 +295,8 @@ def probe_export(seed):
         {"layout": "tencode", "mode": "sbt", "window_us": 2_000},
         {"layout": "voxel", "mode": "sbn", "count": 5_000, "bins": 4},
         {"layout": "voxel", "mode": "sbn", "count": len(stream) + 9, "bins": 3},
+        {"layout": "tencode"},
+        {"layout": "voxel", "mode": "sbn", "count": 5_000},
     )
     out = []
     with tempfile.TemporaryDirectory() as tmp:

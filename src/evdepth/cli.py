@@ -19,11 +19,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .config import DEFAULT_CLAMP_MIN, ENCODER_DEFAULTS, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
+from .config import DEFAULT_CLAMP_MIN, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
 from .errors import (ContractError, DomainError, EvDepthError, FormatError, ParameterError,
                      _int_param, _real_param)
-from .events import (SliceMode, SliceSpec, _infer_format, _ref_time, read_events, slice_events,
-                     write_events)
+from .events import (SliceMode, SliceSpec, _infer_format, _ref_time, _slicing, read_events,
+                     slice_events, write_events)
 from .fusion import (_seed, _steps, load_model_params, make_model_params, save_model_params,
                      toy_extractor)
 from .imgio import (DEPTH_SUFFIXES, _finite, _read_json, _write_json, depth_valid_mask, load_depth,
@@ -78,27 +78,23 @@ def cmd_simulate(args) -> tuple[dict, str]:
 # slice / encode
 
 
-def _slice_spec(args, mode: str | None = None) -> SliceSpec:
-    """The slice spec of --dt-us/--count in ``mode``, or with no mode in the one
-    the given flag implies. An SBT window falls back to its default."""
-    if mode is None:
-        if args.dt_us is not None and args.count is not None:
-            raise _UsageError("--dt-us and --count are mutually exclusive")
-        mode = "sbt" if args.count is None else "sbn"
-    if mode == "sbn":
-        if args.count is None:
-            raise _UsageError("--mode sbn needs --count")
-        return SliceSpec(SliceMode.SBN, count=args.count)
-    if args.count is not None:
+def _slice_spec(args) -> SliceSpec:
+    """The slice spec of --dt-us/--count in --mode, or in the mode the given flag
+    implies where the subcommand has no --mode; the SBT window has a default."""
+    if args.dt_us is not None and args.count is not None:
+        raise _UsageError("--dt-us and --count are mutually exclusive")
+    mode = getattr(args, "mode", None) or ("sbt" if args.count is None else "sbn")
+    if mode == "sbn" and args.count is None:
+        raise _UsageError("--mode sbn needs --count")
+    if mode == "sbt" and args.count is not None:
         raise _UsageError("--count needs --mode sbn")
-    window = ENCODER_DEFAULTS.window_us if args.dt_us is None else args.dt_us
-    return SliceSpec(SliceMode.SBT, window_us=window)
+    return _slicing(mode, args.dt_us, args.count)
 
 
 def _voxel_bins(bins, layouts) -> int | None:
     """--bins, or its default, if a layout is voxel; given with none, it would be ignored."""
     if StackLayout.VOXEL.value in layouts:
-        return _bin_count(ENCODER_DEFAULTS.voxel_bins if bins is None else bins)
+        return _bin_count(bins)
     if bins is not None:
         raise _UsageError("--bins needs --layout voxel")
     return None
@@ -204,7 +200,7 @@ def cmd_evaluate(args) -> tuple[dict, str]:
 
 
 def cmd_dataset_build(args) -> tuple[dict, str]:
-    spec = _slice_spec(args, args.mode)
+    spec = _slice_spec(args)
     bins = _voxel_bins(args.bins, (args.layout,))
     manifest = build_manifest(
         args.events, args.frames, args.proxy, window_us=spec.window_us, mode=spec.mode,
@@ -283,12 +279,17 @@ def _baseline_rates(path) -> dict[str, float]:
 
 def cmd_bench(args) -> tuple[dict, str]:
     layouts = _LAYOUTS if args.layouts == "all" else tuple(args.layouts.split(","))
-    for layout in layouts:
+    for k, layout in enumerate(layouts):
         if layout not in _LAYOUTS:
             raise _UsageError(f"unknown layout {layout!r}; choose from {', '.join(_LAYOUTS)}")
+        if layout in layouts[:k]:
+            raise _UsageError(f"layout {layout!r} is named twice")
     bins = _voxel_bins(args.bins, layouts)
     repetitions = _int_param("repetitions", args.repetitions, 1)
-    tolerance = _real_param("tolerance", args.tolerance, 0, float("inf"), closed=True)
+    tolerance = _real_param("tolerance", 0.2 if args.tolerance is None else args.tolerance, 0,
+                            float("inf"), closed=True)
+    if args.tolerance is not None and not args.baseline:
+        raise _UsageError("--tolerance needs --baseline")
     baseline = _baseline_rates(args.baseline) if args.baseline else None
     stream = read_events(args.events)
     if len(stream) == 0:
@@ -303,7 +304,7 @@ def cmd_bench(args) -> tuple[dict, str]:
         digest = None
         for _ in range(repetitions):
             start = time.perf_counter()
-            stack = encode(sl, layout, bins=bins)
+            stack = encode(sl, layout, bins=bins if layout == StackLayout.VOXEL.value else None)
             times.append(time.perf_counter() - start)
             h = hashlib.sha256(stack.values.tobytes()).hexdigest()[:16]
             if digest not in (None, h):
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--proxy", required=True)
     b.add_argument("--gt", default=None)
     b.add_argument("--mask", default=None)
-    b.add_argument("--dt-us", type=int, default=ENCODER_DEFAULTS.window_us)
+    b.add_argument("--dt-us", type=int, default=None)
     b.add_argument("--mode", choices=("sbt", "sbn"), default="sbt")
     b.add_argument("--count", type=int, default=None)
     b.add_argument("--layout", choices=_LAYOUTS, default=StackLayout.TENCODE.value)
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--baseline", default=None, help="JSON report to compare against")
-    p.add_argument("--tolerance", type=float, default=0.2)
+    p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=cmd_bench)
 
     for group in (sub, dsub, fsub):

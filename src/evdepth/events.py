@@ -37,6 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import ENCODER_DEFAULTS
 from .errors import (BoundsError, EvDepthError, FormatError, OrderingError, ParameterError,
                      _choice_param, _int_param)
 from .imgio import _atomic_write, _read_text
@@ -74,8 +75,8 @@ class SliceSpec:
     """How to cut a slice ending at a reference time.
 
     Exactly one of ``window_us`` (SBT) / ``count`` (SBN) is active,
-    selected by ``mode``; the active value must be an integer in
-    [1, ``MAX_TIME_US``], and is kept as a Python int.
+    selected by ``mode``: it must be an integer in [1, ``MAX_TIME_US``],
+    kept as a Python int, and the other must be None.
     """
 
     mode: SliceMode
@@ -84,15 +85,19 @@ class SliceSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", _choice_param("slice mode", self.mode, SliceMode))
-        if self.mode is SliceMode.SBT:
-            if self.window_us is None or self.count is not None:
-                raise ParameterError("SBT spec takes window_us and no count")
-            window = _int_param("window", self.window_us, 1, MAX_TIME_US)
-            object.__setattr__(self, "window_us", window)
-        else:
-            if self.count is None or self.window_us is not None:
-                raise ParameterError("SBN spec takes count and no window_us")
-            object.__setattr__(self, "count", _int_param("count", self.count, 1, MAX_TIME_US))
+        sbt = self.mode is SliceMode.SBT
+        field, unused = ("window_us", "count") if sbt else ("count", "window_us")
+        if getattr(self, unused) is not None:
+            raise ParameterError(f"{unused} does not apply to {self.mode.name} slicing")
+        value = _int_param(field.removesuffix("_us"), getattr(self, field), 1, MAX_TIME_US)
+        object.__setattr__(self, field, value)
+
+
+def _slicing(mode, window_us=None, count=None) -> SliceSpec:
+    """The SliceSpec of these fields; an SBT spec with no window takes the default one."""
+    if window_us is None and _choice_param("slice mode", mode, SliceMode) is SliceMode.SBT:
+        window_us = ENCODER_DEFAULTS.window_us
+    return SliceSpec(mode, window_us, count)
 
 
 def _allocate(what: str, shape: tuple[int, ...], dtype, *, zeros: bool = True) -> np.ndarray:

@@ -26,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ENCODER_DEFAULTS, LOSS_DEFAULTS
+from .config import LOSS_DEFAULTS
 from .errors import (BuildError, ContractError, FormatError, ParameterError, _bool_param,
                      _choice_param, _int_param, _real_param, _shown)
 from .events import (MAX_SENSOR_DIM, MAX_TIME_US, EventSlice, SliceMode, SliceSpec, _EvbSource,
-                     _infer_format, _slice_bounds, read_events, slice_sbn, slice_sbt)
+                     _infer_format, _slice_bounds, _slicing, read_events, slice_sbn, slice_sbt)
 from .imgio import (_RASTER_SUFFIXES, DEPTH_SUFFIXES, _raster_shape, _read_json, _write_json,
                     depth_valid_mask, load_depth, load_mask_pgm)
 from .losses import LossReport, _loss_params, loss_total
@@ -156,7 +156,7 @@ def build_manifest(
     frames_dir,
     proxy_dir,
     *,
-    window_us: int = ENCODER_DEFAULTS.window_us,
+    window_us: int | None = None,
     mode: str = "sbt",
     count: int | None = None,
     layout: str = "tencode",
@@ -170,16 +170,14 @@ def build_manifest(
 ) -> DatasetManifest:
     """One record per frame, slices ending at the frame timestamps.
 
-    ``window_us`` applies in SBT mode only; ``count`` and ``bins`` must be
-    left unset unless the mode is SBN and the layout voxel respectively.
-    Each frame, proxy, ground-truth and mask raster must be the recording's
-    size (ContractError); a PNG or JPG frame is paired by name only.
+    SBT takes ``window_us`` and SBN ``count``, voxel ``bins`` (unset, a window or
+    bin count takes its default); a value the mode or layout does not use is a
+    ParameterError. Each frame, proxy, ground-truth and mask raster must be the
+    recording's size (ContractError); a PNG or JPG frame is paired by name only.
     """
-    # a count selects SBN, where the (defaulted) window does not apply
-    slicing = SliceSpec(mode, window_us if count is None else None, count)
-    if bins is None and _choice_param("layout", layout, StackLayout) is StackLayout.VOXEL:
-        bins = ENCODER_DEFAULTS.voxel_bins
-    encoder = EncoderSpec(layout, slicing, bins)
+    layout = _choice_param("layout", layout, StackLayout)
+    bins = _bin_count(bins) if layout is StackLayout.VOXEL else bins
+    encoder = EncoderSpec(layout, _slicing(mode, window_us, count), bins)
     provenance = Provenance(teacher=teacher, lam=lam, k_scales=k_scales)
     drop_empty = _bool_param("drop_empty", drop_empty)
 

@@ -74,7 +74,8 @@ def _zeros(sl: EventSlice, layout: StackLayout, channels: int) -> np.ndarray:
 
 
 def _bin_count(bins) -> int:
-    return _int_param("bin count", bins, 1)
+    """``bins`` checked, or the default voxel bin count when it is None."""
+    return _int_param("bin count", ENCODER_DEFAULTS.voxel_bins if bins is None else bins, 1)
 
 
 def encode_voxel(sl: EventSlice, bins: int) -> EventStack:
@@ -124,10 +125,12 @@ def encode_tencode(sl: EventSlice) -> EventStack:
     return EventStack(StackLayout.TENCODE, values, sl.t_start_us, sl.t_end_us)
 
 
-def encode(sl: EventSlice, layout: StackLayout, bins: int = ENCODER_DEFAULTS.voxel_bins) -> EventStack:
+def encode(sl: EventSlice, layout: StackLayout, bins: int | None = None) -> EventStack:
     layout = _choice_param("layout", layout, StackLayout)
     if layout is StackLayout.VOXEL:
         return encode_voxel(sl, bins)
+    if bins is not None:
+        raise ParameterError("bins applies to the voxel layout only")
     if layout is StackLayout.IMAGE_LIKE:
         return encode_image_like(sl)
     return encode_tencode(sl)
