@@ -282,7 +282,10 @@ def probe_export(seed):
     the stream and voxel SBN with a count past its length, then tencode with
     every default and voxel SBN with the default bin count; from an EVB file
     and from its evcsv twin. Frames fall before the first event, on tied
-    timestamps, in the gap and after the last event."""
+    timestamps, in the gap and after the last event. Last, whether each record
+    of a manifest built with a ground-truth directory (missing the first
+    frame's file) and a mask directory has a ground-truth and a mask path; the
+    paths themselves are temporary."""
     from evdepth.events import write_events
     from evdepth.imgio import write_pfm, write_pgm
     from evdepth.pipeline import build_manifest, export_stacks
@@ -316,6 +319,16 @@ def probe_export(seed):
                                       r.empty_slice) for r in manifest.records], dtype=np.int64))
                 written = export_stacks(manifest, root / f"{fmt}{k}")
                 out += [np.frombuffer(path.read_bytes(), dtype=np.uint8) for path in written]
+        (root / "gt").mkdir()
+        (root / "mask").mkdir()
+        for t in frame_times:
+            if t != frame_times[0]:
+                write_pfm(root / "gt" / f"{t:09d}.pfm", np.ones(sensor))
+            write_pgm(root / "mask" / f"{t:09d}.pgm", np.ones(sensor, dtype=np.uint8))
+        manifest = build_manifest(root / "events.evb", root / "frames", root / "proxy",
+                                  gt_dir=root / "gt", mask_dir=root / "mask")
+        out.append(np.array([(r.gt_path is not None, r.mask_path is not None)
+                             for r in manifest.records], dtype=np.int64))
     return out
 
 

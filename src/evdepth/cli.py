@@ -151,12 +151,8 @@ def cmd_align(args) -> tuple[dict, str]:
 def cmd_evaluate(args) -> tuple[dict, str]:
     clamp = _clamp_bounds((args.clamp_min, args.clamp_max))
     workers = max_threads()
-    pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
-    for directory in (pred_dir, gt_dir):
-        if not directory.is_dir():
-            raise FileNotFoundError(f"not a directory: {directory}")
-    preds = files_by_stem(pred_dir, DEPTH_SUFFIXES, "depth")
-    gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth")
+    preds = files_by_stem(args.pred_dir, DEPTH_SUFFIXES, "depth")
+    gts = files_by_stem(args.gt_dir, DEPTH_SUFFIXES, "depth")
     only_pred = sorted(set(preds) - set(gts))
     only_gt = sorted(set(gts) - set(preds))
     if only_pred or only_gt:
@@ -165,17 +161,16 @@ def cmd_evaluate(args) -> tuple[dict, str]:
             f"missing gt for {only_pred or 'none'}, missing pred for {only_gt or 'none'}"
         )
     if not preds:
-        raise ParameterError(f"no depth files under {pred_dir}")
-    mask_dir = Path(args.mask_dir) if args.mask_dir else None
-    masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
+        raise ParameterError(f"no depth files under {Path(args.pred_dir)}")
+    masks = files_by_stem(args.mask_dir, MASK_SUFFIXES, "mask") if args.mask_dir else None
+    if masks is not None and (unmasked := sorted(set(preds) - set(masks))):
+        raise ParameterError(f"missing mask for {unmasked} under {Path(args.mask_dir)}")
 
     def one(stem: str):
         pred = load_depth(preds[stem])
         gt = load_depth(gts[stem])
         mask = depth_valid_mask(gt)
         if masks is not None:
-            if stem not in masks:
-                raise FileNotFoundError(f"missing mask for frame {stem!r}: {mask_dir / stem}.pgm")
             mask &= _load_mask(masks[stem], mask.shape)
         return stem, evaluate(pred, gt, mask, align=not args.no_align, clamp=clamp)
 
@@ -216,8 +211,9 @@ def cmd_dataset_build(args) -> tuple[dict, str]:
 def cmd_dataset_export(args) -> tuple[dict, str]:
     manifest = load_manifest(args.manifest)
     written = export_stacks(manifest, args.out, fmt=args.format)
-    payload = {"files": [str(p) for p in written]}
-    return payload, f"exported {len(written)} {manifest.encoder.layout.value} stacks -> {args.out}"
+    n = len(manifest.records)
+    payload = {"stacks": n, "files": [str(p) for p in written]}
+    return payload, f"exported {n} {manifest.encoder.layout.value} stacks -> {args.out}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ decimal digits, at most ``MAX_TIME_US`` (2**63 - 1); anything else is a
 FormatError naming the file (and the index line).
 
 Files that pair with a frame (proxy labels, ground truth, masks) share its
-stem; their suffix matches in any letter case.
+stem; their suffix matches in any letter case. Every input directory is
+listed here; a path that is not a directory is a FileNotFoundError (exit 3).
 """
 
 from __future__ import annotations
@@ -32,15 +33,26 @@ def _time_us(text: str, where) -> int:
     return int(digits)
 
 
+def _directory(dirpath) -> Path:
+    """``dirpath`` as a Path, or a FileNotFoundError if it is not a directory."""
+    dirpath = Path(dirpath)
+    if not dirpath.is_dir():
+        raise FileNotFoundError(f"not a directory: {dirpath}")
+    return dirpath
+
+
+def _listing(dirpath: Path, suffixes: tuple[str, ...]) -> list[Path]:
+    """The files (or links to files) in ``dirpath`` with a suffix in ``suffixes``, by name."""
+    return sorted(p for p in dirpath.iterdir() if p.suffix.lower() in suffixes and p.is_file())
+
+
 def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Path]]:
     """All files under ``dirpath`` with one of ``suffixes``, sorted by time.
 
     Returns (timestamp_us, path) pairs. Duplicate timestamps are an error:
     downstream consumers require strictly increasing frame times.
     """
-    dirpath = Path(dirpath)
-    if not dirpath.is_dir():
-        raise FileNotFoundError(f"not a directory: {dirpath}")
+    dirpath = _directory(dirpath)
     index = dirpath / INDEX_FILENAME
     if index.is_file():
         out = []
@@ -56,11 +68,7 @@ def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Pat
                     raise BuildError(f"{index}:{lineno}: listed file missing: {p}")
                 out.append((t, p))
     else:
-        out = [
-            (_time_us(p.stem, p), p)
-            for p in dirpath.iterdir()
-            if p.is_file() and p.suffix.lower() in suffixes
-        ]
+        out = [(_time_us(p.stem, p), p) for p in _listing(dirpath, suffixes)]
     out.sort(key=lambda pair: (pair[0], pair[1].name))
     for (ta, pa), (tb, pb) in zip(out, out[1:]):
         if ta == tb:
@@ -70,21 +78,16 @@ def timestamped_files(dirpath, suffixes: tuple[str, ...]) -> list[tuple[int, Pat
 
 def files_by_stem(dirpath, suffixes: tuple[str, ...], kind: str) -> dict[str, Path]:
     """The files under ``dirpath`` whose suffix is one of ``suffixes`` in any
-    letter case, keyed by stem; a missing directory holds none.
+    letter case, keyed by stem.
 
     A stem found twice (``a.pfm`` with ``a.pgm``, or with ``a.PFM``) is
     ambiguous; ``kind`` names the files in that error.
     """
-    dirpath = Path(dirpath)
-    if not dirpath.is_dir():
-        return {}
+    dirpath = _directory(dirpath)
     files: dict[str, Path] = {}
-    for p in sorted(dirpath.iterdir()):
-        if p.suffix.lower() in suffixes and p.is_file():
-            if p.stem in files:
-                raise BuildError(
-                    f"ambiguous {kind} files for {p.stem!r} under {dirpath}: "
-                    f"{files[p.stem].name}, {p.name}"
-                )
-            files[p.stem] = p
+    for p in _listing(dirpath, suffixes):
+        if p.stem in files:
+            raise BuildError(f"ambiguous {kind} files for {p.stem!r} under {dirpath}: "
+                             f"{files[p.stem].name}, {p.name}")
+        files[p.stem] = p
     return files

@@ -172,7 +172,10 @@ def build_manifest(
 
     SBT takes ``window_us`` and SBN ``count``, voxel ``bins`` (unset, a window or
     bin count takes its default); a value the mode or layout does not use is a
-    ParameterError. Each frame, proxy, ground-truth and mask raster must be the
+    ParameterError. A directory given that is not one is a FileNotFoundError,
+    before the recording is opened. Each frame needs a proxy, and a mask if
+    ``mask_dir`` is given (BuildError); with no ground truth, ``gt_path`` is
+    None. Each frame, proxy, ground-truth and mask raster must be the
     recording's size (ContractError); a PNG or JPG frame is paired by name only.
     """
     layout = _choice_param("layout", layout, StackLayout)
@@ -181,16 +184,15 @@ def build_manifest(
     provenance = Provenance(teacher=teacher, lam=lam, k_scales=k_scales)
     drop_empty = _bool_param("drop_empty", drop_empty)
 
+    # each directory is listed once, before the recording is opened
+    frames = timestamped_files(frames_dir, suffixes=FRAME_SUFFIXES)
+    proxies = files_by_stem(proxy_dir, DEPTH_SUFFIXES, "depth")
+    gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth") if gt_dir else {}
+    masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
     events_path = Path(events_path).resolve()
     with _open_recording(events_path) as events:
-        frames = timestamped_files(frames_dir, suffixes=FRAME_SUFFIXES)
-        if not frames:
+        if not frames:  # a bad recording is named first, even with no frames
             raise BuildError(f"no frames found under {frames_dir}")
-        # each directory is listed once; a frame's files share its stem
-        proxies = files_by_stem(proxy_dir, DEPTH_SUFFIXES, "depth")
-        gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth") if gt_dir else {}
-        masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
-
         records = []
         missing = []
         for t_d, frame_path in frames:

@@ -176,8 +176,6 @@ def _stack_files(directory) -> list[tuple[str, list[Path], tuple[int, int, int]]
     here, and so is the channel grouping, so reading the files afterwards
     cannot find a malformed one. Two files whose names differ only in the
     suffix's case are ambiguous (BuildError)."""
-    if not Path(directory).is_dir():
-        raise FileNotFoundError(f"not a directory: {directory}")
     whole: dict[str, tuple[list[Path], tuple[int, int, int]]] = {}
     split: dict[str, dict[int, tuple[Path, tuple[int, int, int]]]] = {}
     for path in files_by_stem(directory, (".pfm",), "stack").values():

@@ -132,6 +132,18 @@ def test_dataset_export(ws, capsys):
     assert text == f"exported {len(p['files'])} tencode stacks -> {out}\n"
 
 
+def test_dataset_export_counts_voxel_stacks_not_files(ws, capsys):
+    manifest = ws / "voxel_manifest.json"
+    save_manifest(build_manifest(ws / "events.evb", ws / "frames", ws / "proxy",
+                                 window_us=200_000, layout="voxel", bins=5), manifest)
+    out = ws / "voxel_exported"
+    text, p = run_both(["dataset", "export", "--manifest", str(manifest), "--out", str(out)],
+                       capsys)
+    assert p["stacks"] == len(FRAME_TIMES)
+    assert len(p["files"]) == len(FRAME_TIMES) * 5
+    assert text == f"exported {p['stacks']} voxel stacks -> {out}\n"
+
+
 def test_fusion_run(ws, capsys):
     out = ws / "depth"
     text, p = run_both(["fusion", "run", "--stacks", str(ws / "stacks"), "--out", str(out),
