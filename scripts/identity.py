@@ -182,13 +182,22 @@ def probe_training_step(seed):
 
 
 def probe_evaluate(seed):
+    """The pools of three aligned or clamped evaluations, then unaligned ones
+    of predictions placed on each delta threshold, ``g * 1.25**k`` and
+    ``g / 1.25**k``, and one ulp either side of it."""
     from evdepth.metrics import evaluate
 
     pred, _, gt, _, gt_mask = _supervision_inputs(seed)
+    cases = [(pred, align, clamp) for align, clamp in (
+        (True, (1e-3, math.inf)), (False, (1e-3, math.inf)), (True, (-math.inf, math.inf)))]
+    for k in (1, 2, 3):
+        for placed in (gt * 1.25**k, gt / 1.25**k):
+            cases += [(np.nextafter(placed, 0.0), False, (1e-3, math.inf)),
+                      (placed, False, (1e-3, math.inf)),
+                      (np.nextafter(placed, math.inf), False, (1e-3, math.inf))]
     out = []
-    for align, clamp in ((True, (1e-3, math.inf)), (False, (1e-3, math.inf)),
-                         (True, (-math.inf, math.inf))):
-        pool = evaluate(pred, gt, gt_mask, align=align, clamp=clamp).pool
+    for p, align, clamp in cases:
+        pool = evaluate(p, gt, gt_mask, align=align, clamp=clamp).pool
         out += [pool.n, pool.sum_abs_rel, pool.sum_sq_rel, pool.sum_sq_err, pool.sum_log_diff,
                 pool.sum_sq_log_diff, pool.n_delta1, pool.n_delta2, pool.n_delta3]
     return out
@@ -246,17 +255,30 @@ def probe_evb_roundtrip(seed):
 
 
 def probe_encode(seed):
-    from evdepth.events import slice_sbn, slice_sbt
+    """Every layout of the prep-cadence slices, then of a dense slice of an
+    8x6 sensor whose pixel (0, 0) fires both polarities at its first
+    timestamp and whose other pixels mostly fire both, with timestamps tied
+    in runs."""
+    from evdepth.events import EventStream, slice_sbn, slice_sbt
     from evdepth.stacks import StackLayout, encode
 
     stream = _stream(seed)
-    out = []
+    slices = []
     for k in range(1, PREP_FRAMES):
         t_d = k * FRAME_STEP_US
-        for sl in (slice_sbt(stream, t_d, FRAME_STEP_US), slice_sbn(stream, t_d, 50_000)):
-            for layout in StackLayout:
-                bins = 5 if layout is StackLayout.VOXEL else None  # the others take no bins
-                out.append(encode(sl, layout, bins=bins).values)
+        slices += [slice_sbt(stream, t_d, FRAME_STEP_US), slice_sbn(stream, t_d, 50_000)]
+    rng = np.random.default_rng([seed, 11])
+    n = 400
+    xs, ys, ps = rng.integers(0, 8, n), rng.integers(0, 6, n), rng.choice(np.array([-1, 1]), n)
+    xs[:2], ys[:2], ps[:2] = 0, 0, (1, -1)
+    ts = 10 + np.cumsum(rng.integers(0, 3, n))
+    ts[1] = ts[0]
+    slices.append(slice_sbt(EventStream(8, 6, xs, ys, ps, ts), int(ts[-1]), int(ts[-1])))
+    out = []
+    for sl in slices:
+        for layout in StackLayout:
+            bins = 5 if layout is StackLayout.VOXEL else None  # the others take no bins
+            out.append(encode(sl, layout, bins=bins).values)
     return out
 
 

@@ -6,7 +6,7 @@ Conventions fixed here because the usual write-ups leave them open:
     with no x100 factor.
   - Predictions are clamped (default [1e-3, inf)) before the log-domain
     metrics; alignment can push values non-positive.
-  - Delta thresholds compare strictly (ratio < 1.25^n).
+  - Delta thresholds compare the symmetric ratio strictly: max(p/g, g/p) < 1.25^n.
   - A prediction that is not finite on the valid mask is a DomainError, as
     is ground truth that is not finite and positive there; the shape, count
     and finiteness checks are those of ``losses._check_pair``. So is a finite
@@ -121,21 +121,17 @@ def evaluate(
 
     # One scratch vector serves every per-pixel term (err is recomputed rather
     # than kept); each sum is still over the gathered valid pixels, in order.
-    with np.errstate(over="ignore"):  # an overflow makes a sum inf, tested next
+    with np.errstate(over="ignore"):  # an inf sum is tested next; an inf ratio counts in no delta
         buf = np.subtract(p, g)
         np.abs(buf, out=buf)
         sum_abs_rel = float(np.divide(buf, g, out=buf).sum())
         np.subtract(p, g, out=buf)
         sum_sq_err = float(np.multiply(buf, buf, out=buf).sum())
         sum_sq_rel = float(np.divide(buf, g, out=buf).sum())
+        ratio = np.maximum(np.divide(p, g, out=buf), g / p, out=buf)
     if not all(map(math.isfinite, (sum_abs_rel, sum_sq_err, sum_sq_rel))):
         raise DomainError("prediction error overflows float64 on the valid mask")
-    # ratio = max(p/g, g/p) < t  <=>  p/g < t and g/p < t
-    np.divide(p, g, out=buf)
-    within = [buf < 1.25**k for k in (1, 2, 3)]
-    np.divide(g, p, out=buf)
-    n_delta = [int(np.count_nonzero(np.logical_and(w, buf < 1.25**k, out=w)))
-               for k, w in zip((1, 2, 3), within)]
+    n_delta = [int(np.count_nonzero(ratio < 1.25**k)) for k in (1, 2, 3)]
     np.log(g, out=buf)
     d = np.subtract(np.log(p, out=p), buf, out=p)
     sum_log_diff = float(d.sum())

@@ -174,9 +174,10 @@ def build_manifest(
     bin count takes its default); a value the mode or layout does not use is a
     ParameterError. A directory given that is not one is a FileNotFoundError,
     before the recording is opened. Each frame needs a proxy, and a mask if
-    ``mask_dir`` is given (BuildError); with no ground truth, ``gt_path`` is
-    None. Each frame, proxy, ground-truth and mask raster must be the
-    recording's size (ContractError); a PNG or JPG frame is paired by name only.
+    ``mask_dir`` is given (BuildError, also before the open); with no ground
+    truth, ``gt_path`` is None. Each frame, proxy, ground-truth and mask
+    raster must be the recording's size (ContractError); a PNG or JPG frame
+    is paired by name only.
     """
     layout = _choice_param("layout", layout, StackLayout)
     bins = _bin_count(bins) if layout is StackLayout.VOXEL else bins
@@ -184,31 +185,36 @@ def build_manifest(
     provenance = Provenance(teacher=teacher, lam=lam, k_scales=k_scales)
     drop_empty = _bool_param("drop_empty", drop_empty)
 
-    # each directory is listed once, before the recording is opened
+    # each directory is listed once, and each frame paired with its partner
+    # files, before the recording is opened
     frames = timestamped_files(frames_dir, suffixes=FRAME_SUFFIXES)
     proxies = files_by_stem(proxy_dir, DEPTH_SUFFIXES, "depth")
     gts = files_by_stem(gt_dir, DEPTH_SUFFIXES, "depth") if gt_dir else {}
     masks = files_by_stem(mask_dir, MASK_SUFFIXES, "mask") if mask_dir else None
+    paired = []
+    missing = []
+    for t_d, frame_path in frames:
+        stem = frame_path.stem
+        proxy = proxies.get(stem)
+        if proxy is None:
+            missing.append(f"{stem} (t_d={t_d})")
+            continue
+        mask_path = None
+        if masks is not None:
+            mask = masks.get(stem)
+            if mask is None:
+                missing.append(f"{stem} (t_d={t_d}, mask)")
+                continue
+            mask_path = str(mask.resolve())
+        paired.append((t_d, frame_path, proxy, gts.get(stem), mask_path))
+    if missing:
+        raise BuildError("missing proxy/mask files for frames: " + ", ".join(missing))
     events_path = Path(events_path).resolve()
     with _open_recording(events_path) as events:
         if not frames:  # a bad recording is named first, even with no frames
             raise BuildError(f"no frames found under {frames_dir}")
         records = []
-        missing = []
-        for t_d, frame_path in frames:
-            stem = frame_path.stem
-            proxy = proxies.get(stem)
-            if proxy is None:
-                missing.append(f"{stem} (t_d={t_d})")
-                continue
-            mask_path = None
-            if masks is not None:
-                mask = masks.get(stem)
-                if mask is None:
-                    missing.append(f"{stem} (t_d={t_d}, mask)")
-                    continue
-                mask_path = str(mask.resolve())
-            gt = gts.get(stem)
+        for t_d, frame_path, proxy, gt, mask_path in paired:
             for path in (frame_path, proxy, gt, mask_path):
                 _check_raster_size(path, events)
             # the record needs the slice's bounds only, not its events
@@ -218,8 +224,6 @@ def build_manifest(
                 proxy_path=str(proxy.resolve()), gt_path=str(gt.resolve()) if gt else None,
                 mask_path=mask_path, width=events.width, height=events.height,
                 empty_slice=hi == lo))
-    if missing:
-        raise BuildError("missing proxy/mask files for frames: " + ", ".join(missing))
     if drop_empty:
         records = [r for r in records if not r.empty_slice]
     return DatasetManifest(encoder=encoder, provenance=provenance, records=tuple(records))

@@ -98,9 +98,7 @@ def encode_voxel(sl: EventSlice, bins: int) -> EventStack:
 
 def encode_image_like(sl: EventSlice) -> EventStack:
     values = _zeros(sl, StackLayout.IMAGE_LIKE, 3)
-    pos = sl.ps > 0
-    values[sl.ys[pos], sl.xs[pos], 0] = 1.0
-    values[sl.ys[~pos], sl.xs[~pos], 2] = 1.0
+    values[sl.ys, sl.xs, np.where(sl.ps > 0, 0, 2)] = 1.0
     return EventStack(StackLayout.IMAGE_LIKE, values, sl.t_start_us, sl.t_end_us)
 
 
@@ -117,11 +115,9 @@ def encode_tencode(sl: EventSlice) -> EventStack:
         lit = np.flatnonzero(last_of >= 0)
         last = last_of[lit]
         recency = (sl.t_end_us - sl.ts[last]).astype(np.float64) / duration
-        pos = sl.ps[last] > 0
         pixels = values.reshape(-1, 3)
-        pixels[lit[pos], 0] = 1.0
+        pixels[lit, np.where(sl.ps[last] > 0, 0, 2)] = 1.0
         pixels[lit, 1] = recency
-        pixels[lit[~pos], 2] = 1.0
     return EventStack(StackLayout.TENCODE, values, sl.t_start_us, sl.t_end_us)
 
 

@@ -85,6 +85,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not an ASCII evcsv file")
 
+    def test_frame_without_proxy_is_named_before_the_recording(self, tmp_path, capsys):
+        # the 15-byte recording is a truncated EVB header, yet the missing
+        # proxy is what a build reports: frames are paired before the open
+        events = tmp_path / "events.evb"
+        events.write_bytes(b"\0" * 15)
+        write_frames(tmp_path / "frames", [(500, 90)])
+        (tmp_path / "proxy").mkdir()
+        out = tmp_path / "m.json"
+        assert main(["dataset", "build", "--events", str(events), "--frames",
+                     str(tmp_path / "frames"), "--proxy", str(tmp_path / "proxy"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: missing proxy/mask files for frames: 000000500 (t_d=500)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("header, record", [
         ("width=8 height=6", "1,1,1," + "9" * 5000),
         ("width=" + "9" * 5000 + " height=6", "1,1,1,5"),

@@ -5,6 +5,11 @@ The reference functions below copy the kernel bodies as they stood before
 checks dropped, off-mask warnings silenced). Every value and gradient of the
 library must match them in its float64 bytes, signed zeros included:
 ``np.array_equal`` would accept -0.0 for +0.0, ``tobytes`` does not.
+
+So must the polarity flags of the 3-channel encoders, against the two
+boolean-masked writes (R, then B) they replaced, and the delta counts of
+``evaluate``, against the two one-sided ratio tests joined per threshold
+that the symmetric ratio replaced.
 """
 
 import math
@@ -17,10 +22,12 @@ from hypothesis import strategies as st
 
 from evdepth import losses, metrics, pipeline
 from evdepth.errors import DomainError, InsufficientSupportError
+from evdepth.events import EventStream, slice_sbt
 from evdepth.imgio import save_depth_pfm, save_depth_pgm16, save_mask_pgm
 from evdepth.losses import AffineParams, loss_reg, loss_si, loss_total, lstsq_align
 from evdepth.metrics import evaluate
 from evdepth.pipeline import SampleRecord, training_step
+from evdepth.stacks import encode_image_like, encode_tencode
 
 # --- references: the kernel bodies before the rewrite -----------------------
 
@@ -148,6 +155,43 @@ def ref_evaluate_pool(pred, gt, mask, align, clamp):
         n_delta2=int((ratio < 1.25**2).sum()),
         n_delta3=int((ratio < 1.25**3).sum()),
     )
+
+
+def ref_image_like(sl):
+    values = np.zeros((sl.height, sl.width, 3))
+    pos = sl.ps > 0
+    values[sl.ys[pos], sl.xs[pos], 0] = 1.0
+    values[sl.ys[~pos], sl.xs[~pos], 2] = 1.0
+    return values
+
+
+def ref_tencode(sl):
+    values = np.zeros((sl.height, sl.width, 3))
+    if len(sl):
+        duration = sl.duration_us
+        flat = sl.ys.astype(np.intp) * sl.width + sl.xs
+        last_of = np.full(sl.height * sl.width, -1, dtype=np.intp)
+        np.maximum.at(last_of, flat, np.arange(len(sl)))
+        lit = np.flatnonzero(last_of >= 0)
+        last = last_of[lit]
+        recency = (sl.t_end_us - sl.ts[last]).astype(np.float64) / duration
+        pos = sl.ps[last] > 0
+        pixels = values.reshape(-1, 3)
+        pixels[lit[pos], 0] = 1.0
+        pixels[lit, 1] = recency
+        pixels[lit[~pos], 2] = 1.0
+    return values
+
+
+def ref_delta_counts(p, g):
+    """n_delta1..3 of positive p and g: p/g < t and g/p < t, per threshold."""
+    buf = np.empty_like(p)
+    with np.errstate(over="ignore"):
+        np.divide(p, g, out=buf)
+        within = [buf < 1.25**k for k in (1, 2, 3)]
+        np.divide(g, p, out=buf)
+    return [int(np.count_nonzero(np.logical_and(w, buf < 1.25**k, out=w)))
+            for k, w in zip((1, 2, 3), within)]
 
 
 # --- inputs ------------------------------------------------------------------
@@ -549,3 +593,107 @@ class TestTrainingStepSum:
             expected += g
         assert len(terms) == (2 if mode == "combined" else 1)
         assert step.grad.tobytes() == expected.tobytes()
+
+
+# --- polarity channels and delta counts ----------------------------------------
+
+
+@st.composite
+def tied_slices(draw):
+    """An SBT slice of a sensor of at most 6x5 whose timestamps lie in 0..5,
+    so that most are tied; pixel (0, 0) may fire both polarities at one
+    timestamp, in either order. A reference time before every event, or a
+    stream of none, gives an empty slice."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    events = draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1),
+                                      st.sampled_from([-1, 1]), st.integers(0, 5)), max_size=40))
+    if draw(st.booleans()):
+        t = draw(st.integers(0, 5))
+        p = draw(st.sampled_from([-1, 1]))
+        events += [(0, 0, p, t), (0, 0, -p, t)]
+    events.sort(key=lambda e: e[3])  # stable: tied events keep their drawn order
+    xs, ys, ps, ts = zip(*events) if events else ((), (), (), ())
+    stream = EventStream(w, h, xs, ys, ps, ts)
+    return slice_sbt(stream, draw(st.integers(0, 6)), draw(st.integers(1, 7)))
+
+
+class TestPolarityWrites:
+    @settings(max_examples=300, deadline=None)
+    @given(sl=tied_slices())
+    def test_image_like(self, sl):
+        assert encode_image_like(sl).values.tobytes() == ref_image_like(sl).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sl=tied_slices())
+    def test_tencode(self, sl):
+        assert encode_tencode(sl).values.tobytes() == ref_tencode(sl).tobytes()
+
+    def test_pixel_firing_both_polarities(self):
+        # pixel (1, 2) fires +1 then -1 at t=5, pixel (3, 0) -1 then +1 at t=7
+        stream = EventStream(4, 3, [1, 1, 3, 3], [2, 2, 0, 0], [1, -1, -1, 1], [5, 5, 7, 7])
+        sl = slice_sbt(stream, 8, 8)
+        image_like, tencode = encode_image_like(sl).values, encode_tencode(sl).values
+        assert image_like.tobytes() == ref_image_like(sl).tobytes()
+        assert tencode.tobytes() == ref_tencode(sl).tobytes()
+        assert image_like[2, 1].tolist() == image_like[0, 3].tolist() == [1.0, 0.0, 1.0]
+        assert tencode[2, 1].tolist() == [0.0, 3 / 8, 1.0]  # the later event wins
+        assert tencode[0, 3].tolist() == [1.0, 1 / 8, 0.0]
+
+    @pytest.mark.parametrize("t_d", [0, 4])
+    def test_empty_slice(self, t_d):
+        sl = slice_sbt(EventStream(4, 3, [1], [2], [1], [5]), t_d, 3)
+        assert len(sl) == 0
+        for encoded, ref in ((encode_image_like(sl), ref_image_like(sl)),
+                             (encode_tencode(sl), ref_tencode(sl))):
+            assert encoded.values.tobytes() == ref.tobytes() == bytes(8 * 3 * 4 * 3)
+
+
+@st.composite
+def ratio_pairs(draw):
+    """A positive finite (p, g), in either order: one on a delta threshold,
+    ``g * 1.25**k``, or one ulp either side of it; one whose ratio overflows
+    float64; or any two in [1e-3, 1e3]."""
+    kind = draw(st.sampled_from(["threshold", "threshold", "overflow", "any"]))
+    if kind == "threshold":
+        g = draw(st.floats(1e-150, 1e150))
+        p = g * 1.25 ** draw(st.integers(1, 3))
+        p = np.nextafter(p, [0.0, p, math.inf][draw(st.integers(0, 2))])
+        pair = (float(p), g)
+    elif kind == "overflow":
+        pair = (draw(st.floats(1e-300, 1e-210)), draw(st.floats(1e100, 1e150)))
+    else:
+        pair = (draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+class TestDeltaCount:
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=st.lists(ratio_pairs(), min_size=1, max_size=6))
+    def test_symmetric_ratio_counts_the_two_sided_tests(self, pairs):
+        p, g = np.array(pairs).T
+        try:
+            pool = evaluate(p[None], g[None], align=False, clamp=(-math.inf, math.inf)).pool
+        except DomainError as exc:  # p/g overflowing overflows abs_rel first
+            assert "prediction error overflows float64" in str(exc)
+            return
+        assert [pool.n_delta1, pool.n_delta2, pool.n_delta3] == ref_delta_counts(p, g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_threshold_and_one_ulp_either_side(self, k):
+        g = np.array([1.0, 3.0, 7.5, 0.1])
+        placed = g * 1.25**k
+        for p in (np.nextafter(placed, 0.0), placed, np.nextafter(placed, math.inf)):
+            for pred, gt in ((p, g), (g, p)):
+                pool = evaluate(pred[None], gt[None], align=False, clamp=(-math.inf, math.inf)).pool
+                counts = [pool.n_delta1, pool.n_delta2, pool.n_delta3]
+                assert counts == ref_delta_counts(pred, gt)
+
+    def test_ratio_overflow(self):
+        """g/p overflowing to inf counts in no delta, and warns of nothing;
+        p/g overflowing to inf overflows abs_rel, a DomainError."""
+        g = np.array([1e150, 2.0])
+        p = np.array([1e-250, 2.0])
+        pool = evaluate(p[None], g[None], align=False, clamp=(-math.inf, math.inf)).pool
+        assert [pool.n_delta1, pool.n_delta2, pool.n_delta3] == ref_delta_counts(p, g) == [1, 1, 1]
+        with pytest.raises(DomainError, match="prediction error overflows float64"):
+            evaluate(g[None], p[None], align=False, clamp=(-math.inf, math.inf))
