@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from evdepth.cli import main as evdepth_main
+from evdepth.config import LOSS_DEFAULTS
 from evdepth.imgio import load_depth, save_depth_pfm, write_pgm
 from evdepth.metrics import aggregate, evaluate
 from evdepth.pipeline import load_manifest, training_step
@@ -65,7 +66,7 @@ def gradient_descent_demo(manifest_path: Path, rng) -> None:
     proxy = load_depth(record.proxy_path)
     noise = rng.standard_normal(proxy.shape)
     pred = proxy + 0.8 * noise
-    print("\ngradient descent on one sample (loss = l_si + 0.25 * l_reg):")
+    print(f"\ngradient descent on one sample (loss = l_si + {LOSS_DEFAULTS.lam} * l_reg):")
     step_size = 0.25 * proxy.size  # l_si gradients carry a 1/|M| factor
     for it in range(8):
         step = training_step(record, pred, mode="proxy")

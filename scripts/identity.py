@@ -354,6 +354,42 @@ def probe_export(seed):
     return out
 
 
+def probe_slice_cli(seed):
+    """The bytes ``evdepth slice`` writes, to .evb and to .csv, for SBT and
+    SBN slices of ``_tied_stream``, from an EVB recording and from its evcsv
+    twin. Reference times fall before the first event, on tied timestamps at
+    index entries, in the gap and after the last event; the last count takes
+    the whole stream."""
+    import contextlib
+    import io
+
+    from evdepth.cli import main
+    from evdepth.events import write_events
+
+    stream = _tied_stream(seed)
+    ts = stream.ts
+    t_ds = (500, int(ts[4096]), int(ts[8192]), int(ts[6000]) - 1, int(ts[-1]) + 7_000)
+    cuts = (("--dt-us", "2000"), ("--dt-us", "40000"), ("--count", "5000"),
+            ("--count", str(len(stream) + 9)))
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for source in ("evb", "csv"):
+            events = root / f"events.{source}"
+            write_events(stream, events)
+            for t_d in t_ds:
+                for flag, value in cuts:
+                    for fmt in ("evb", "csv"):
+                        path = root / f"slice.{fmt}"
+                        with contextlib.redirect_stdout(io.StringIO()):
+                            code = main(["slice", "--events", str(events), "--td-us", str(t_d),
+                                         flag, value, "--out", str(path)])
+                        if code != 0:
+                            raise RuntimeError(f"slice exited {code} at t_d={t_d} {flag} {value}")
+                        out.append(np.frombuffer(path.read_bytes(), dtype=np.uint8))
+    return out
+
+
 def _fusion_setup(seed):
     from evdepth.fusion import make_model_params
 
@@ -605,12 +641,13 @@ def probe_imgio_read(seed):
 # Upstream first: a change to a kernel moves its probe and those after it
 # that use it (training_step runs loss_total; loss_total and evaluate run
 # lstsq_align; encode reads simulate's events; export slices and encodes;
-# the fusion CLI runs the recurrence).
+# the slice CLI slices and writes events; the fusion CLI runs the recurrence).
 PROBES = {
     "simulator.simulate": probe_simulate,
     "events.evb_roundtrip": probe_evb_roundtrip,
     "stacks.encode": probe_encode,
     "pipeline.export": probe_export,
+    "cli.slice": probe_slice_cli,
     "fusion.conv2d_same": probe_conv2d_same,
     "fusion.convlstm_step": probe_convlstm_step,
     "fusion.fuse": probe_fuse,

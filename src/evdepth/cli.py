@@ -19,7 +19,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .config import DEFAULT_CLAMP_MIN, FUSION_DEFAULTS, LOSS_DEFAULTS, max_threads
+from .config import (BENCH_DEFAULTS, DEFAULT_CLAMP_MIN, FUSION_DEFAULTS, LOSS_DEFAULTS,
+                     max_threads)
 from .errors import (ContractError, DomainError, EvDepthError, FormatError, ParameterError,
                      _int_param, _real_param)
 from .events import (SliceMode, SliceSpec, _infer_format, _ref_time, _slicing, read_events,
@@ -108,7 +109,7 @@ def cmd_slice(args) -> tuple[dict, str]:
     _infer_format(Path(args.out), args.format)
     with _open_recording(args.events) as events:
         sl = slice_events(events, t_d, spec)
-    write_events(sl.to_stream(), args.out, fmt=args.format)
+    write_events(sl, args.out, fmt=args.format)
     payload = {"n_events": len(sl), "t_start_us": sl.t_start_us, "t_end_us": sl.t_end_us,
                "out": str(args.out)}
     return payload, f"{len(sl)} events in [{sl.t_start_us}, {sl.t_end_us}] us -> {args.out}"
@@ -282,8 +283,9 @@ def cmd_bench(args) -> tuple[dict, str]:
             raise _UsageError(f"layout {layout!r} is named twice")
     bins = _voxel_bins(args.bins, layouts)
     repetitions = _int_param("repetitions", args.repetitions, 1)
-    tolerance = _real_param("tolerance", 0.2 if args.tolerance is None else args.tolerance, 0,
-                            float("inf"), closed=True)
+    tolerance = _real_param(
+        "tolerance", BENCH_DEFAULTS.tolerance if args.tolerance is None else args.tolerance, 0,
+        float("inf"), closed=True)
     if args.tolerance is not None and not args.baseline:
         raise _UsageError("--tolerance needs --baseline")
     baseline = _baseline_rates(args.baseline) if args.baseline else None
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="encoder throughput report")
     p.add_argument("--events", required=True)
     p.add_argument("--layouts", default="all", help="comma-separated, or 'all'")
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=int, default=BENCH_DEFAULTS.repetitions)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--baseline", default=None, help="JSON report to compare against")

@@ -2,8 +2,9 @@
 
 This is the one home of the numeric defaults (50 ms SBT window, 5 voxel
 bins, loss weight 0.25 over 4 scales, fusion scales/channels and seed,
-1e-3 evaluation clamp): every CLI subcommand and library function that
-falls back to a default reads it from here.
+1e-3 evaluation clamp, 3 bench repetitions and a 0.2 bench tolerance):
+every CLI subcommand and library function that falls back to a default
+reads it from here.
 """
 
 from __future__ import annotations
@@ -35,9 +36,16 @@ class FusionConfig:
     seed: int = 0
 
 
+@dataclass(frozen=True)
+class BenchConfig:
+    repetitions: int = 3
+    tolerance: float = 0.2  # an events/s ratio to the baseline outside 1 +/- this is reported
+
+
 ENCODER_DEFAULTS = EncoderConfig()
 LOSS_DEFAULTS = LossConfig()
 FUSION_DEFAULTS = FusionConfig()
+BENCH_DEFAULTS = BenchConfig()
 
 DEFAULT_CLAMP_MIN = 1e-3
 

@@ -2,15 +2,17 @@
 
 An event stream is stored as four parallel numpy arrays (x, y, polarity,
 timestamp) sorted by timestamp. Timestamps are integer microseconds; all
-interval arithmetic stays in integers. A slice of an in-memory stream is
-numpy views plus the recorded interval, so it costs O(log N) search and O(1)
-extra memory.
+interval arithmetic stays in integers. A slice is itself a stream
+(``EventSlice``) that also records the interval it covers. A slice of an
+in-memory stream is numpy views, so it costs O(log N) search and O(1) extra
+memory.
 
 An EVB file can also be sliced without loading it (``_EvbSource``): one
 chunked pass validates every record and keeps the timestamp of every
 4,096th record, then each slice reads only its own records. Such a slice
 owns its arrays, so it costs memory in proportion to the slice, not to the
-file.
+file. ``read_events`` runs the same pass on an EVB file, reading each chunk
+into the stream's full-length columns, so one validator covers both.
 
 On-disk formats:
   CSV  header ``# evcsv v1 width=<W> height=<H>`` then ``x,y,p,t`` lines.
@@ -154,44 +156,51 @@ def _validate_arrays(width, height, xs, ys, ps, ts) -> tuple[int, int]:
 
 
 class EventStream:
-    """Immutable time-sorted event sequence bound to a sensor size."""
+    """Immutable time-sorted event sequence bound to a sensor size.
+
+    Pickling and copying rebuild through the checking constructor."""
 
     __slots__ = ("width", "height", "xs", "ys", "ps", "ts")
+    _FIELDS = __slots__  # what __init__ takes, in its order
 
     def __init__(self, width, height, xs, ys, ps, ts):
         # always copy: the arrays get frozen, and freezing a caller's array
         # (or a buffer-backed view) in place would be a surprising side effect
-        self._bind(
-            width,
-            height,
+        cols = (
             np.array(xs, dtype=np.int32, order="C", copy=True),
             np.array(ys, dtype=np.int32, order="C", copy=True),
             np.array(ps, dtype=np.int8, order="C", copy=True),
             np.array(ts, dtype=np.int64, order="C", copy=True),
         )
+        self._set((*_validate_arrays(width, height, *cols), *cols))
 
     @classmethod
     def _adopt(cls, width, height, xs, ys, ps, ts) -> "EventStream":
         """Validate and freeze, without copying, C-contiguous int32/int32/int8/
         int64 columns that the caller has just built and holds no other
         reference to."""
-        stream = cls.__new__(cls)
-        stream._bind(width, height, xs, ys, ps, ts)
-        return stream
+        return cls._of(*_validate_arrays(width, height, xs, ys, ps, ts), xs, ys, ps, ts)
 
-    def _bind(self, width, height, xs, ys, ps, ts):
-        width, height = _validate_arrays(width, height, xs, ys, ps, ts)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "ts", ts)
-        for a in (xs, ys, ps, ts):
+    @classmethod
+    def _of(cls, *fields):
+        """An instance of ``fields``, in ``_FIELDS`` order, whose columns are
+        already checked: no copy and no second check."""
+        obj = cls.__new__(cls)
+        obj._set(fields)
+        return obj
+
+    def _set(self, fields):
+        """Bind ``fields``, in ``_FIELDS`` order, and freeze the columns."""
+        for name, value in zip(self._FIELDS, fields):
+            object.__setattr__(self, name, value)
+        for a in (self.xs, self.ys, self.ps, self.ts):
             a.flags.writeable = False
 
     def __setattr__(self, name, value):  # immutability
-        raise AttributeError("EventStream is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._FIELDS)
 
     @classmethod
     def empty(cls, width: int, height: int) -> "EventStream":
@@ -209,6 +218,7 @@ class EventStream:
         return Event(int(self.xs[i]), int(self.ys[i]), int(self.ps[i]), int(self.ts[i]))
 
     def __eq__(self, other) -> bool:
+        """Sensor and events match; two slices also need the same interval."""
         if not isinstance(other, EventStream):
             return NotImplemented
         return (
@@ -221,7 +231,7 @@ class EventStream:
         )
 
     def __repr__(self) -> str:
-        return f"EventStream({self.width}x{self.height}, {len(self)} events)"
+        return f"{type(self).__name__}({self.width}x{self.height}, {len(self)} events)"
 
     # the slicing interface _EvbSource shares: search, one timestamp, a slice
 
@@ -232,41 +242,37 @@ class EventStream:
         return int(self.ts[i])
 
     def _slice(self, lo: int, hi: int, t_start: int, t_end: int) -> "EventSlice":
-        return EventSlice(self.width, self.height, self.xs[lo:hi], self.ys[lo:hi],
-                          self.ps[lo:hi], self.ts[lo:hi], t_start, t_end)
+        return EventSlice._of(self.width, self.height, self.xs[lo:hi], self.ys[lo:hi],
+                              self.ps[lo:hi], self.ts[lo:hi], t_start, t_end)
 
 
-@dataclass(frozen=True)
-class EventSlice:
-    """Events of one slice plus the interval [t_start_us, t_end_us] it covers.
+class EventSlice(EventStream):
+    """A stream of one slice's events, plus the interval [t_start_us, t_end_us]
+    it covers.
 
+    Built by hand, it copies and checks its columns as ``EventStream`` does.
     A slice of an ``EventStream`` holds numpy views into the stream (no
     payload copies); a slice read from an ``_EvbSource`` owns its read-only
     arrays, which are not views of anything.
     """
 
-    width: int
-    height: int
-    xs: np.ndarray
-    ys: np.ndarray
-    ps: np.ndarray
-    ts: np.ndarray
-    t_start_us: int
-    t_end_us: int
+    __slots__ = ("t_start_us", "t_end_us")
+    _FIELDS = EventStream._FIELDS + __slots__
 
-    def __len__(self) -> int:
-        return len(self.ts)
+    def __init__(self, width, height, xs, ys, ps, ts, t_start_us, t_end_us):
+        super().__init__(width, height, xs, ys, ps, ts)
+        object.__setattr__(self, "t_start_us", t_start_us)
+        object.__setattr__(self, "t_end_us", t_end_us)
 
     @property
     def duration_us(self) -> int:
         return self.t_end_us - self.t_start_us
 
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield Event(int(self.xs[i]), int(self.ys[i]), int(self.ps[i]), int(self.ts[i]))
-
-    def to_stream(self) -> EventStream:
-        return EventStream(self.width, self.height, self.xs, self.ys, self.ps, self.ts)
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventSlice) and (
+                (self.t_start_us, self.t_end_us) != (other.t_start_us, other.t_end_us)):
+            return False
+        return super().__eq__(other)
 
 
 def _ref_time(t_d) -> int:
@@ -427,14 +433,17 @@ def _read_evb_header(fh, path: Path) -> tuple[int, int, int]:
     return width, height, count
 
 
-def _read_evb_records(fh, path: Path, buf: np.ndarray, count: int, lo: int, hi: int):
-    """The int32 x, int32 y, int8 p and int64 t columns of records [lo, hi) of
-    an EVB file of ``count`` records, read through ``buf``; unchecked."""
-    n = hi - lo
-    xs = np.empty(n, dtype=np.int32)
-    ys = np.empty(n, dtype=np.int32)
-    ps = np.empty(n, dtype=np.int8)
-    ts = np.empty(n, dtype=np.int64)
+def _evb_columns(n: int):
+    """Uninitialised int32 x, int32 y, int8 p and int64 t columns of ``n`` records."""
+    return (np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),
+            np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64))
+
+
+def _read_evb_records(fh, path: Path, buf: np.ndarray, count: int, lo: int, cols) -> None:
+    """Read records [lo, lo + len(cols[0])) of an EVB file of ``count``
+    records, through ``buf``, into the columns ``cols``; unchecked."""
+    xs, ys, ps, ts = cols
+    n = len(ts)
     fh.seek(_EVB_HEADER.size + lo * _EVB_RECORD_DTYPE.itemsize)
     for start in range(0, n, _EVB_CHUNK):
         stop = min(start + _EVB_CHUNK, n)
@@ -448,23 +457,10 @@ def _read_evb_records(fh, path: Path, buf: np.ndarray, count: int, lo: int, hi: 
         ys[start:stop] = rec["y"]
         ps[start:stop] = rec["p"]
         ts[start:stop] = rec["t"]  # u64 -> i64 wraps past 2**63 - 1 to a negative value
-    return xs, ys, ps, ts
 
 
 def _evb_buffer(count: int) -> np.ndarray:
     return np.empty(min(count, _EVB_CHUNK), dtype=_EVB_RECORD_DTYPE)
-
-
-def _read_evb(path: Path) -> EventStream:
-    with open(path, "rb") as fh:
-        width, height, count = _read_evb_header(fh, path)
-        xs, ys, ps, ts = _read_evb_records(fh, path, _evb_buffer(count), count, 0, count)
-    if count and ts.min() < 0:
-        raise FormatError(f"{path}: timestamp exceeds signed 64-bit range")
-    try:
-        return EventStream._adopt(width, height, xs, ys, ps, ts)
-    except EvDepthError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 # records per index entry: 8 B of index per 53 KiB of file; it divides
@@ -472,17 +468,62 @@ def _read_evb(path: Path) -> EventStream:
 _INDEX_STEP = 1 << 12
 
 
+def _scan_evb(fh, path: Path, buf: np.ndarray, width: int, height: int, count: int,
+              cols) -> np.ndarray:
+    """Validate every record of an open EVB file, a chunk at a time, reading
+    the chunks into ``cols``: columns of all ``count`` records, or of one
+    chunk, reused. Returns the timestamp of every ``_INDEX_STEP``-th record.
+
+    Keeps the first fault of each kind and raises, after the pass, the first
+    of: a timestamp past the int64 range, bad sensor dims, then the first bad
+    polarity, pixel and timestamp order."""
+    index = np.empty(-(-count // _INDEX_STEP), dtype=np.int64)
+    out_of_range = False
+    faults = [None, None, None]
+    t_prev = None
+    for lo in range(0, count, _EVB_CHUNK):
+        at = lo if len(cols[3]) == count else 0
+        chunk = [c[at : at + min(_EVB_CHUNK, count - lo)] for c in cols]
+        _read_evb_records(fh, path, buf, count, lo, chunk)
+        ts = chunk[3]
+        out_of_range = out_of_range or ts.min() < 0
+        found = _record_faults(width, height, *chunk, lo, t_prev)
+        faults = [old or new for old, new in zip(faults, found)]
+        marks = ts[::_INDEX_STEP]
+        index[lo // _INDEX_STEP : lo // _INDEX_STEP + len(marks)] = marks
+        t_prev = ts[-1]
+    try:
+        if out_of_range:
+            raise FormatError("timestamp exceeds signed 64-bit range")
+        _check_dims(width, height)
+        for fault in faults:
+            if fault is not None:
+                raise fault
+    except EvDepthError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return index
+
+
+def _read_evb(path: Path) -> EventStream:
+    with open(path, "rb") as fh:
+        width, height, count = _read_evb_header(fh, path)
+        cols = _evb_columns(count)
+        _scan_evb(fh, path, _evb_buffer(count), width, height, count, cols)
+    return EventStream._of(width, height, *cols)
+
+
 class _EvbSource:
     """An EVB file checked by one chunked pass, then read slice by slice.
 
-    The pass runs every check ``read_events`` runs and raises the error it
-    would; besides the header it keeps only the timestamp of every
-    ``_INDEX_STEP``-th record. ``slice_sbt``/``slice_sbn``/``slice_events``
-    accept the source in place of an ``EventStream``: a slice reads its own
-    records plus at most one index window at each end, from the file opened
-    for the pass. Every read re-validates its records and checks the index
-    timestamps it covers, so a file changed in place after the pass is a
-    ``FormatError``. Use as a context manager; the file closes on exit.
+    The pass is the one ``read_events`` runs on an EVB file, so it raises
+    the error ``read_events`` would; besides the header it keeps only the
+    timestamp of every ``_INDEX_STEP``-th record. ``slice_sbt``/``slice_sbn``/
+    ``slice_events`` accept the source in place of an ``EventStream``: a
+    slice reads its own records plus at most one index window at each end,
+    from the file opened for the pass. Every read re-validates its records
+    and checks the index timestamps it covers, so a file changed in place
+    after the pass is a ``FormatError``. Use as a context manager; the file
+    closes on exit.
     """
 
     def __init__(self, path) -> None:
@@ -491,7 +532,8 @@ class _EvbSource:
         try:
             self.width, self.height, self.count = _read_evb_header(self._fh, self.path)
             self._buf = _evb_buffer(self.count)
-            self._index = self._scan()
+            self._index = _scan_evb(self._fh, self.path, self._buf, self.width, self.height,
+                                    self.count, _evb_columns(len(self._buf)))
         except BaseException:
             self._fh.close()
             raise
@@ -502,40 +544,10 @@ class _EvbSource:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def _scan(self) -> np.ndarray:
-        """Validate every record a chunk at a time; the index of timestamps.
-
-        Keeps the first fault of each kind and raises, after the pass, the
-        one ``read_events`` would: the u64 range, then the sensor dims, the
-        polarity, the pixel bounds and the timestamp order."""
-        width, height, count = self.width, self.height, self.count
-        index = np.empty(-(-count // _INDEX_STEP), dtype=np.int64)
-        out_of_range = False
-        faults = [None, None, None]
-        t_prev = None
-        for lo in range(0, count, _EVB_CHUNK):
-            xs, ys, ps, ts = _read_evb_records(self._fh, self.path, self._buf, count, lo,
-                                               min(lo + _EVB_CHUNK, count))
-            out_of_range = out_of_range or ts.min() < 0
-            found = _record_faults(width, height, xs, ys, ps, ts, lo, t_prev)
-            faults = [old or new for old, new in zip(faults, found)]
-            marks = ts[::_INDEX_STEP]
-            index[lo // _INDEX_STEP : lo // _INDEX_STEP + len(marks)] = marks
-            t_prev = ts[-1]
-        if out_of_range:
-            raise FormatError(f"{self.path}: timestamp exceeds signed 64-bit range")
-        try:
-            _check_dims(width, height)
-            for fault in faults:
-                if fault is not None:
-                    raise fault
-        except EvDepthError as exc:
-            raise type(exc)(f"{self.path}: {exc}") from None
-        return index
-
     def _read(self, lo: int, hi: int):
         """The checked columns of records [lo, hi)."""
-        cols = _read_evb_records(self._fh, self.path, self._buf, self.count, lo, hi)
+        cols = _evb_columns(hi - lo)
+        _read_evb_records(self._fh, self.path, self._buf, self.count, lo, cols)
         ts = cols[3]
         first = -(-lo // _INDEX_STEP)  # the first index entry at or past lo
         marks = ts[first * _INDEX_STEP - lo :: _INDEX_STEP]
@@ -545,8 +557,6 @@ class _EvbSource:
             _validate_arrays(self.width, self.height, *cols)
         except (FormatError, OrderingError, BoundsError) as exc:
             raise FormatError(f"{self.path}: changed after it was checked: {exc}") from None
-        for a in cols:
-            a.flags.writeable = False
         return cols
 
     def _search(self, t: int, side: str) -> int:
@@ -564,7 +574,7 @@ class _EvbSource:
         return int(self._read(i, i + 1)[3][0])
 
     def _slice(self, lo: int, hi: int, t_start: int, t_end: int) -> EventSlice:
-        return EventSlice(self.width, self.height, *self._read(lo, hi), t_start, t_end)
+        return EventSlice._of(self.width, self.height, *self._read(lo, hi), t_start, t_end)
 
 
 def _write_evb(stream: EventStream, fh) -> None:

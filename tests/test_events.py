@@ -1,5 +1,7 @@
+import copy
 import io
 import os
+import pickle
 import re
 import struct
 import tempfile
@@ -18,6 +20,7 @@ from evdepth.cli import main
 from evdepth.errors import BoundsError, FormatError, OrderingError, ParameterError
 from evdepth.events import (
     Event,
+    EventSlice,
     EventStream,
     SliceMode,
     SliceSpec,
@@ -230,6 +233,71 @@ class TestStreamInvariants:
             s.ts[0] = 0
         with pytest.raises(AttributeError):
             s.width = 12
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+class TestSliceIsAStream:
+    def test_a_slice_is_a_stream_with_an_interval(self):
+        sl = slice_sbt(small_stream(), 100, 50)
+        assert isinstance(sl, EventStream)
+        assert (sl.t_start_us, sl.t_end_us, sl.duration_us) == (50, 100, 50)
+        assert list(sl) == [Event(2, 5, -1, 60), Event(3, 6, 1, 100)]
+
+    def test_slices_compare_by_sensor_events_and_interval(self):
+        s = small_stream()
+        sl = slice_sbt(s, 100, 50)
+        assert sl == slice_sbt(s, 100, 50)
+        wider = slice_sbt(s, 100, 45)
+        assert list(wider.ts) == list(sl.ts) and sl != wider
+        assert sl != slice_sbt(EventStream(9, 8, s.xs, s.ys, s.ps, s.ts), 100, 50)
+        whole = slice_sbt(s, 100, 100)
+        assert whole == s and s == whole  # a stream and a slice: sensor and events
+        assert sl != s and s != sl
+
+    @pytest.mark.parametrize("make", [small_stream, lambda: slice_sbt(small_stream(), 100, 50)],
+                             ids=["stream", "slice"])
+    @pytest.mark.parametrize("twin_of", [_pickled, copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_rebuild_a_checked_twin(self, make, twin_of):
+        obj = make()
+        twin = twin_of(obj)
+        assert type(twin) is type(obj) and twin == obj
+        if isinstance(obj, EventSlice):
+            assert (twin.t_start_us, twin.t_end_us) == (obj.t_start_us, obj.t_end_us)
+        assert not np.shares_memory(twin.ts, obj.ts) and not twin.ts.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.width = 12
+
+    @pytest.mark.parametrize("cols", [
+        ([1, 2, 3], [4, 5, 6], [1, -1, 1], [10, 60, 50]),
+        ([1, 8, 3], [4, 5, 6], [1, -1, 1], [10, 60, 100]),
+        ([1, 2, 3], [4, 5, 6], [1, 0, 1], [10, 60, 100]),
+        ([1, 2, 3], [4, 5], [1, -1, 1], [10, 60, 100]),
+    ], ids=["regressing-timestamp", "off-sensor-pixel", "zero-polarity", "short-column"])
+    def test_constructor_checks_as_the_stream_constructor_does(self, cols):
+        with pytest.raises(Exception) as expected:
+            EventStream(8, 8, *cols)
+        with pytest.raises(type(expected.value)) as info:
+            EventSlice(8, 8, *cols, 0, 100)
+        assert str(info.value) == str(expected.value)
+
+    def test_constructor_copies_its_columns(self):
+        ts = np.array([10, 60, 100])
+        sl = EventSlice(8, 8, [1, 2, 3], [4, 5, 6], [1, -1, 1], ts, t_start_us=0, t_end_us=100)
+        assert ts.flags.writeable and not np.shares_memory(sl.ts, ts)
+        assert sl.ts.dtype == np.int64 and not sl.ts.flags.writeable
+
+    @pytest.mark.parametrize("fmt", ["evb", "csv"])
+    def test_a_written_slice_reads_back_equal(self, tmp_path, fmt):
+        stream = make_random_stream(np.random.default_rng(5), width=16, height=12, n_events=300)
+        sl = slice_sbt(stream, int(stream.ts[-40]), int(stream.ts[-40] - stream.ts[100]))
+        path = tmp_path / f"slice.{fmt}"
+        write_events(sl, path)
+        back = read_events(path)
+        assert back == sl and len(back) == len(sl) > 0
 
 
 def long_columns(n=20_000):

@@ -127,7 +127,7 @@ CHOICES = {
     "read_events": ("event format", "csv|evb",
                     lambda v, tmp, rec, sl: read_events(tmp / "e.evb", fmt=v)),
     "write_events": ("event format", "csv|evb",
-                     lambda v, tmp, rec, sl: write_events(sl.to_stream(), tmp / "w", fmt=v)),
+                     lambda v, tmp, rec, sl: write_events(sl, tmp / "w", fmt=v)),
     "training_step": ("mode", "proxy|gt|combined",
                       lambda v, tmp, rec, sl: training_step(rec, _pred(), mode=v)),
     # the format is checked before the manifest is read
@@ -168,8 +168,8 @@ def test_specs_take_a_mode_and_a_layout_by_their_values():
 
 
 def test_an_event_format_matches_in_any_case(tmp_path, events_slice):
-    write_events(events_slice.to_stream(), tmp_path / "e.bin", fmt="EVB")
-    assert read_events(tmp_path / "e.bin", fmt="Evb") == events_slice.to_stream()
+    write_events(events_slice, tmp_path / "e.bin", fmt="EVB")
+    assert read_events(tmp_path / "e.bin", fmt="Evb") == events_slice
 
 
 # ---------------------------------------------------------------------------
