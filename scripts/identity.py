@@ -3,13 +3,11 @@
 
     python3 scripts/identity.py <tree-a> <tree-b>
 
-A tree is a git revision of this repository (exported with ``git archive``
-into a temporary directory) or a directory holding a source checkout. Each
-tree runs the same probes, defined in this file, in its own subprocess that
-imports evdepth from that tree's ``src/`` with BLAS threads pinned to 1. A
-probe hashes the float64 (and integer) bytes of what it computes, over every
-seed, so a last-bit change anywhere shows: the gated seed-0 digests of the
-benchmark hash float32 and cannot see one.
+A tree is a git revision of this repository or a source checkout directory;
+each runs the same probes, defined in this file, in a child process of its
+own (see ``trees.py``). A probe hashes the float64 (and integer) bytes of
+what it computes, over every seed, so a last-bit change anywhere shows: the
+gated seed-0 digests of the benchmark hash float32 and cannot see one.
 
 Prints one JSON object: per probe the two hashes and whether they are equal,
 and for a probe that differs the first seed and item index (the position in
@@ -26,21 +24,18 @@ never one whose instructions the CPU lacks.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-REPO = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "EVDEPTH_THREADS")
+from trees import export, import_evdepth, openblas_core, run_child, run_evdepth
+
 SEEDS = (0, 1, 2)
 PROBE_TIMEOUT_S = 600
 
@@ -360,10 +355,6 @@ def probe_slice_cli(seed):
     twin. Reference times fall before the first event, on tied timestamps at
     index entries, in the gap and after the last event; the last count takes
     the whole stream."""
-    import contextlib
-    import io
-
-    from evdepth.cli import main
     from evdepth.events import write_events
 
     stream = _tied_stream(seed)
@@ -381,11 +372,8 @@ def probe_slice_cli(seed):
                 for flag, value in cuts:
                     for fmt in ("evb", "csv"):
                         path = root / f"slice.{fmt}"
-                        with contextlib.redirect_stdout(io.StringIO()):
-                            code = main(["slice", "--events", str(events), "--td-us", str(t_d),
-                                         flag, value, "--out", str(path)])
-                        if code != 0:
-                            raise RuntimeError(f"slice exited {code} at t_d={t_d} {flag} {value}")
+                        run_evdepth("slice", "--events", str(events), "--td-us", str(t_d),
+                                    flag, value, "--out", str(path))
                         out.append(np.frombuffer(path.read_bytes(), dtype=np.uint8))
     return out
 
@@ -484,10 +472,6 @@ def probe_fusion_run_cli(seed):
     """The depth files ``evdepth fusion run`` writes, in name order: over the
     tencode stacks of ``run_sequence``'s probe (one colour PFM each) and over
     voxel stacks of five bins (one grey ``<stem>.c<k>.pfm`` per bin)."""
-    import contextlib
-    import io
-
-    from evdepth.cli import main
     from evdepth.imgio import write_pfm
     from evdepth.stacks import EventStack, StackLayout, save_stack_pfm
 
@@ -506,14 +490,28 @@ def probe_fusion_run_cli(seed):
                 else:
                     bins = rng.normal(0.0, 0.5, FUSION_SHAPE + (5,)).astype(np.float32)
                     save_stack_pfm(EventStack(StackLayout.VOXEL, bins, 0, 1), path)
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["fusion", "run", "--stacks", str(stacks_dir),
-                             "--out", str(root / f"{layout}-depth"), "--seed", str(seed)])
-            if code != 0:
-                raise RuntimeError(f"fusion run exited {code} on {layout} stacks")
+            run_evdepth("fusion", "run", "--stacks", str(stacks_dir),
+                        "--out", str(root / f"{layout}-depth"), "--seed", str(seed))
             out += [np.frombuffer(path.read_bytes(), dtype=np.uint8)
                     for path in sorted((root / f"{layout}-depth").iterdir())]
     return out
+
+
+def _raster_writers(seed):
+    """Per file name, a writer of a raster both files and imgio.read probe."""
+    from evdepth.imgio import save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm, write_ppm
+
+    _, proxy, gt, mask, _ = _supervision_inputs(seed)
+    stacks, _ = _fusion_setup(seed)
+    frame = np.rint(255 * _frames(seed)[0].values).astype(np.uint8)
+    return {
+        "grey.pfm": lambda path: write_pfm(path, proxy),
+        "colour.pfm": lambda path: write_pfm(path, stacks[0]),
+        "frame.pgm": lambda path: write_pgm(path, frame),
+        "depth.pgm": lambda path: save_depth_pgm16(path, gt),  # and depth.pgm.json
+        "stack.ppm": lambda path: write_ppm(path, stacks[1]),
+        "mask.pgm": lambda path: save_mask_pgm(path, mask),
+    }
 
 
 def probe_files(seed):
@@ -523,15 +521,12 @@ def probe_files(seed):
     CSV reports, evcsv and EVB."""
     from evdepth.events import EventStream, SliceMode, SliceSpec, write_events
     from evdepth.fusion import save_model_params
-    from evdepth.imgio import save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm, write_ppm
     from evdepth.metrics import aggregate, evaluate, write_reports_csv, write_reports_json
     from evdepth.pipeline import (DatasetManifest, EncoderSpec, Provenance, SampleRecord,
                                   save_manifest)
     from evdepth.stacks import StackLayout
 
-    _, proxy, gt, mask, _ = _supervision_inputs(seed)
-    stacks, params = _fusion_setup(seed)
-    frame = np.rint(255 * _frames(seed)[0].values).astype(np.uint8)
+    _, params = _fusion_setup(seed)
     s = _stream(seed)
     head = EventStream(s.width, s.height, s.xs[:20_000], s.ys[:20_000], s.ps[:20_000],
                        s.ts[:20_000])
@@ -550,12 +545,7 @@ def probe_files(seed):
     frames = [(name, evaluate(p, t, m)) for name, p, t, m in _pairs(seed)]
     agg = aggregate([r for _, r in frames])
     writers = {
-        "grey.pfm": lambda path: write_pfm(path, proxy),
-        "colour.pfm": lambda path: write_pfm(path, stacks[0]),
-        "frame.pgm": lambda path: write_pgm(path, frame),
-        "depth.pgm": lambda path: save_depth_pgm16(path, gt),  # and depth.pgm.json
-        "stack.ppm": lambda path: write_ppm(path, stacks[1]),
-        "mask.pgm": lambda path: save_mask_pgm(path, mask),
+        **_raster_writers(seed),
         "sbt.json": lambda path: save_manifest(DatasetManifest(sbt, provenance, records), path),
         "sbn.json": lambda path: save_manifest(DatasetManifest(sbn, provenance, records), path),
         "params.bin": lambda path: save_model_params(params, path),  # and params.json
@@ -587,25 +577,16 @@ def probe_imgio_read(seed):
     fields; for colour and grey PFMs stored big-endian (scale 2.5) and
     little-endian (scale -0.5) holding NaN (one of them signaling), +-inf and
     -0; for PGM maxvals 255, 256 and 65535; and for a grey PFM read as depth."""
-    from evdepth.imgio import (load_depth, load_mask_pgm, read_pfm, read_pgm, read_ppm,
-                               save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm,
-                               write_ppm)
+    from evdepth.imgio import load_depth, load_mask_pgm, read_pfm, read_pgm, read_ppm
 
-    _, proxy, gt, mask, _ = _supervision_inputs(seed)
-    stacks, _ = _fusion_setup(seed)
-    frame = np.rint(255 * _frames(seed)[0].values).astype(np.uint8)
     rng = np.random.default_rng([seed, 10])
     h, w = 7, 5
     special = np.array([0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000, 0x80000000], "<u4")
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        write_pfm(root / "grey.pfm", proxy)
-        write_pfm(root / "colour.pfm", stacks[0])
-        write_pgm(root / "frame.pgm", frame)
-        save_depth_pgm16(root / "depth.pgm", gt)
-        write_ppm(root / "stack.ppm", stacks[1])
-        save_mask_pgm(root / "mask.pgm", mask)
+        for name, write in _raster_writers(seed).items():
+            write(root / name)
         hand = {}
         for ident, channels in ((b"Pf", 1), (b"PF", 3)):
             samples = rng.uniform(-4.0, 40.0, h * w * channels).astype("<f4")
@@ -663,29 +644,11 @@ PROBES = {
 }
 
 
-def openblas_core() -> str:
-    """The kernel numpy's bundled OpenBLAS runs on here (``SkylakeX``,
-    ``Haswell``, ...), or "unknown" when numpy bundles no OpenBLAS that
-    reports it."""
-    root = Path(np.__file__).parent
-    for lib in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
-        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename().decode("ascii")
-    return "unknown"
-
-
 def run_probes(tree: Path) -> dict[str, dict | str]:
     """Per probe: the digest over every seed's items, and one digest per item
     of each seed (so a difference can be traced to a seed and an item); or
     the error the probe raised."""
-    src = (tree / "src").resolve()
-    sys.path.insert(0, str(src))
-    import evdepth
-
-    if Path(evdepth.__file__).resolve().parent != src / "evdepth":
-        raise ImportError(f"imported evdepth from {evdepth.__file__}, not from {src}")
+    import_evdepth(tree / "src")
     results = {}
     for name, probe in PROBES.items():
         per_seed = []
@@ -721,49 +684,11 @@ def _first_difference(a: dict, b: dict) -> dict | None:
 # Driver
 
 
-def _git(*args) -> str:
-    proc = subprocess.run(["git", "-C", str(REPO), *args], capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"git {' '.join(args)}: {proc.stderr.strip()}")
-    return proc.stdout.strip()
-
-
-def _export(spec: str, workdir: Path) -> tuple[Path, dict]:
-    """The source tree for ``spec``: a checkout directory as it is, or a
-    revision exported with ``git archive``."""
-    path = Path(spec)
-    if path.is_dir():
-        if not (path / "src" / "evdepth" / "__init__.py").is_file():
-            raise RuntimeError(f"{spec}: no evdepth sources under {path / 'src'}")
-        return path.resolve(), {"tree": spec, "directory": str(path.resolve())}
-    commit = _git("rev-parse", "--verify", f"{spec}^{{commit}}")
-    tree = workdir / commit
-    if not tree.is_dir():
-        archive = workdir / f"{commit}.tar"
-        _git("archive", "--format=tar", "-o", str(archive), commit)
-        with tarfile.open(archive) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(tree, filter="data")
-            else:
-                tar.extractall(tree)
-    return tree, {"tree": spec, "commit": commit}
-
-
-def _probe_tree(tree: Path) -> dict:
-    env = dict(os.environ)
-    env.update({var: "1" for var in THREAD_VARS})
-    env.pop("PYTHONPATH", None)
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--probe-tree", str(tree)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=PROBE_TIMEOUT_S)
-    if proc.returncode != 0:
-        raise RuntimeError(f"probes failed on {tree}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def compare(spec_a: str, spec_b: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="evdepth-identity-") as tmp:
-        trees = [_export(spec, Path(tmp)) for spec in (spec_a, spec_b)]
-        runs = [_probe_tree(tree) for tree, _ in trees]
+        trees = [export(spec, Path(tmp)) for spec in (spec_a, spec_b)]
+        runs = [run_child(__file__, "--probe-tree", str(tree), timeout=PROBE_TIMEOUT_S)
+                for tree, _ in trees]
     for (_, info), run in zip(trees, runs):
         info["openblas_core"] = run["openblas_core"]
     probes = {}

@@ -4,12 +4,12 @@
     python3 scripts/memory_growth.py slice 1000000 4000000 [--max-growth-mb 16]
     python3 scripts/memory_growth.py fusion 8 64 [--max-growth-mb 16] [--src DIR] [--workdir DIR]
 
-For each size N, one child process writes the case's input of size N under
+For each size N, the script writes the case's input of size N under
 ``--workdir`` (default: a temporary directory; each input is removed once
 measured). A fresh child then imports evdepth from ``--src`` (default: this
-checkout's ``src/``), checks that it did, runs the case's measured phase on
-one thread and reports its own ``ru_maxrss``, which stays flat in N when
-the task's memory follows a slice or a stack, not the whole input.
+checkout's ``src/``, and no other), runs the case's measured phase on one
+thread and reports its own peak RSS: flat in N when the task's memory
+follows a slice or a stack, not the whole input.
 
 - ``slice``, N events (at least 50,000): ``build_manifest`` and
   ``export_stacks`` over an N-event EVB recording; 40M events take 520 MB.
@@ -23,13 +23,9 @@ when a child fails or the growth exceeds ``--max-growth-mb``, 0 otherwise.
 """
 
 import argparse
-import contextlib
-import io
 import json
-import os
-import resource
+import re
 import struct
-import subprocess
 import sys
 import tempfile
 import time
@@ -38,8 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-REPO = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "EVDEPTH_THREADS")
+from trees import REPO, import_evdepth, run_child, run_evdepth
+
 EVENTS_PER_US = 2
 N_FRAMES = 20
 SBN_COUNT = 50_000
@@ -116,14 +112,8 @@ def generate_fusion(n: int, root: Path) -> None:
 
 def measure_fusion(root: Path) -> dict:
     """Run ``fusion run`` over ``root/stacks``; its time."""
-    from evdepth.cli import main
-
     t0 = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["fusion", "run", "--stacks", str(root / "stacks"),
-                     "--out", str(root / "depth")])
-    if code != 0:
-        raise RuntimeError(f"fusion run exited {code}")
+    run_evdepth("fusion", "run", "--stacks", str(root / "stacks"), "--out", str(root / "depth"))
     return {"run_s": round(time.perf_counter() - t0, 3)}
 
 
@@ -140,31 +130,15 @@ CASES = {
 }
 
 
-def child_main(step: str, case: str, root: str, arg: str) -> None:
-    """In a child process: ``generate`` the input of size ``arg`` under
-    ``root``, or ``measure`` it with evdepth imported from ``arg``."""
-    if step == "generate":
-        CASES[case].generate(int(arg), Path(root))
-        return
-    src = Path(arg)
-    sys.path.insert(0, str(src))
-    import evdepth
-
-    # else an installed checkout or PYTHONPATH would be measured in place of --src
-    if Path(evdepth.__file__).resolve().parent != src / "evdepth":
-        sys.exit(f"imported evdepth from {evdepth.__file__}, not from {src}")
+def child_main(case: str, root: str, src: str) -> None:
+    """In the measuring child: ``case`` run on ``root`` with evdepth from ``src``."""
+    import_evdepth(src)
     report = CASES[case].measure(Path(root))
-    report["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    # VmHWM, not ru_maxrss: Linux starts a child's ru_maxrss at its parent's peak RSS,
+    # and the parent has written the input
+    hwm_kib = re.search(r"VmHWM:\s*(\d+) kB", Path("/proc/self/status").read_text())[1]
+    report["peak_rss_mb"] = round(int(hwm_kib) / 1024, 1)
     print(json.dumps(report))
-
-
-def _child(*args: str) -> str:
-    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", *args],
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"{' '.join(args[:2])} failed:\n{proc.stderr}")
-    return proc.stdout
 
 
 def main(argv=None) -> int:
@@ -184,10 +158,13 @@ def main(argv=None) -> int:
     for n in args.sizes:
         with tempfile.TemporaryDirectory(prefix=f"evdepth-{args.case}-memory-",
                                          dir=args.workdir) as tmp:
-            _child("generate", args.case, tmp, str(n))
+            case.generate(n, Path(tmp))
             size = sum(p.stat().st_size for p in Path(tmp).rglob("*") if p.is_file())
             run = {case.unit: n, "input_mb": round(size / 2**20, 1)}
-            run.update(json.loads(_child("measure", args.case, tmp, str(src)).splitlines()[-1]))
+            try:
+                run.update(run_child(__file__, "--child", args.case, tmp, str(src)))
+            except RuntimeError as exc:
+                sys.exit(exc)
         runs.append(run)
     growth = runs[-1]["peak_rss_mb"] - runs[0]["peak_rss_mb"]
     ok = args.max_growth_mb is None or growth <= args.max_growth_mb

@@ -320,12 +320,18 @@ def slice_events(stream, t_d: int, spec: SliceSpec) -> EventSlice:
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
-    """``fmt`` (in any case), or with none the format ``path``'s suffix names."""
-    if fmt is None and path.suffix.lower() not in (".csv", ".evb"):
+    """The format a ``.csv`` or ``.evb`` suffix names (in any case), which
+    ``fmt``, if given, must agree with; ``fmt`` names the format of a path
+    with neither suffix, such as ``/dev/stdout``."""
+    suffix = path.suffix.lower()[1:]
+    if fmt is None and suffix not in ("csv", "evb"):
         raise ParameterError(f"cannot infer event format from {path.name!r}; pass fmt=")
-    fmt = path.suffix[1:] if fmt is None else fmt
-    return _choice_param("event format", fmt.lower() if isinstance(fmt, str) else fmt,
-                         ("csv", "evb"))
+    fmt = suffix if fmt is None else fmt
+    fmt = _choice_param("event format", fmt.lower() if isinstance(fmt, str) else fmt,
+                        ("csv", "evb"))
+    if suffix in ("csv", "evb") and fmt != suffix:
+        raise ParameterError(f"event format {fmt!r} contradicts the suffix of {path.name!r}")
+    return fmt
 
 
 def read_events(path, fmt: str | None = None) -> EventStream:

@@ -127,15 +127,20 @@ def _open_recording(path):
 
 
 def _slice_record(events, record: SampleRecord, slicing: SliceSpec) -> EventSlice:
-    """The slice of ``record``, checked against the interval it recorded."""
+    """The slice of ``record``; a ContractError naming the record unless its
+    sensor size, interval and empty flag are the ones the record holds."""
     # this module's slice_sbt/slice_sbn, not slice_events: evbench/tracing.py wraps these names
     if slicing.mode is SliceMode.SBT:
         sl = slice_sbt(events, record.t_d_us, slicing.window_us)
     else:
         sl = slice_sbn(events, record.t_d_us, slicing.count)
-    if sl.t_start_us != record.t_start_us or (len(sl) == 0) != record.empty_slice:
+    held = (record.width, record.height, record.t_start_us, record.t_end_us, record.empty_slice)
+    found = (sl.width, sl.height, sl.t_start_us, sl.t_end_us, len(sl) == 0)
+    if found != held:
         raise ContractError(
-            f"record t_d={record.t_d_us}: events file no longer matches manifest interval")
+            f"record t_d={record.t_d_us}: events file no longer matches manifest record "
+            f"(width, height, t_start_us, t_end_us, empty_slice): {held} in the manifest, "
+            f"{found} from the events")
     return sl
 
 

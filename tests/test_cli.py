@@ -309,6 +309,23 @@ class TestSliceEncode:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["simulate", "slice"])
+    def test_event_format_that_contradicts_the_suffix_is_data_error(
+            self, tmp_path, events_file, capsys, command):
+        frames = tmp_path / "frames"
+        write_frames(frames, [(0, 90), (1000, 120)])
+        out = tmp_path / {"simulate": "x.evb", "slice": "s.csv"}[command]
+        argv = {
+            "simulate": ["simulate", "--frames", str(frames), "--contrast", "0.1",
+                         "--format", "csv"],
+            "slice": ["slice", "--events", str(events_file), "--td-us", "500000",
+                      "--dt-us", "100000", "--format", "evb"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: event format ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAlignEvaluate:
     def test_align_recovers_affine_map(self, tmp_path, capsys):
@@ -534,6 +551,31 @@ class TestDatasetAndFusion:
         assert main(["dataset", "export", "--manifest", str(manifest_path),
                      "--out", str(stacks_dir)]) == 0
         assert {p.name: p.read_bytes() for p in sorted(stacks_dir.glob("*.pfm"))} == first
+
+    @pytest.mark.parametrize("change", ["t_end_us edited", "sensor rewritten"])
+    def test_export_of_a_record_the_recording_no_longer_matches_is_data_error(
+            self, tmp_path, events_file, capsys, change):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--out", str(manifest_path)]) == 0
+        if change == "t_end_us edited":  # to before the record's own t_start_us
+            payload = json.loads(manifest_path.read_text())
+            assert payload["records"][0]["t_start_us"] == 250 * MS
+            payload["records"][0]["t_end_us"] = 7
+            manifest_path.write_text(json.dumps(payload))
+        else:  # the same events, on a sensor twice the size the records hold
+            s = read_events(events_file)
+            write_events(EventStream(2 * s.width, 2 * s.height, s.xs, s.ys, s.ps, s.ts),
+                         events_file)
+        capsys.readouterr()
+        stacks_dir = tmp_path / "stacks"
+        assert main(["dataset", "export", "--manifest", str(manifest_path),
+                     "--out", str(stacks_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: record t_d=300000: events file no longer matches")
+        assert err.count("\n") == 1
+        assert list(stacks_dir.iterdir()) == []
 
     def test_upper_case_proxy_and_mask_suffixes_build(self, tmp_path, events_file, capsys):
         frames, proxies = self._build_dataset(tmp_path, events_file)

@@ -1042,3 +1042,31 @@ def test_format_inference_requires_known_suffix(tmp_path):
     stream = EventStream.empty(8, 8)
     write_events(stream, tmp_path / "events.dat", fmt="evb")
     assert read_events(tmp_path / "events.dat", fmt="evb") == stream
+
+
+def test_format_that_contradicts_the_suffix_is_refused(tmp_path):
+    stream = make_random_stream(np.random.default_rng(0), n_events=10)
+    write_events(stream, tmp_path / "x.csv")
+    with pytest.raises(ParameterError, match="'csv' contradicts the suffix of 'x.EVB'"):
+        write_events(stream, tmp_path / "x.EVB", fmt="csv")
+    with pytest.raises(ParameterError, match="'evb' contradicts the suffix of 'x.csv'"):
+        read_events(tmp_path / "x.csv", fmt="evb")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_format_that_agrees_with_the_suffix_or_names_a_pipe(tmp_path):
+    stream = make_random_stream(np.random.default_rng(0), n_events=10)
+    write_events(stream, tmp_path / "x.evb", fmt="EVB")
+    assert read_events(tmp_path / "x.evb") == stream
+    write_events(stream, tmp_path / "x.csv")
+    r, w = os.pipe()
+    received = []
+    with os.fdopen(r, "rb") as rfh:
+        reader = threading.Thread(target=lambda: received.append(rfh.read()), daemon=True)
+        reader.start()
+        try:
+            write_events(stream, f"/dev/fd/{w}", fmt="csv")
+        finally:
+            os.close(w)
+        reader.join(timeout=60)
+    assert received == [(tmp_path / "x.csv").read_bytes()]
