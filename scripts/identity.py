@@ -497,6 +497,32 @@ def probe_fusion_run_cli(seed):
     return out
 
 
+def probe_params_archive(seed):
+    """What ``load_model_params`` returns for the archives ``save_model_params``
+    writes of ``make_model_params(seed)`` and of a two-scale model (2 and 3
+    channels) whose scale-8 kernel is 5x3: every tensor in archive order (per
+    scale its kernel and bias, then the projections, the head weight), then
+    the head bias."""
+    from dataclasses import replace
+
+    from evdepth.fusion import load_model_params, make_model_params, save_model_params
+
+    small = make_model_params(seed=seed, scales=(4, 8), channels=(2, 3))
+    wide = np.random.default_rng([seed, 12]).standard_normal((5, 3, 6, 12))
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, params in enumerate((make_model_params(seed=seed),
+                                    replace(small, kernels={**small.kernels, 8: wide}))):
+            path = Path(tmp) / f"p{k}.bin"
+            save_model_params(params, path)
+            loaded = load_model_params(path)
+            for s in loaded.scales:
+                out += [loaded.kernels[s], loaded.biases[s]]
+            out += [loaded.projections[s] for s in loaded.scales[1:]]
+            out += [loaded.head_weight, np.array([loaded.head_bias])]
+    return out
+
+
 def _raster_writers(seed):
     """Per file name, a writer of a raster both files and imgio.read probe."""
     from evdepth.imgio import save_depth_pgm16, save_mask_pgm, write_pfm, write_pgm, write_ppm
@@ -634,6 +660,7 @@ PROBES = {
     "fusion.fuse": probe_fuse,
     "fusion.run_sequence": probe_run_sequence,
     "cli.fusion_run": probe_fusion_run_cli,
+    "fusion.params_archive": probe_params_archive,
     "losses.lstsq_align": probe_lstsq_align,
     "losses.loss_total": probe_loss_total,
     "losses.loss_deep_pyramid": probe_loss_deep_pyramid,

@@ -25,8 +25,7 @@ from .errors import (ContractError, DomainError, EvDepthError, FormatError, Para
                      _int_param, _real_param)
 from .events import (SliceMode, SliceSpec, _infer_format, _ref_time, _slicing, read_events,
                      slice_events, write_events)
-from .fusion import (_seed, _steps, load_model_params, make_model_params, save_model_params,
-                     toy_extractor)
+from .fusion import _steps, load_model_params, make_model_params, save_model_params, toy_extractor
 from .imgio import (DEPTH_SUFFIXES, _finite, _read_json, _write_json, depth_valid_mask, load_depth,
                     save_depth_pfm)
 from .losses import lstsq_align
@@ -168,12 +167,15 @@ def cmd_evaluate(args) -> tuple[dict, str]:
         raise ParameterError(f"missing mask for {unmasked} under {Path(args.mask_dir)}")
 
     def one(stem: str):
-        pred = load_depth(preds[stem])
-        gt = load_depth(gts[stem])
-        mask = depth_valid_mask(gt)
-        if masks is not None:
-            mask &= _load_mask(masks[stem], mask.shape)
-        return stem, evaluate(pred, gt, mask, align=not args.no_align, clamp=clamp)
+        try:
+            pred = load_depth(preds[stem])
+            gt = load_depth(gts[stem])
+            mask = depth_valid_mask(gt)
+            if masks is not None:
+                mask &= _load_mask(masks[stem], mask.shape)
+            return stem, evaluate(pred, gt, mask, align=not args.no_align, clamp=clamp)
+        except EvDepthError as exc:
+            raise type(exc)(f"frame {stem}: {exc}") from None
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         frames = list(pool.map(one, sorted(preds)))
@@ -224,9 +226,9 @@ def cmd_dataset_export(args) -> tuple[dict, str]:
 def cmd_fusion_run(args) -> tuple[dict, str]:
     """Every stack's files are checked from their headers first, so a
     malformed stack or a change of frame size is an error before any depth
-    file is written. The run then holds one stack at a time: each is read,
-    stepped and its depth written before the next is read."""
-    _seed(args.seed)  # before --params-out is written
+    file is written. The run then holds one stack at a time, and makes ``--out``
+    and writes ``--params-out`` only once the first step has run."""
+    _int_param("seed", args.seed, 0)  # before any file is read
     stacks_dir = Path(args.stacks)
     stacks = _stack_files(stacks_dir)
     if not stacks:
@@ -237,9 +239,6 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
             raise ContractError(
                 f"{stacks_dir}: stack {stem} is {w}x{h}, stack {first} is {width}x{height}")
     params = load_model_params(args.params) if args.params else make_model_params(seed=args.seed)
-    if args.params_out:
-        Path(args.params_out).parent.mkdir(parents=True, exist_ok=True)
-        save_model_params(params, args.params_out)
     depths = _steps(
         (_read_stack(files, shape) for _, files, shape in stacks),
         lambda a: toy_extractor(a, seed=args.seed, scales=params.scales, channels=params.channels),
@@ -248,8 +247,11 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
     out_dir = Path(args.out)
     written = []
     for (stem, _, _), depth in zip(stacks, depths):
-        if not written:  # created once the first step has run
+        if not written:
             out_dir.mkdir(parents=True, exist_ok=True)
+            if args.params_out:
+                Path(args.params_out).parent.mkdir(parents=True, exist_ok=True)
+                save_model_params(params, args.params_out)
         out_path = out_dir / f"{stem}.depth.pfm"
         save_depth_pfm(out_path, depth)
         written.append(out_path)

@@ -175,13 +175,6 @@ class EventStream:
         self._set((*_validate_arrays(width, height, *cols), *cols))
 
     @classmethod
-    def _adopt(cls, width, height, xs, ys, ps, ts) -> "EventStream":
-        """Validate and freeze, without copying, C-contiguous int32/int32/int8/
-        int64 columns that the caller has just built and holds no other
-        reference to."""
-        return cls._of(*_validate_arrays(width, height, xs, ys, ps, ts), xs, ys, ps, ts)
-
-    @classmethod
     def _of(cls, *fields):
         """An instance of ``fields``, in ``_FIELDS`` order, whose columns are
         already checked: no copy and no second check."""

@@ -17,7 +17,8 @@ every depth map it returns; ``evdepth fusion run`` drives the same step
 generator one stack at a time, so its memory is flat in sequence length.
 
 Parameters serialize to a flat float64 binary archive plus a JSON manifest
-listing (name, shape, offset) per tensor.
+listing (name, shape, offset) per tensor, in the one layout ``_archive_layout``
+gives; the reader takes exactly what the writer writes, all else is a FormatError.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ class FeaturePyramid:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Every model tensor. Per scale s with C_s channels: a ConvLSTM gate
-    kernel (k, k, 2*C_s, 4*C_s) and bias (4*C_s,), gates ordered input,
-    forget, output, candidate. Projections are 1x1 (C_coarse, C_fine), keyed
-    by the coarse scale of each adjacent pair."""
+    """Every model tensor, of the shapes ``_archive_layout`` gives; gates ordered input,
+    forget, output, candidate; projections keyed by the coarser scale of their pair."""
 
     scales: tuple[int, ...]
     channels: tuple[int, ...]
@@ -126,6 +125,13 @@ def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return _conv_rows([x], kernel).T.reshape(h, w, kernel.shape[3])
 
 
+def _fits(dims, pattern) -> bool:
+    """Whether ``dims`` are ints (not bools) matching ``pattern``; "odd" is 1, 3, 5..."""
+    return len(dims) == len(pattern) and all(
+        type(n) is int and (n == p or p == "odd" and n > 0 and n % 2 == 1)
+        for n, p in zip(dims, pattern))
+
+
 def convlstm_step(features, hidden, cell, kernel, bias):
     """One ConvLSTM update; returns (new_hidden, new_cell).
 
@@ -141,11 +147,8 @@ def convlstm_step(features, hidden, cell, kernel, bias):
             f"state shape {hidden.shape}/{cell.shape} does not match features {features.shape}"
         )
     h, w, c = features.shape
-    odd_k = kernel.ndim == 4 and kernel.shape[0] % 2 == kernel.shape[1] % 2 == 1
-    if not odd_k or kernel.shape[2:] != (2 * c, 4 * c):
-        raise ContractError(f"kernel shape {kernel.shape} incompatible with {c} channels")
-    if bias.shape != (4 * c,):
-        raise ContractError(f"bias shape {bias.shape}, expected ({4 * c},)")
+    if not (_fits(kernel.shape, ("odd", "odd", 2 * c, 4 * c)) and bias.shape == (4 * c,)):
+        raise ContractError(f"kernel {kernel.shape} or bias {bias.shape} does not fit {c} channels")
     # Gates stay in the GEMM's (4C, H*W) rows, so each gate block is
     # contiguous and every step below runs in place on it.
     gates = _conv_rows([features, hidden], kernel)
@@ -234,11 +237,6 @@ def _model_shape(scales, channels) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return scales, channels
 
 
-def _seed(seed) -> int:
-    """The model seed as a Python int: an integer of at least 0, unbounded."""
-    return _int_param("seed", seed, 0)
-
-
 @functools.lru_cache(maxsize=16)
 def _toy_embedding(seed: int, s: int, c_in: int, c_s: int, hs: int, ws: int):
     """The seeded (projection, positional) pair of one scale, read-only."""
@@ -261,7 +259,7 @@ def toy_extractor(
     scale, plus a fixed positional term. Same seed, same stack: identical
     pyramid bits.
     """
-    seed = _seed(seed)
+    seed = _int_param("seed", seed, 0)
     scales, channels = _model_shape(scales, channels)
     values = np.asarray(stack, dtype=np.float64)
     if values.ndim != 3:
@@ -285,7 +283,7 @@ def make_model_params(
     channels: tuple[int, ...] = FUSION_DEFAULTS.channels,
 ) -> ModelParams:
     """Seeded parameters with 3x3 gate kernels."""
-    seed = _seed(seed)
+    seed = _int_param("seed", seed, 0)
     scales, channels = _model_shape(scales, channels)
     kernels = {}
     biases = {}
@@ -364,24 +362,31 @@ def run_sequence(
 # Parameter archive
 
 
-def _named_tensors(params: ModelParams):
-    for s in params.scales:
-        yield f"lstm.{s}.kernel", params.kernels[s]
-        yield f"lstm.{s}.bias", params.biases[s]
-    for s in params.scales[1:]:
-        yield f"fuse.{s}.projection", params.projections[s]
-    yield "head.weight", params.head_weight
-    yield "head.bias", np.asarray([params.head_bias])
+def _archive_layout(scales, channels):
+    """The archive's tensors in file order: name, ``ModelParams`` field, scale (None
+    for the head's) and shape, where "odd" is a kernel side, as ``convlstm_step`` takes it."""
+    for s, c in zip(scales, channels):
+        yield f"lstm.{s}.kernel", "kernels", s, ("odd", "odd", 2 * c, 4 * c)
+        yield f"lstm.{s}.bias", "biases", s, (4 * c,)
+    for c_fine, s, c in zip(channels, scales[1:], channels[1:]):
+        yield f"fuse.{s}.projection", "projections", s, (c, c_fine)
+    yield "head.weight", "head_weight", None, (channels[0],)
+    yield "head.bias", "head_bias", None, (1,)
 
 
 def save_model_params(params: ModelParams, bin_path) -> None:
-    """Write the tensors to ``bin_path`` and their manifest to ``<bin stem>.json``."""
+    """Write the tensors to ``bin_path`` and their manifest to ``<bin stem>.json``.
+    A tensor not of its layout shape is a ContractError, and no file is written."""
     bin_path = Path(bin_path)
     tensors = []
     offset = 0
     with _atomic_write(bin_path, "wb") as fh:
-        for name, arr in _named_tensors(params):
-            data = np.ascontiguousarray(arr, dtype="<f8")
+        for name, field, scale, pattern in _archive_layout(params.scales, params.channels):
+            value = getattr(params, field)
+            # at least one dimension: the float head bias is written as (1,)
+            data = np.ascontiguousarray(value if scale is None else value[scale], dtype="<f8")
+            if not _fits(data.shape, pattern):
+                raise ContractError(f"{name} shape {data.shape}, expected {pattern}")
             fh.write(data.tobytes())
             tensors.append({"name": name, "shape": list(data.shape), "offset": offset})
             offset += data.nbytes
@@ -391,42 +396,37 @@ def save_model_params(params: ModelParams, bin_path) -> None:
 
 
 def load_model_params(bin_path) -> ModelParams:
-    """Read an archive written by save_model_params. A malformed manifest
-    field, a missing tensor or a truncated archive is a FormatError."""
+    """Read an archive as save_model_params writes it and nothing else: the tensors
+    the manifest's scales and channels give, in archive order, each of its shape at the
+    offset where the one before ends, no bytes past the last; else a FormatError."""
     bin_path = Path(bin_path)
     json_path = bin_path.with_suffix(".json")
     manifest = _read_json(json_path, "parameter manifest")
-    if not (isinstance(manifest, dict) and manifest.get("version") == 1
-            and manifest.get("dtype") == "<f8"):
-        raise FormatError(f"{json_path}: unsupported parameter manifest")
+    offset = 0
     try:
         scales, channels = _model_shape(manifest["scales"], manifest["channels"])
-        specs = [(t["name"], tuple(_int_param("tensor dimension", d, 0) for d in t["shape"]),
-                  _int_param("tensor offset", t["offset"], 0)) for t in manifest["tensors"]]
-        if not all(isinstance(name, str) for name, _, _ in specs):
-            raise FormatError(f"{json_path}: every tensor name must be a string")
-    except KeyError as exc:
-        raise FormatError(f"{json_path}: missing key {exc}") from None
-    except (ParameterError, TypeError) as exc:
-        raise FormatError(f"{json_path}: {exc}") from None
+        layout = list(_archive_layout(scales, channels))
+        entries = manifest["tensors"]
+        header = {"version": 1, "dtype": "<f8", "scales": list(scales), "channels": list(channels)}
+        if manifest != {**header, "tensors": entries} or len(entries) != len(layout):
+            raise FormatError(f"{json_path}: not a version 1 '<f8' manifest of the {len(layout)} "
+                              f"tensors of scales {scales} and channels {channels}")
+        for (name, _, _, pattern), entry in zip(layout, entries):
+            # the offset is matched as a pattern too, as 8.0 and true equal ints
+            if (entry != {"name": name, "shape": entry["shape"], "offset": offset}
+                    or not _fits([entry["offset"], *entry["shape"]], (offset, *pattern))):
+                raise FormatError(f"{json_path}: expected {name} of shape {pattern} at offset "
+                                  f"{offset}, got {entry!r}")
+            offset += 8 * math.prod(entry["shape"])
+    except (KeyError, ParameterError, TypeError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise FormatError(f"{json_path}: not a parameter manifest: {what}") from None
     raw = bin_path.read_bytes()
-    tensors = {}
-    for name, shape, start in specs:
-        end = start + math.prod(shape) * 8
-        if end > len(raw):
-            raise FormatError(f"{bin_path}: archive truncated at tensor {name}")
-        try:
-            tensors[name] = np.frombuffer(raw[start:end], "<f8").reshape(shape).astype(np.float64)
-        except ValueError:  # an empty tensor with a side numpy refuses
-            raise FormatError(f"{json_path}: tensor {name} shape {shape} out of range") from None
-    try:
-        kernels = {s: tensors[f"lstm.{s}.kernel"] for s in scales}
-        biases = {s: tensors[f"lstm.{s}.bias"] for s in scales}
-        projections = {s: tensors[f"fuse.{s}.projection"] for s in scales[1:]}
-        head_weight, head_bias = tensors["head.weight"], tensors["head.bias"]
-    except KeyError as exc:
-        raise FormatError(f"{json_path}: missing tensor {exc}") from None
-    if head_bias.shape != (1,):
-        raise FormatError(f"{json_path}: head.bias must hold one value")
-    return ModelParams(scales, channels, kernels, biases, projections, head_weight,
-                       float(head_bias[0]))
+    if len(raw) != offset:
+        raise FormatError(f"{bin_path}: {len(raw)} bytes, its manifest lists {offset}")
+    fields = {"projections": {}}  # a one-scale model has none
+    for (_, field, scale, _), entry in zip(layout, entries):
+        tensor = np.frombuffer(raw, "<f8", math.prod(entry["shape"]), entry["offset"])
+        fields.setdefault(field, {})[scale] = tensor.reshape(entry["shape"]).astype(np.float64)
+    return ModelParams(scales, channels, fields["kernels"], fields["biases"], fields["projections"],
+                       fields["head_weight"][None], float(fields["head_bias"][None][0]))

@@ -372,12 +372,14 @@ def _write_stack(stack, path: Path, fmt: str) -> list[Path]:
 
 
 def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[Path]:
-    """Encode every record to ``<t_d:012>.pfm/.ppm``; reruns are byte-identical."""
+    """Encode every record to ``<t_d:012>.pfm/.ppm``; reruns are byte-identical.
+    ``out_dir`` is made with the first stack (or at once, with no records)."""
     fmt = _choice_param("format", fmt, ("pfm", "ppm"))
     encoder = manifest.encoder
     _check_format(encoder.layout, fmt)  # before a directory or recording is touched
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not manifest.records:
+        out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     with contextlib.ExitStack() as opened:
         recordings = {}
@@ -388,6 +390,8 @@ def export_stacks(manifest: DatasetManifest, out_dir, fmt: str = "pfm") -> list[
                 recordings[record.events_path] = events
             sl = _slice_record(events, record, encoder.slicing)
             stack = encode(sl, encoder.layout, bins=encoder.bins)
+            if not written:
+                out_dir.mkdir(parents=True, exist_ok=True)
             written.extend(_write_stack(stack, out_dir / f"{record.t_d_us:012d}.{fmt}", fmt))
             del sl, stack  # freed before the next record's slice is read
     return written

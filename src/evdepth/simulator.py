@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, FormatError, InsufficientInputError,
                      OrderingError, ParameterError, _int_param, _real_param)
-from .events import EventStream, _allocate
+from .events import EventStream, _allocate, _validate_arrays
 from .imgio import read_pgm
 from .naming import timestamped_files
 
@@ -250,4 +250,5 @@ def simulate(frames: Sequence[IntensityFrame], config: SimConfig) -> EventStream
     if not sort_per_pair:
         order = np.argsort(ts, kind="stable")
         xs, ys, ps, ts = xs[order], ys[order], ps[order], ts[order]
-    return EventStream._adopt(width, height, xs, ys, ps, ts)  # fresh arrays, no copy
+    # the columns are fresh, so they are checked and frozen in place, not copied
+    return EventStream._of(*_validate_arrays(width, height, xs, ys, ps, ts), xs, ys, ps, ts)

@@ -455,7 +455,7 @@ class TestAlignEvaluate:
         save_depth_pgm16(gt_dir / "f0.pgm", np.full((10, 10), 4.0))
         (gt_dir / "f0.pgm.json").write_text('{"scale_m_per_unit": 1' + "0" * 400 + "}\n")
         assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {gt_dir / 'f0.pgm.json'}: ")
+        assert capsys.readouterr().err.startswith(f"error: frame f0: {gt_dir / 'f0.pgm.json'}: ")
 
     def test_negative_prediction_without_clamp_floor_is_data_error(self, tmp_path, capsys):
         pred_dir, gt_dir = self._make_eval_dirs(tmp_path)
@@ -575,7 +575,7 @@ class TestDatasetAndFusion:
         err = capsys.readouterr().err
         assert err.startswith("error: record t_d=300000: events file no longer matches")
         assert err.count("\n") == 1
-        assert list(stacks_dir.iterdir()) == []
+        assert not stacks_dir.exists()
 
     def test_upper_case_proxy_and_mask_suffixes_build(self, tmp_path, events_file, capsys):
         frames, proxies = self._build_dataset(tmp_path, events_file)
@@ -886,6 +886,75 @@ class TestDatasetAndFusion:
         assert err.startswith(message.format(out=out)) and err.count("\n") == 1
         assert not out.exists()
 
+    def test_fusion_run_writes_params_out_only_after_its_first_step(self, tmp_path, capsys):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / "000000000001.pfm", np.zeros((24, 32, 3)))
+        params_out = tmp_path / "p" / "p.bin"
+        assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(tmp_path / "d"),
+                     "--params-out", str(params_out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: stack dims 24x32 not divisible by scale 16\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stacks"]
+
+    def test_fusion_run_writes_params_out_with_its_first_depth(self, tmp_path):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / "000000000001.pfm", np.zeros((32, 32, 3)))
+        params_out = tmp_path / "p" / "p.bin"
+        assert main(["fusion", "run", "--stacks", str(stacks_dir), "--out", str(tmp_path / "d"),
+                     "--params-out", str(params_out), "--seed", "5"]) == 0
+        loaded = load_model_params(params_out)
+        assert np.array_equal(loaded.head_weight, make_model_params(seed=5).head_weight)
+        assert (tmp_path / "d" / "000000000001.depth.pfm").is_file()
+
+    def _manifest(self, tmp_path, events_file):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--out", str(manifest_path)]) == 0
+        return manifest_path
+
+    @pytest.mark.parametrize("fault, code", [("removed", 3), ("truncated", 2)])
+    def test_export_makes_out_with_its_first_stack(self, tmp_path, events_file, capsys, fault,
+                                                    code):
+        manifest_path = self._manifest(tmp_path, events_file)
+        if fault == "removed":
+            events_file.unlink()
+        else:
+            events_file.write_bytes(events_file.read_bytes()[:100])
+        capsys.readouterr()
+        out = tmp_path / "stacks"
+        assert main(["dataset", "export", "--manifest", str(manifest_path),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_export_of_no_records_makes_an_empty_out(self, tmp_path, events_file, capsys):
+        manifest_path = self._manifest(tmp_path, events_file)
+        payload = json.loads(manifest_path.read_text())
+        payload["records"] = []
+        manifest_path.write_text(json.dumps(payload))
+        out = tmp_path / "stacks"
+        assert main(["dataset", "export", "--manifest", str(manifest_path),
+                     "--out", str(out)]) == 0
+        assert out.is_dir() and list(out.iterdir()) == []
+
+    def test_build_with_a_frame_missing_its_mask(self, tmp_path, events_file, capsys):
+        frames, proxies = self._build_dataset(tmp_path, events_file)
+        masks = tmp_path / "mask"
+        masks.mkdir()
+        stems = sorted(p.stem for p in frames.iterdir())
+        for stem in stems[1:]:
+            write_pgm(masks / f"{stem}.pgm", np.full((12, 16), 255, dtype=np.uint8))
+        assert main(["dataset", "build", "--events", str(events_file), "--frames", str(frames),
+                     "--proxy", str(proxies), "--mask", str(masks),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: missing proxy/mask files for frames: {stems[0]} "
+                       f"(t_d={int(stems[0])}, mask)\n")
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestBench:
     def test_bench_reports_throughput_and_hashes(self, tmp_path, events_file, capsys):
@@ -1061,3 +1130,66 @@ class TestThreadsEnv:
         monkeypatch.setenv(config.THREADS_ENV_VAR, value)
         with pytest.raises(ParameterError, match="EVDEPTH_THREADS must be an integer >= 1"):
             config.max_threads()
+
+
+class TestEvaluateNamesTheFrame:
+    def _dirs(self, tmp_path, pred_shape=(6, 8)):
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        rng = np.random.default_rng(5)
+        for k in range(3):
+            save_depth_pfm(gt_dir / f"f{k}.pfm", rng.uniform(1, 10, (6, 8)))
+            shape = pred_shape if k == 1 else (6, 8)
+            save_depth_pfm(pred_dir / f"f{k}.pfm", rng.uniform(1, 10, shape))
+        return pred_dir, gt_dir
+
+    def test_non_finite_prediction_names_its_frame(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._dirs(tmp_path)
+        pred = read_pfm(pred_dir / "f1.pfm")
+        pred[2, 3] = np.nan
+        save_depth_pfm(pred_dir / "f1.pfm", pred)
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: frame f1: prediction must be finite on the valid mask\n"
+
+    def test_shape_mismatch_names_its_frame(self, tmp_path, capsys):
+        pred_dir, gt_dir = self._dirs(tmp_path, pred_shape=(6, 9))
+        assert main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: frame f1: shape mismatch: pred (6, 9) vs target (6, 8)\n"
+
+
+class TestErrorBranches:
+    """One row per error branch that no other test reaches."""
+
+    def test_build_with_no_frames(self, tmp_path, events_file, capsys):
+        (tmp_path / "frames").mkdir()
+        (tmp_path / "proxy").mkdir()
+        assert main(["dataset", "build", "--events", str(events_file),
+                     "--frames", str(tmp_path / "frames"), "--proxy", str(tmp_path / "proxy"),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: no frames found under {tmp_path / 'frames'}\n"
+
+    def test_evaluate_with_empty_directories(self, tmp_path, capsys):
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "gt").mkdir()
+        assert main(["evaluate", "--pred-dir", str(tmp_path / "pred"),
+                     "--gt-dir", str(tmp_path / "gt")]) == 2
+        assert capsys.readouterr().err == f"error: no depth files under {tmp_path / 'pred'}\n"
+
+    def test_fusion_run_with_no_stacks(self, tmp_path, capsys):
+        (tmp_path / "stacks").mkdir()
+        (tmp_path / "stacks" / "notes.txt").write_text("not a stack\n")
+        assert main(["fusion", "run", "--stacks", str(tmp_path / "stacks"),
+                     "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: no .pfm stacks under {tmp_path / 'stacks'}\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_align_with_a_colour_prediction(self, tmp_path, capsys):
+        write_pfm(tmp_path / "pred.pfm", np.ones((4, 5, 3)))
+        save_depth_pfm(tmp_path / "target.pfm", np.ones((4, 5)))
+        assert main(["align", "--pred", str(tmp_path / "pred.pfm"),
+                     "--target", str(tmp_path / "target.pfm")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'pred.pfm'}: depth PFM must be single-channel\n"

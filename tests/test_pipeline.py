@@ -442,6 +442,14 @@ class TestTrainingStep:
         with pytest.raises(ContractError):
             training_step(manifest.records[0], np.ones((10, 10)))
 
+    def test_proxy_of_another_size_at_step_time_names_the_record(self, tmp_path):
+        events, frames, proxies, _, _ = build_scene(tmp_path)
+        record = build_manifest(events, frames, proxies).records[0]
+        save_depth_pfm(record.proxy_path, np.ones((24, 31)))
+        with pytest.raises(ContractError, match=re.escape(
+                f"record t_d={record.t_d_us}: proxy shape (24, 31), expected (24, 32)")):
+            training_step(record, np.ones((24, 32)))
+
 
 class TestExport:
     def test_files_match_direct_encoding(self, tmp_path):
