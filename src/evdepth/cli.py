@@ -57,6 +57,13 @@ class _UsageError(Exception):
     """A flag combination the parser cannot reject on its own; exit code 1."""
 
 
+def _path(text: str) -> str:
+    """A path flag's value; an empty one names no file (a usage error, exit 1)."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -224,20 +231,19 @@ def cmd_dataset_export(args) -> tuple[dict, str]:
 
 
 def cmd_fusion_run(args) -> tuple[dict, str]:
-    """Every stack's files are checked from their headers first, so a
-    malformed stack or a change of frame size is an error before any depth
-    file is written. The run then holds one stack at a time, and makes ``--out``
-    and writes ``--params-out`` only once the first step has run."""
+    """Every stack's files are checked from their headers first, so a malformed stack or a
+    change of frame size or channel count is an error before any depth file is written. The
+    run then holds one stack at a time, and makes ``--out`` and writes ``--params-out`` only
+    once the first step has run."""
     _int_param("seed", args.seed, 0)  # before any file is read
     stacks_dir = Path(args.stacks)
     stacks = _stack_files(stacks_dir)
     if not stacks:
         raise ParameterError(f"no .pfm stacks under {stacks_dir}")
-    first, _, (height, width, _) = stacks[0]
-    for stem, _, (h, w, _) in stacks[1:]:
-        if (h, w) != (height, width):
-            raise ContractError(
-                f"{stacks_dir}: stack {stem} is {w}x{h}, stack {first} is {width}x{height}")
+    first, _, shape = stacks[0]
+    for stem, _, other in stacks[1:]:
+        if other != shape:
+            raise ContractError(f"{stacks_dir}: stack {stem} is {other}, stack {first} is {shape}")
     params = load_model_params(args.params) if args.params else make_model_params(seed=args.seed)
     depths = _steps(
         (_read_stack(files, shape) for _, files, shape in stacks),
@@ -252,9 +258,8 @@ def cmd_fusion_run(args) -> tuple[dict, str]:
             if args.params_out:
                 Path(args.params_out).parent.mkdir(parents=True, exist_ok=True)
                 save_model_params(params, args.params_out)
-        out_path = out_dir / f"{stem}.depth.pfm"
-        save_depth_pfm(out_path, depth)
-        written.append(out_path)
+        written.append(out_dir / f"{stem}.depth.pfm")
+        save_depth_pfm(written[-1], depth)
     payload = {"steps": len(written), "seed": args.seed, "files": [str(p) for p in written]}
     return payload, f"ran {len(written)} steps (seed {args.seed}) -> {out_dir}"
 
@@ -425,12 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion", help="recurrent fusion tools")
     fsub = p.add_subparsers(dest="fusion_command", parser_class=_Parser)
     r = fsub.add_parser("run", help="run the recurrent model over a stack sequence")
-    r.add_argument("--stacks", required=True,
+    r.add_argument("--stacks", required=True, type=_path,
                    help="directory of PFM stacks; voxel channels as <t>.c<k>.pfm")
-    r.add_argument("--out", required=True)
+    r.add_argument("--out", required=True, type=_path)
     r.add_argument("--seed", type=int, default=FUSION_DEFAULTS.seed)
-    r.add_argument("--params", default=None, help="load parameters (.bin archive)")
-    r.add_argument("--params-out", default=None, help="save parameters (.bin archive)")
+    r.add_argument("--params", type=_path, help="load parameters (.bin archive)")
+    r.add_argument("--params-out", type=_path, help="save parameters (.bin archive)")
     r.set_defaults(func=cmd_fusion_run)
 
     p = sub.add_parser("bench", help="encoder throughput report")

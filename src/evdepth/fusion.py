@@ -1,10 +1,10 @@
 """Desk-scale recurrent multi-scale fusion runner.
 
 Forward-only numpy reference of the mechanism: a pluggable extractor turns an
-event stack into a feature pyramid at strides {4, 8, 16}; a ConvLSTM per
-scale folds the new features into per-scale hidden/cell state; the enhanced
-maps are fused coarse-to-fine (bilinear x2 upsample, 1x1 projection, add) and
-a linear head produces a depth map at the finest stride.
+event stack into a feature pyramid at strides {4, 8, 16}, each twice the one
+before; a ConvLSTM per scale folds the new features into per-scale hidden/cell
+state; the enhanced maps are fused coarse-to-fine (bilinear x2 upsample, 1x1
+projection, add) and a linear head produces a depth map at the finest stride.
 
 There is no training here: state starts at zero and carries across the
 whole sequence. Default scales, channels and seed come from
@@ -44,10 +44,15 @@ class FeaturePyramid:
     maps: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.scales) != len(self.maps) or not self.scales:
+        if len(self.scales) != len(self.maps):
             raise ContractError("pyramid needs one map per scale")
-        if list(self.scales) != sorted(self.scales):
-            raise ContractError(f"scales must ascend, got {self.scales}")
+        _check_scales(self.scales, ContractError)
+
+
+def _check_scales(scales, error) -> None:
+    """The model's one scale rule: one or more scales, each twice the one before (x2 upsample)."""
+    if not scales or any(coarse != 2 * fine for fine, coarse in zip(scales, scales[1:])):
+        raise error(f"need one or more scales, each twice the one before, got {scales}")
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,6 @@ def fuse(pyramid: FeaturePyramid, projections: dict[int, np.ndarray]) -> np.ndar
     by the coarser scale), add to the next finer map. Returns the fused
     finest-scale feature map."""
     scales = pyramid.scales
-    for fine, coarse in zip(scales, scales[1:]):
-        if coarse != 2 * fine:
-            raise ContractError(f"scales must be contiguous (factor 2), got {scales}")
     acc = pyramid.maps[-1]
     for idx in range(len(scales) - 2, -1, -1):
         proj = projections.get(scales[idx + 1])
@@ -228,11 +230,12 @@ def depth_head(fused: np.ndarray, weight: np.ndarray, bias: float) -> np.ndarray
 
 
 def _model_shape(scales, channels) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The scales and channel counts (each at least 1, one channel count per
-    scale) as Python ints; an argument that is not iterable is a TypeError."""
+    """The scales (each at least 1, as ``_check_scales`` has them) and channel counts (each
+    at least 1, one per scale) as Python ints; a non-iterable argument is a TypeError."""
     scales = tuple(_int_param("scale", s, 1) for s in scales)
     channels = tuple(_int_param("channel count", c, 1) for c in channels)
-    if len(scales) != len(channels) or not scales:
+    _check_scales(scales, ParameterError)
+    if len(scales) != len(channels):
         raise ParameterError("need one channel count per scale")
     return scales, channels
 
@@ -375,8 +378,9 @@ def _archive_layout(scales, channels):
 
 
 def save_model_params(params: ModelParams, bin_path) -> None:
-    """Write the tensors to ``bin_path`` and their manifest to ``<bin stem>.json``.
-    A tensor not of its layout shape is a ContractError, and no file is written."""
+    """Write the tensors to ``bin_path`` and their manifest to ``<bin stem>.json``; scales that
+    do not double or a tensor not of its layout shape is a ContractError, and no file is written."""
+    _check_scales(params.scales, ContractError)
     bin_path = Path(bin_path)
     tensors = []
     offset = 0

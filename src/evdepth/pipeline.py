@@ -322,7 +322,7 @@ def training_step(
 
     ``proxy`` supervises on the distilled label under the record mask;
     ``gt`` on the ground-truth depth under its own validity; ``combined``
-    adds both (the record must carry both targets).
+    adds both. A target the record lacks is an error before any file is read.
     """
     mode = _choice_param("mode", mode, ("proxy", "gt", "combined"))
     lam, k_scales = _loss_params(lam, k_scales)  # before any file is read
@@ -330,33 +330,23 @@ def training_step(
     if pred.shape != (record.height, record.width):
         raise ContractError(
             f"prediction shape {pred.shape}, sensor is {(record.height, record.width)}")
-    proxy_report = gt_report = None
-    total = 0.0
-    grads = []
+    kinds = {"proxy": ["proxy"], "gt": ["ground-truth"], "combined": ["proxy", "ground-truth"]}
+    paths = {"proxy": record.proxy_path, "ground-truth": record.gt_path}
+    if any(paths[kind] is None for kind in kinds[mode]):
+        raise ParameterError(f"record t_d={record.t_d_us} has no ground-truth target")
     mask = (np.ones(pred.shape, dtype=bool) if record.mask_path is None
             else _load_mask(record.mask_path, pred.shape))
-    if mode in ("proxy", "combined"):
-        proxy = _load_target(record.proxy_path, record, "proxy")
-        proxy_report, proxy_grad = loss_total(pred, proxy, mask, lam, k_scales)
-        del proxy  # not needed while the ground-truth loss runs
-        total += proxy_report.total
-        grads.append(proxy_grad)
-    if mode in ("gt", "combined"):
-        if record.gt_path is None:
-            raise ParameterError(f"record t_d={record.t_d_us} has no ground-truth target")
-        gt = _load_target(record.gt_path, record, "ground-truth")
-        gt_mask = depth_valid_mask(gt) & mask
-        gt_report, gt_grad = loss_total(pred, gt, gt_mask, lam, k_scales)
-        del gt, gt_mask  # freed before the sum: the allocator reuses the space sooner
-        total += gt_report.total
-        grads.append(gt_grad)
-    # 0.0 + g1 (+ g2), summed in g1's array: as from a zero-filled start, a
-    # -0.0 in g1 comes out +0.0
-    grad = grads[0]
-    grad += 0.0
-    for g in grads[1:]:
-        grad += g
-    return TrainingStep(proxy_report, gt_report, total, grad)
+    reports, total, grad = {}, 0.0, 0.0
+    for kind in kinds[mode]:
+        target = _load_target(paths[kind], record, kind)
+        target_mask = mask if kind == "proxy" else depth_valid_mask(target) & mask
+        reports[kind], target_grad = loss_total(pred, target, target_mask, lam, k_scales)
+        del target, target_mask  # freed before the next target is read
+        total += reports[kind].total
+        # (0.0 + g1) + g2, each sum in the new term's array: as from a zero-filled
+        # start, a -0.0 in g1 comes out +0.0
+        grad = np.add(grad, target_grad, out=target_grad)
+    return TrainingStep(reports.get("proxy"), reports.get("ground-truth"), total, grad)
 
 
 # ---------------------------------------------------------------------------

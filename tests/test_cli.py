@@ -766,6 +766,32 @@ class TestDatasetAndFusion:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "depth").exists()
 
+    def test_fusion_run_refuses_a_change_of_channel_count(self, tmp_path, capsys):
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / "000000000001.pfm", np.full((32, 32, 3), 0.5, dtype=np.float32))
+        for k in range(5):  # a 5-bin voxel stack of the same size
+            write_pfm(stacks_dir / f"000000000002.c{k}.pfm",
+                      np.full((32, 32), 0.5, dtype=np.float32))
+        assert main(["fusion", "run", "--stacks", str(stacks_dir),
+                     "--out", str(tmp_path / "depth")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stacks_dir}: stack 000000000002 is (32, 32, 5), "
+            f"stack 000000000001 is (32, 32, 3)\n")
+        assert not (tmp_path / "depth").exists()
+
+    @pytest.mark.parametrize("flag", ["--stacks", "--out", "--params", "--params-out"])
+    def test_fusion_run_refuses_an_empty_path(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)  # an empty path used as one would name this directory
+        stacks_dir = tmp_path / "stacks"
+        stacks_dir.mkdir()
+        write_pfm(stacks_dir / "000000000001.pfm", np.full((32, 32, 3), 0.5, dtype=np.float32))
+        paths = {"--stacks": str(stacks_dir), "--out": str(tmp_path / "d"), flag: ""}
+        assert main(["fusion", "run", *(f"{k}={v}" for k, v in paths.items())]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: an empty path names no file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stacks"]
+
     @pytest.mark.parametrize("layout", ["tencode", "voxel"])
     def test_fusion_run_writes_the_depths_of_run_sequence(self, tmp_path, capsys, layout):
         stream = make_random_stream(np.random.default_rng(6), width=32, height=16, n_events=3000)

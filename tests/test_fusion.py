@@ -286,9 +286,13 @@ class TestFuse:
         assert np.allclose(fused, 2.0 * bilinear_up2(coarse)[:, :, 0], atol=1e-15)
 
     def test_non_contiguous_scales_rejected(self):
-        pyramid = FeaturePyramid((2, 8), (np.zeros((8, 8, 1)), np.zeros((2, 2, 1))))
-        with pytest.raises(ContractError):
-            fuse(pyramid, {8: np.zeros((1, 1))})
+        with pytest.raises(ContractError, match=r"each twice the one before, got \(2, 8\)"):
+            FeaturePyramid((2, 8), (np.zeros((8, 8, 1)), np.zeros((2, 2, 1))))
+
+    @pytest.mark.parametrize("scales", [(), (8, 4), (4, 12), (4, 4)], ids=str)
+    def test_pyramid_scales_double(self, scales):
+        with pytest.raises(ContractError, match="each twice the one before"):
+            FeaturePyramid(scales, tuple(np.zeros((2, 2, 1)) for _ in scales))
 
     def test_wrong_projection_or_head_shape_rejected(self):
         pyramid = FeaturePyramid((2, 4), (np.zeros((4, 4, 2)), np.zeros((2, 2, 3))))
@@ -353,17 +357,22 @@ class TestToyExtractor:
         with pytest.raises(ContractError):
             toy_extractor(np.zeros((60, 64, 3)), seed=0)
 
-    @pytest.mark.parametrize("kwargs, named", [
-        ({"scales": (0,), "channels": (4,)}, "scale"),
-        ({"scales": (4.0,), "channels": (4,)}, "scale"),
-        ({"channels": (16, True, 64)}, "channel count"),
-        ({"seed": -1}, "seed"),
-        ({"seed": 1.5}, "seed"),
-    ], ids=["zero-scale", "float-scale", "bool-channels", "negative-seed", "float-seed"])
-    def test_bad_integer_argument_is_parameter_error(self, kwargs, named):
-        for fn in (lambda: toy_extractor(np.zeros((32, 32, 3)), **kwargs),
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"scales": (0,), "channels": (4,)}, "scale must be an integer >= "),
+        ({"scales": (4.0,), "channels": (4,)}, "scale must be an integer >= "),
+        ({"channels": (16, True, 64)}, "channel count must be an integer >= "),
+        ({"seed": -1}, "seed must be an integer >= "),
+        ({"seed": 1.5}, "seed must be an integer >= "),
+        ({"scales": (8, 4), "channels": (2, 2)}, r"need one or more scales, .*\(8, 4\)"),
+        ({"scales": (4, 12), "channels": (2, 2)}, r"need one or more scales, .*\(4, 12\)"),
+        ({"scales": (4, 4), "channels": (2, 2)}, r"need one or more scales, .*\(4, 4\)"),
+        ({"scales": (), "channels": ()}, r"need one or more scales, .*\(\)"),
+    ], ids=["zero-scale", "float-scale", "bool-channels", "negative-seed", "float-seed",
+            "descending-scales", "scales-x3", "repeated-scale", "no-scale"])
+    def test_bad_integer_argument_is_parameter_error(self, kwargs, message):
+        for fn in (lambda: toy_extractor(np.zeros((48, 48, 3)), **kwargs),
                    lambda: make_model_params(**kwargs)):
-            with pytest.raises(ParameterError, match=f"^{named} must be an integer >= "):
+            with pytest.raises(ParameterError, match=f"^{message}"):
                 fn()
 
     def test_seed_has_no_upper_bound(self):

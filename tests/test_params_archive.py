@@ -4,6 +4,7 @@ FormatError before a run steps or writes anything."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,10 @@ def test_archive_other_than_the_writers_is_refused_before_any_output(tmp_path, c
         bin_path.with_suffix(".json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=str(tmp_path)):
         load_model_params(bin_path)
+    _run_is_refused_before_any_output(tmp_path, capsys, bin_path)
+
+
+def _run_is_refused_before_any_output(tmp_path, capsys, bin_path):
     stacks = tmp_path / "stacks"
     stacks.mkdir()
     write_pfm(stacks / "000000000001.pfm", np.full((32, 32, 3), 0.5))
@@ -89,6 +94,26 @@ def test_archive_other_than_the_writers_is_refused_before_any_output(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists() and not params_out.parent.exists()
+
+
+@pytest.mark.parametrize("scales", [(8, 4), (4, 12), (4, 4)], ids=str)
+def test_archive_whose_scales_do_not_double_is_refused_before_any_output(tmp_path, capsys,
+                                                                         scales):
+    """A (4, 8)-scale archive of 2 channels per scale, relabelled by hand: with one
+    channel count throughout, every tensor keeps its shape and offset."""
+    bin_path = tmp_path / "model.bin"
+    save_model_params(make_model_params(seed=0, scales=(4, 8), channels=(2, 2)), bin_path)
+    json_path = bin_path.with_suffix(".json")
+    manifest = json.loads(json_path.read_text())
+    names = [f"lstm.{s}.{part}" for s in scales for part in ("kernel", "bias")]
+    names += [f"fuse.{scales[1]}.projection", "head.weight", "head.bias"]
+    manifest["scales"] = list(scales)
+    for entry, name in zip(manifest["tensors"], names, strict=True):
+        entry["name"] = name
+    json_path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=re.escape(f"{json_path}: ") + ".*twice the one before"):
+        load_model_params(bin_path)
+    _run_is_refused_before_any_output(tmp_path, capsys, bin_path)
 
 
 def test_archives_share_one_layout_whatever_the_kernel_sides(tmp_path):
@@ -117,5 +142,13 @@ def test_writer_refuses_params_the_reader_would_refuse(tmp_path, field, value):
     params = dataclasses.replace(make_model_params(seed=0, scales=(4,), channels=(2,)),
                                  **{field: value})
     with pytest.raises(ContractError):
+        save_model_params(params, tmp_path / "m.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_refuses_scales_that_do_not_double(tmp_path):
+    params = make_model_params(seed=0, scales=(4, 8), channels=(2, 2))
+    params = dataclasses.replace(params, scales=(8, 4), projections={4: params.projections[8]})
+    with pytest.raises(ContractError, match=r"twice the one before, got \(8, 4\)"):
         save_model_params(params, tmp_path / "m.bin")
     assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +428,15 @@ class TestTrainingStep:
         manifest = build_manifest(events, frames, proxies)
         with pytest.raises(ParameterError):
             training_step(manifest.records[0], np.ones((24, 32)), mode="combined")
+
+    @pytest.mark.parametrize("mode, missing", [("combined", "proxy"), ("gt", "mask")])
+    def test_a_target_the_record_lacks_comes_before_any_file(self, tmp_path, mode, missing):
+        events, frames, proxies, _, mask_dir = build_scene(tmp_path, with_mask=True)
+        record = build_manifest(events, frames, proxies, mask_dir=mask_dir).records[0]
+        assert record.gt_path is None
+        Path(record.proxy_path if missing == "proxy" else record.mask_path).unlink()
+        with pytest.raises(ParameterError, match=f"record t_d={record.t_d_us} has no ground-truth"):
+            training_step(record, np.ones((24, 32)), mode=mode)
 
     def test_missing_proxy_at_step_time_names_the_record(self, tmp_path):
         events, frames, proxies, _, _ = build_scene(tmp_path)
